@@ -1,22 +1,31 @@
 """Iterative algorithms behind a single trace-producing run interface.
 
-Anchor schedules differ structurally across algorithms (1/(k+1) vs 1/(k+2)
-vs inverse geometric sums), so each algorithm gets its own stepper; only the
-damped anchored extragradient core is shared between FEG and SM_EAG_PLUS,
-which must produce bit-identical iterates when mu = 0.
+Each algorithm is a step rule that keeps only its recursion: ``evaluate(k)``
+computes the natural residual of row k, and ``step(k)`` moves from row k to
+row k + 1. A single loop in ``run`` advances every rule, and it alone owns
+the ``max_iterations``/``stop_residual`` stops, the oracle billing, the
+recording and the construction of the ``IterateTrace``. Anchor schedules
+differ structurally across algorithms (1/(k+1) vs 1/(k+2) vs inverse
+geometric sums), so each rule keeps its own. FEG and SM_EAG_PLUS share one
+rule, which must produce bit-identical iterates when mu = 0, and OHM is
+OC_HALPERN's rule at gamma = 1.
 
-Oracle accounting: ``b_per_iter``/``resolvent_per_iter`` count the calls the
-recursion itself makes (one entry per update step); residual instrumentation
-is never billed there.
+Oracle accounting: ``b_per_iter``/``resolvent_per_iter`` count the calls a
+rule makes through its counted oracle while evaluating row k and stepping to
+row k + 1, one entry per step. The final row's evaluation is billed as one
+more entry only by the splitting methods (OHM_DRS, APG_STAR), where it yields
+the output point; elsewhere the final residual is instrumentation and never
+billed. Calls made before row 0 (a warm start) are billed as ``warmup_b``.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from array import array
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, StepSizeCollapse
+from .errors import ConfigError, NoForwardEvaluation, StepSizeCollapse
 from .operators import (
     Array,
     GradientOperator,
@@ -53,10 +62,13 @@ class AlgorithmConfig:
 class IterateTrace:
     """Full record of a run.
 
-    ``main`` holds the primary iterates (length iterations+1, index 0 = start,
-    shorter only after an early residual stop). Auxiliary sequences may be
-    offset by one as documented per algorithm. ``residual_norms[k]`` is the
-    algorithm's natural residual at index k.
+    ``main`` holds the primary iterates, one row per index k = 0..iterations
+    (row 0 = start; fewer rows only after an early residual stop), or only
+    the start and final rows when iterates are not recorded.
+    ``residual_norms[k]`` is the algorithm's natural residual at row k and
+    is always kept. Auxiliary sequences have one entry per row or one per
+    step, as documented per algorithm. ``b_per_iter``/``resolvent_per_iter``
+    hold the billed oracle calls of each step.
     """
 
     algorithm: str
@@ -79,7 +91,7 @@ class IterateTrace:
 
     @property
     def iterations(self) -> int:
-        return len(self.main) - 1
+        return len(self.residual_norms) - 1
 
     @property
     def start(self) -> Array:
@@ -101,35 +113,36 @@ class IterateTrace:
         return int(self.resolvent_per_iter.sum())
 
     def cumulative_counts(self):
-        """(b, resolvent) oracle totals aligned with the rows of ``main``."""
+        """(b, resolvent) oracle totals aligned with the rows of ``main``.
+
+        The per-step counts are summed up to the final row, which carries
+        the run's total. With one entry per step, row 0 holds the warm-up
+        alone; a splitting method also bills its final row's evaluation, so
+        each of its rows includes the evaluation of that row.
+        """
         if not self.params.get("record_iterates", True):
             raise ValueError("trace was recorded in residuals-only mode")
         rows = len(self.main)
-        b = np.zeros(rows, dtype=int)
-        r = np.zeros(rows, dtype=int)
-        per_row = self.params.get("counts_per_row", False)
-        if self.b_per_iter is not None:
-            c = np.cumsum(self.b_per_iter)
-            if per_row:
-                b[:] = c[:rows]
-            else:
-                b[1:] = c[:rows - 1]
-        if self.resolvent_per_iter is not None:
-            c = np.cumsum(self.resolvent_per_iter)
-            if per_row:
-                r[:] = c[:rows]
-            else:
-                r[1:] = c[:rows - 1]
-        return b + self.warmup_b, r
+
+        def cumulative(per_iter):
+            out = np.zeros(rows, dtype=int)
+            if per_iter is not None:
+                out[rows - len(per_iter):] = np.cumsum(per_iter)
+            return out
+
+        return (cumulative(self.b_per_iter) + self.warmup_b,
+                cumulative(self.resolvent_per_iter))
 
 
 class _Counted:
-    """Forward/resolvent wrapper that counts algorithmic oracle calls."""
+    """Oracle wrapper that counts algorithmic calls: forward evaluations of
+    B, and resolvents of B or of the prox part A."""
 
-    __slots__ = ("op", "b", "res")
+    __slots__ = ("op", "prox_part", "b", "res")
 
-    def __init__(self, op: Operator):
+    def __init__(self, op: Operator, prox_part: Operator | None = None):
         self.op = op
+        self.prox_part = prox_part
         self.b = 0
         self.res = 0
 
@@ -140,6 +153,10 @@ class _Counted:
     def resolvent(self, alpha, z, tol):
         self.res += 1
         return self.op.resolvent(alpha, z, tol)
+
+    def prox(self, alpha, z, tol):
+        self.res += 1
+        return self.prox_part.resolvent(alpha, z, tol)
 
 
 def max_step_strongly_monotone(lipschitz: float, mu: float) -> float:
@@ -199,166 +216,197 @@ def validate_config(config: AlgorithmConfig, problem: Problem) -> None:
 
 
 def run(config: AlgorithmConfig, problem: Problem, z0) -> IterateTrace:
-    """Validate, dispatch to the per-algorithm stepper, and assemble the trace.
+    """Validate, then drive the algorithm's step rule row by row into a trace.
 
-    Deterministic: identical inputs produce bit-identical traces.
+    Without recorded iterates only the start, the rule's current state and
+    the per-row scalars are held, so the memory for iterates stays O(d)
+    whatever the number of iterations, and no call is made for
+    instrumentation alone. Deterministic: identical inputs produce
+    bit-identical traces.
     """
     validate_config(config, problem)
     z0 = as_vector(z0, problem.dim)
-    stepper = _STEPPERS[config.algorithm]
-    return stepper(config, problem, z0)
+    record = config.record_iterates
+    oracle = _Counted(problem.operator, problem.prox_part)
+    rule = _RULES[config.algorithm](config, problem, oracle, z0, record)
+    warmup = oracle.b
+    last, stop, lag = config.max_iterations, config.stop_residual, rule.stop_lag
+    evaluate, step = rule.evaluate, rule.step
+    kept = [i for i, name in enumerate(rule.row_fields)
+            if name in rule.kept_fields]
+    # running oracle totals at the start of each row; their differences are
+    # the per-step counts
+    b_marks, r_marks = [], []
+    residuals = array("d")  # 8 bytes per row
+    # recorded values go into flat lists, row after row: holding a container
+    # per row would make the garbage collector rescan them all the time
+    points, rows, steps = [z0], [], []
+    for k in range(last + 1):
+        b_marks.append(oracle.b)
+        r_marks.append(oracle.res)
+        residual, row = evaluate(k)
+        residuals.append(residual)
+        if record:
+            rows.extend(row)
+        elif kept:
+            rows.extend([row[i] for i in kept])
+        if k == last or (stop is not None and k >= lag
+                         and residuals[k - lag] <= stop):
+            break
+        made = step(k)
+        if record:
+            points.append(rule.z)
+            steps.extend(made)
+    if rule.final_row_billed:
+        b_marks.append(oracle.b)
+        r_marks.append(oracle.res)
+    if record:
+        auxiliary = _columns(rule.row_fields, rows)
+        auxiliary.update(_columns(rule.step_fields, steps))
+    else:
+        points.append(rule.z)
+        auxiliary = _columns([rule.row_fields[i] for i in kept], rows)
+    return IterateTrace(
+        algorithm=config.algorithm,
+        main=np.array(points),
+        residual_norms=np.array(residuals),
+        auxiliary=auxiliary,
+        op_evals=auxiliary.pop("op_evals", None),
+        b_per_iter=np.diff(np.array(b_marks, dtype=int)),
+        resolvent_per_iter=np.diff(np.array(r_marks, dtype=int)),
+        warmup_b=warmup,
+        params={"alpha": config.alpha, "max_iterations": config.max_iterations,
+                "stop_residual": config.stop_residual,
+                "record_iterates": record, **rule.params},
+    )
+
+
+def _columns(names, flat) -> dict:
+    """One array per name from values recorded row after row (or step after
+    step), one value per name each time."""
+    return {name: np.array(flat[i::len(names)]) for i, name in enumerate(names)}
+
+
+class _Rule:
+    """One algorithm's recursion, advanced row by row by ``run``.
+
+    ``z`` is the point of the current row (row 0 = start): the iterate of the
+    forward methods, w_k of OHM/OC_HALPERN, u_k of OHM_DRS and xi_k of
+    APG_STAR. ``evaluate(k)`` returns the natural residual of row k and a
+    tuple with one value per name in ``row_fields``; ``step(k)`` moves ``z``
+    to row k + 1 and returns one value per name in ``step_fields``. A row
+    field named ``op_evals`` becomes the trace's ``op_evals``. Billed calls
+    go through ``self.b`` (a ``_Counted`` oracle); ``self.raw`` is the
+    operator itself, for instrumentation that is never billed.
+    """
+
+    row_fields: tuple = ()
+    step_fields: tuple = ()
+    kept_fields: tuple = ()  # row fields recorded even without iterates
+    final_row_billed = False  # the final row's evaluation is one more entry
+    stop_lag = 0             # the stop test reads the residual of row k - lag
+    params: dict = {}        # extra trace parameters
+
+    def __init__(self, config, problem, oracle, z0, record):
+        self.alpha = config.alpha
+        self.tol = config.resolvent_tolerance
+        self.z0 = self.z = z0
+        self.b = oracle
+        self.raw = problem.operator
 
 
 # ---------------------------------------------------------------------------
 # forward one-call/two-call classical methods
 
 
-def _finish_forward(name, config, zs, ops, residuals, b_steps, warmup, extra=None):
-    record = config.record_iterates
-    main = np.array(zs if record else [zs[0], zs[-1]])
-    params = {"alpha": config.alpha, "max_iterations": config.max_iterations,
-              "stop_residual": config.stop_residual,
-              "record_iterates": record}
-    return IterateTrace(
-        algorithm=name,
-        main=main,
-        residual_norms=np.array(residuals),
-        auxiliary={k: np.array(v) for k, v in (extra or {}).items()} if record else {},
-        op_evals=np.array(ops) if record else None,
-        b_per_iter=np.array(b_steps, dtype=int),
-        resolvent_per_iter=np.zeros(len(b_steps), dtype=int),
-        warmup_b=warmup,
-        params=params,
-    )
+class _ForwardResidual(_Rule):
+    """Rules whose step k starts from B z_k, which is also row k's residual."""
+
+    row_fields = ("op_evals",)
+
+    def evaluate(self, k):
+        self.bz = bz = self.b(self.z)
+        return np.linalg.norm(bz), (bz,)
 
 
-def _run_gda(config, problem, z0):
-    b = _Counted(problem.operator)
-    alpha, stop = config.alpha, config.stop_residual
-    z = z0
-    zs, ops, res, steps = [z0], [], [], []
-    for _ in range(config.max_iterations):
-        bz = b(z)
-        ops.append(bz)
-        res.append(np.linalg.norm(bz))
-        steps.append(1)
-        if stop is not None and res[-1] <= stop:
-            steps.pop()
-            break
-        z = z - alpha * bz
-        zs.append(z)
-    else:
-        ops.append(problem.operator(z))
-        res.append(np.linalg.norm(ops[-1]))
-    return _finish_forward("GDA", config, zs, ops, res, steps, 0)
+class _GDA(_ForwardResidual):
+    def step(self, k):
+        self.z = self.z - self.alpha * self.bz
+        return ()
 
 
-def _run_eg(config, problem, z0):
-    b = _Counted(problem.operator)
-    alpha, stop = config.alpha, config.stop_residual
-    z = z0
-    zs, ops, res, steps, halves = [z0], [], [], [], []
-    for _ in range(config.max_iterations):
-        bz = b(z)
-        ops.append(bz)
-        res.append(np.linalg.norm(bz))
-        steps.append(2)
-        if stop is not None and res[-1] <= stop:
-            steps.pop()
-            break
-        half = z - alpha * bz
-        z = z - alpha * b(half)
-        halves.append(half)
-        zs.append(z)
-    else:
-        ops.append(problem.operator(z))
-        res.append(np.linalg.norm(ops[-1]))
-    return _finish_forward("EG", config, zs, ops, res, steps, 0,
-                           extra={"half": halves})
+class _EG(_ForwardResidual):
+    step_fields = ("half",)
+
+    def step(self, k):
+        half = self.z - self.alpha * self.bz
+        self.z = self.z - self.alpha * self.b(half)
+        return (half,)
 
 
-def _run_og(config, problem, z0):
-    # z_{k+1} = z_k - alpha B z_k - alpha (B z_k - B z_{k-1}), z_{-1} = z_0
-    b = _Counted(problem.operator)
-    alpha, stop = config.alpha, config.stop_residual
-    z = z0
-    cur = b(z)  # warm start
-    prev = cur
-    zs, ops, res, steps = [z0], [cur], [np.linalg.norm(cur)], []
-    for _ in range(config.max_iterations):
-        if stop is not None and res[-1] <= stop:
-            break
-        z = z - alpha * cur - alpha * (cur - prev)
-        prev = cur
-        cur = b(z)
-        steps.append(1)
-        zs.append(z)
-        ops.append(cur)
-        res.append(np.linalg.norm(cur))
-    return _finish_forward("OG", config, zs, ops, res, steps, 1)
+class _OG(_Rule):
+    """z_{k+1} = z_k - alpha B z_k - alpha (B z_k - B z_{k-1}), z_{-1} = z_0."""
+
+    row_fields = ("op_evals",)
+
+    def __init__(self, config, problem, oracle, z0, record):
+        super().__init__(config, problem, oracle, z0, record)
+        self.cur = self.prev = self.b(z0)  # warm start
+
+    def evaluate(self, k):
+        return np.linalg.norm(self.cur), (self.cur,)
+
+    def step(self, k):
+        alpha, cur = self.alpha, self.cur
+        self.z = self.z - alpha * cur - alpha * (cur - self.prev)
+        self.prev = cur
+        self.cur = self.b(self.z)
+        return ()
 
 
-def _run_agm(config, problem, z0):
-    # x_{k+1} = y_k - alpha grad(y_k); y_{k+1} = x_{k+1} + ((t_k-1)/t_{k+1})(x_{k+1}-x_k)
-    # with t_k = (k + a - 1) / a
-    grad = _Counted(problem.operator)
-    alpha, a = config.alpha, config.momentum_a
-    x = z0
-    y = z0
-    xs, ys, ops, res, steps = [z0], [z0], [], [], []
-    raw = problem.operator
-    for k in range(config.max_iterations):
-        ops.append(raw(x))
-        res.append(np.linalg.norm(ops[-1]))
-        if config.stop_residual is not None and res[-1] <= config.stop_residual:
-            break
+class _AGM(_Rule):
+    """x_{k+1} = y_k - alpha grad(y_k);
+    y_{k+1} = x_{k+1} + ((t_k-1)/t_{k+1})(x_{k+1}-x_k), t_k = (k + a - 1) / a.
+    ``extrapolated`` holds y_k per row."""
+
+    row_fields = ("op_evals", "extrapolated")
+
+    def __init__(self, config, problem, oracle, z0, record):
+        super().__init__(config, problem, oracle, z0, record)
+        self.y = z0
+        self.a = config.momentum_a
+
+    def evaluate(self, k):
+        grad = self.raw(self.z)
+        return np.linalg.norm(grad), (grad, self.y)
+
+    def step(self, k):
+        a, x = self.a, self.z
         t_k = (k + a - 1.0) / a
         t_next = (k + a) / a
-        x_new = y - alpha * grad(y)
-        y = x_new + ((t_k - 1.0) / t_next) * (x_new - x)
-        x = x_new
-        steps.append(1)
-        xs.append(x)
-        ys.append(y)
-    else:
-        ops.append(raw(x))
-        res.append(np.linalg.norm(ops[-1]))
-    return _finish_forward("AGM", config, xs, ops, res, steps, 0,
-                           extra={"extrapolated": ys})
+        x_new = self.y - self.alpha * self.b(self.y)
+        self.y = x_new + ((t_k - 1.0) / t_next) * (x_new - x)
+        self.z = x_new
+        return ()
 
 
 # ---------------------------------------------------------------------------
 # anchored forward methods
 
 
-def _run_eag(config, problem, z0):
-    b = _Counted(problem.operator)
-    alpha, stop = config.alpha, config.stop_residual
-    z = z0
-    zs, ops, res, steps, halves, op_halves = [z0], [], [], [], [], []
-    for k in range(config.max_iterations):
-        bz = b(z)
-        ops.append(bz)
-        res.append(np.linalg.norm(bz))
-        steps.append(2)
-        if stop is not None and res[-1] <= stop:
-            steps.pop()
-            break
+class _EAG(_ForwardResidual):
+    step_fields = ("half", "op_half")
+
+    def step(self, k):
+        z0, z, alpha = self.z0, self.z, self.alpha
         beta = 1.0 / (k + 1)
-        half = beta * z0 + (1.0 - beta) * z - alpha * bz
-        bh = b(half)
-        z = beta * z0 + (1.0 - beta) * z - alpha * bh
-        halves.append(half)
-        op_halves.append(bh)
-        zs.append(z)
-    else:
-        ops.append(problem.operator(z))
-        res.append(np.linalg.norm(ops[-1]))
-    return _finish_forward("EAG", config, zs, ops, res, steps, 0,
-                           extra={"half": halves, "op_half": op_halves})
+        half = beta * z0 + (1.0 - beta) * z - alpha * self.bz
+        bh = self.b(half)
+        self.z = beta * z0 + (1.0 - beta) * z - alpha * bh
+        return half, bh
 
 
-def _anchored_extragradient(name, config, problem, z0, contraction_x):
+class _FEG(_ForwardResidual):
     """Shared core of FEG (x = 1) and SM_EAG_PLUS (x = 1 + 2 alpha mu).
 
     Half step: beta_k z0 + (1-beta_k)(z_k - (alpha/x) B z_k), with
@@ -367,213 +415,170 @@ def _anchored_extragradient(name, config, problem, z0, contraction_x):
     floating-point expressions coincide bitwise with the mu = 0 case of
     SM_EAG_PLUS.
     """
-    b = _Counted(problem.operator)
-    alpha, stop = config.alpha, config.stop_residual
-    x = contraction_x
-    a_eff = alpha / x
-    big_s = 1.0
-    z = z0
-    zs, ops, res, steps, halves, op_halves = [z0], [], [], [], [], []
-    for _ in range(config.max_iterations):
-        bz = b(z)
-        ops.append(bz)
-        res.append(np.linalg.norm(bz))
-        steps.append(2)
-        if stop is not None and res[-1] <= stop:
-            steps.pop()
-            break
-        beta = 1.0 / big_s
-        half = beta * z0 + (1.0 - beta) * (z - a_eff * bz)
-        bh = b(half)
-        z = beta * z0 + (1.0 - beta) * z - alpha * bh
-        halves.append(half)
-        op_halves.append(bh)
-        zs.append(z)
-        big_s = 1.0 + x * big_s
-    else:
-        ops.append(problem.operator(z))
-        res.append(np.linalg.norm(ops[-1]))
-    return _finish_forward(name, config, zs, ops, res, steps, 0,
-                           extra={"half": halves, "op_half": op_halves})
+
+    step_fields = ("half", "op_half")
+
+    def __init__(self, config, problem, oracle, z0, record):
+        super().__init__(config, problem, oracle, z0, record)
+        self.x = self.contraction(config, problem)
+        self.a_eff = config.alpha / self.x
+        self.big_s = 1.0
+
+    def contraction(self, config, problem):
+        return 1.0
+
+    def step(self, k):
+        z0, z = self.z0, self.z
+        beta = 1.0 / self.big_s
+        half = beta * z0 + (1.0 - beta) * (z - self.a_eff * self.bz)
+        bh = self.b(half)
+        self.z = beta * z0 + (1.0 - beta) * z - self.alpha * bh
+        self.big_s = 1.0 + self.x * self.big_s
+        return half, bh
 
 
-def _run_feg(config, problem, z0):
-    return _anchored_extragradient("FEG", config, problem, z0, 1.0)
+class _SMEAGPlus(_FEG):
+    def contraction(self, config, problem):
+        return 1.0 + 2.0 * config.alpha * problem.mu
 
 
-def _run_sm_eag_plus(config, problem, z0):
-    x = 1.0 + 2.0 * config.alpha * problem.mu
-    return _anchored_extragradient("SM_EAG_PLUS", config, problem, z0, x)
+class _APS(_Rule):
+    """v_{k+1} = beta_k z0 + (1-beta_k) z_k - alpha B v_k, v_0 = z_0;
+    z_{k+1} = beta_k z0 + (1-beta_k) z_k - alpha B v_{k+1}."""
 
+    row_fields = ("op_evals", "v", "op_v")
 
-def _run_aps(config, problem, z0):
-    # v_{k+1} = beta_k z0 + (1-beta_k) z_k - alpha B v_k, v_0 = z_0
-    b = _Counted(problem.operator)
-    alpha, stop = config.alpha, config.stop_residual
-    raw = problem.operator
-    z = z0
-    v = z0
-    bv = b(v)  # warm start
-    zs, vs, op_vs, steps = [z0], [z0], [bv], []
-    ops = [raw(z0)]
-    res = [np.linalg.norm(ops[-1])]
-    for k in range(config.max_iterations):
-        if stop is not None and res[-1] <= stop:
-            break
+    def __init__(self, config, problem, oracle, z0, record):
+        super().__init__(config, problem, oracle, z0, record)
+        self.v = z0
+        self.bv = self.b(z0)  # warm start
+
+    def evaluate(self, k):
+        bz = self.raw(self.z)
+        return np.linalg.norm(bz), (bz, self.v, self.bv)
+
+    def step(self, k):
+        z0, z, alpha = self.z0, self.z, self.alpha
         beta = 1.0 / (k + 1)
-        v = beta * z0 + (1.0 - beta) * z - alpha * bv
-        bv = b(v)
-        z = beta * z0 + (1.0 - beta) * z - alpha * bv
-        steps.append(1)
-        zs.append(z)
-        vs.append(v)
-        op_vs.append(bv)
-        ops.append(raw(z))
-        res.append(np.linalg.norm(ops[-1]))
-    return _finish_forward("APS", config, zs, ops, res, steps, 1,
-                           extra={"v": vs, "op_v": op_vs})
+        self.v = beta * z0 + (1.0 - beta) * z - alpha * self.bv
+        self.bv = self.b(self.v)
+        self.z = beta * z0 + (1.0 - beta) * z - alpha * self.bv
+        return ()
 
 
-def _run_eag_v(config, problem, z0):
-    # varying steps: alpha_{k+1} = alpha_k (1 - alpha_k^2 L^2 /
-    # ((k+1)(k+3)(1 - alpha_k^2 L^2))), beta_k = 1/(k+2)
-    b = _Counted(problem.operator)
-    lip, stop = problem.lipschitz, config.stop_residual
-    alpha = config.alpha
-    z = z0
-    zs, ops, res, steps, halves, op_halves, alphas = [z0], [], [], [], [], [], [alpha]
-    for k in range(config.max_iterations):
-        bz = b(z)
-        ops.append(bz)
-        res.append(np.linalg.norm(bz))
-        steps.append(2)
-        if stop is not None and res[-1] <= stop:
-            steps.pop()
-            break
+class _EAGV(_ForwardResidual):
+    """Varying steps: alpha_{k+1} = alpha_k (1 - alpha_k^2 L^2 /
+    ((k+1)(k+3)(1 - alpha_k^2 L^2))), beta_k = 1/(k+2)."""
+
+    row_fields = ("op_evals", "alpha")
+    step_fields = ("half", "op_half")
+
+    def __init__(self, config, problem, oracle, z0, record):
+        super().__init__(config, problem, oracle, z0, record)
+        self.lip = problem.lipschitz
+
+    def evaluate(self, k):
+        self.bz = bz = self.b(self.z)
+        return np.linalg.norm(bz), (bz, self.alpha)
+
+    def step(self, k):
+        z0, z, alpha, lip = self.z0, self.z, self.alpha, self.lip
         if alpha <= 0 or 1.0 - alpha ** 2 * lip ** 2 <= 0:
             raise StepSizeCollapse(f"alpha_{k} = {alpha:.6g} inadmissible")
         beta = 1.0 / (k + 2)
-        half = beta * z0 + (1.0 - beta) * z - alpha * bz
-        bh = b(half)
-        z = beta * z0 + (1.0 - beta) * z - alpha * bh
+        half = beta * z0 + (1.0 - beta) * z - alpha * self.bz
+        bh = self.b(half)
+        self.z = beta * z0 + (1.0 - beta) * z - alpha * bh
         ratio = alpha ** 2 * lip ** 2 / (1.0 - alpha ** 2 * lip ** 2)
-        alpha = alpha * (1.0 - ratio / ((k + 1.0) * (k + 3.0)))
-        halves.append(half)
-        op_halves.append(bh)
-        zs.append(z)
-        alphas.append(alpha)
-    else:
-        ops.append(problem.operator(z))
-        res.append(np.linalg.norm(ops[-1]))
-    return _finish_forward("EAG_V", config, zs, ops, res, steps, 0,
-                           extra={"half": halves, "op_half": op_halves,
-                                  "alpha": alphas})
+        self.alpha = alpha * (1.0 - ratio / ((k + 1.0) * (k + 3.0)))
+        return half, bh
 
 
-def _run_aps_v(config, problem, z0):
-    b = _Counted(problem.operator)
-    raw = problem.operator
-    lip, stop = problem.lipschitz, config.stop_residual
-    m_const = 2.0 * lip ** 2 * (1.0 + config.theta)
-    alpha = config.alpha
-    z = z0
-    v = z0
-    bv = b(v)
-    zs, vs, op_vs, steps, alphas = [z0], [z0], [bv], [], [alpha]
-    ops = [raw(z0)]
-    res = [np.linalg.norm(ops[-1])]
-    for k in range(config.max_iterations):
-        if stop is not None and res[-1] <= stop:
-            break
+class _APSV(_APS):
+    """APS with beta_k = 1/(k+2) and the varying step rule of the
+    2 L^2 (1 + theta) family."""
+
+    row_fields = ("op_evals", "v", "op_v", "alpha")
+
+    def __init__(self, config, problem, oracle, z0, record):
+        super().__init__(config, problem, oracle, z0, record)
+        self.m_const = 2.0 * problem.lipschitz ** 2 * (1.0 + config.theta)
+
+    def evaluate(self, k):
+        bz = self.raw(self.z)
+        return np.linalg.norm(bz), (bz, self.v, self.bv, self.alpha)
+
+    def step(self, k):
+        z0, z, alpha, m_const = self.z0, self.z, self.alpha, self.m_const
         if alpha <= 0:
             raise StepSizeCollapse(f"alpha_{k} = {alpha:.6g} <= 0")
         if 1.0 - m_const * alpha ** 2 <= 0:
             raise StepSizeCollapse(
                 f"1 - 2 L^2 (1+theta) alpha_{k}^2 <= 0 at k = {k}")
         beta = 1.0 / (k + 2)
-        v = beta * z0 + (1.0 - beta) * z - alpha * bv
-        bv = b(v)
-        z = beta * z0 + (1.0 - beta) * z - alpha * bv
+        self.v = beta * z0 + (1.0 - beta) * z - alpha * self.bv
+        self.bv = self.b(self.v)
+        self.z = beta * z0 + (1.0 - beta) * z - alpha * self.bv
         beta_next = 1.0 / (k + 3)
-        alpha = (alpha * beta_next * (1.0 - beta ** 2 - m_const * alpha ** 2)
-                 / ((1.0 - m_const * alpha ** 2) * beta * (1.0 - beta)))
-        steps.append(1)
-        zs.append(z)
-        vs.append(v)
-        op_vs.append(bv)
-        alphas.append(alpha)
-        ops.append(raw(z))
-        res.append(np.linalg.norm(ops[-1]))
-    return _finish_forward("APS_V", config, zs, ops, res, steps, 1,
-                           extra={"v": vs, "op_v": op_vs, "alpha": alphas})
+        self.alpha = (alpha * beta_next * (1.0 - beta ** 2 - m_const * alpha ** 2)
+                      / ((1.0 - m_const * alpha ** 2) * beta * (1.0 - beta)))
+        return ()
 
 
 # ---------------------------------------------------------------------------
 # anchored proximal methods
 
 
-def _halpern_loop(name, config, problem, z0, beta_of):
-    """w_{k+1/2} = beta_k w0 + (1-beta_k) w_k; w_{k+1} = J_{alpha B}(w_{k+1/2})."""
-    op = _Counted(problem.operator)
-    alpha, tol, stop = config.alpha, config.resolvent_tolerance, config.stop_residual
-    w = z0
-    ws, halves, res, steps = [z0], [], [], []
-    try:
-        ops = [problem.operator(z0)]
-    except Exception:
-        ops = None
-    for k in range(config.max_iterations):
-        beta = beta_of(k)
-        half = beta * z0 + (1.0 - beta) * w
-        w = op.resolvent(alpha, half, tol)
-        steps.append(1)
-        halves.append(half)
-        ws.append(w)
-        res.append(np.linalg.norm(half - w))
-        if ops is not None:
-            ops.append(problem.operator(w))
-        if stop is not None and res[-1] <= stop:
-            break
-    # final half-point residual, instrumentation only
-    k = len(ws) - 1
-    beta = beta_of(k)
-    half = beta * z0 + (1.0 - beta) * w
-    halves.append(half)
-    res.append(np.linalg.norm(half - problem.operator.resolvent(alpha, half, tol)))
-    record = config.record_iterates
-    return IterateTrace(
-        algorithm=name,
-        main=np.array(ws if record else [ws[0], ws[-1]]),
-        residual_norms=np.array(res),
-        auxiliary={"half": np.array(halves)} if record else {},
-        op_evals=np.array(ops) if (record and ops is not None) else None,
-        b_per_iter=np.zeros(len(steps), dtype=int),
-        resolvent_per_iter=np.array(steps, dtype=int),
-        warmup_b=0,
-        params={"alpha": config.alpha, "gamma": config.gamma,
-                "max_iterations": config.max_iterations,
-                "record_iterates": record},
-    )
+class _OHM(_Rule):
+    """w_{k+1/2} = beta_k w0 + (1-beta_k) w_k; w_{k+1} = J_{alpha B}(w_{k+1/2}),
+    with beta_k the inverse of the sum of gamma^{2j}, j <= k (OHM: gamma = 1,
+    beta_k = 1/(k+1)).
+
+    Row k's residual ||w_{k+1/2} - J(w_{k+1/2})|| yields w_{k+1}, so a run
+    stops one row after the row whose residual met ``stop_residual``, and the
+    final row's resolvent is instrumentation. ``op_evals`` (B w_k) is recorded
+    only with recorded iterates and a forward-evaluable B.
+    """
+
+    row_fields = ("half",)
+    stop_lag = 1
+    gamma_sq = 1.0
+
+    def __init__(self, config, problem, oracle, z0, record):
+        super().__init__(config, problem, oracle, z0, record)
+        self.big_s = 1.0
+        self.params = {"gamma": config.gamma}
+        self.op_w = None
+        if record:
+            try:
+                self.op_w = self.raw(z0)
+                self.row_fields = ("half", "op_evals")
+            except NoForwardEvaluation:
+                pass
+
+    def evaluate(self, k):
+        beta = 1.0 / self.big_s
+        half = beta * self.z0 + (1.0 - beta) * self.z
+        self.w = self.b.resolvent(self.alpha, half, self.tol)
+        row = (half,) if self.op_w is None else (half, self.op_w)
+        return np.linalg.norm(half - self.w), row
+
+    def step(self, k):
+        self.z = self.w
+        self.big_s = 1.0 + self.gamma_sq * self.big_s
+        if self.op_w is not None:
+            self.op_w = self.raw(self.z)
+        return ()
 
 
-def _run_ohm(config, problem, z0):
-    return _halpern_loop("OHM", config, problem, z0, lambda k: 1.0 / (k + 1))
-
-
-def _run_oc_halpern(config, problem, z0):
-    gamma = config.gamma
-    if gamma is None:
-        gamma = math.sqrt(1.0 + 2.0 * config.alpha * problem.mu)
-    gamma_sq = gamma * gamma
-    sums = [1.0]
-
-    def beta_of(k):
-        while len(sums) <= k:
-            sums.append(1.0 + gamma_sq * sums[-1])
-        return 1.0 / sums[k]
-
-    return _halpern_loop("OC_HALPERN", replace(config, gamma=gamma),
-                         problem, z0, beta_of)
+class _OCHalpern(_OHM):
+    def __init__(self, config, problem, oracle, z0, record):
+        super().__init__(config, problem, oracle, z0, record)
+        gamma = config.gamma
+        if gamma is None:
+            gamma = math.sqrt(1.0 + 2.0 * config.alpha * problem.mu)
+        self.gamma_sq = gamma * gamma
+        self.params = {"gamma": gamma}
 
 
 def ohm_u_form(problem: Problem, alpha: float, iterations: int, z0,
@@ -593,113 +598,72 @@ def ohm_u_form(problem: Problem, alpha: float, iterations: int, z0,
     return np.array(us)
 
 
-def _run_ohm_drs(config, problem, z0):
-    # w_k = J_{alpha B}(u_k); u_{k+1} = beta_k u0 + (1-beta_k)
-    #       (J_{alpha A}(w_k - alpha B w_k) + alpha B w_k); beta_k = 1/(k+2)
-    a_op = problem.prox_part
-    b_op = _Counted(problem.operator)
-    alpha, tol = config.alpha, config.resolvent_tolerance
-    u = z0
-    us, ws, vs, ops, res = [z0], [], [], [], []
-    b_steps, r_steps = [], []
-    for k in range(config.max_iterations + 1):
-        w = b_op.resolvent(alpha, u, tol)
-        bw = b_op(w)
-        v = a_op.resolvent(alpha, w - alpha * bw, tol)
-        ws.append(w)
-        vs.append(v)
-        ops.append(bw)
-        res.append(np.linalg.norm(w - v))  # = alpha ||G_alpha(w_k)||
-        b_steps.append(1)
-        r_steps.append(2)
-        if k < config.max_iterations:
-            beta = 1.0 / (k + 2)
-            u = beta * z0 + (1.0 - beta) * (v + alpha * bw)
-            us.append(u)
-        if config.stop_residual is not None and res[-1] <= config.stop_residual:
-            break
-    record = config.record_iterates
-    n = len(ws)
-    return IterateTrace(
-        algorithm="OHM_DRS",
-        main=np.array(us[:n] if record else [us[0], us[n - 1]]),
-        residual_norms=np.array(res),
-        auxiliary={"w": np.array(ws), "v": np.array(vs),
-                   "op_w": np.array(ops)} if record else {},
-        op_evals=None,
-        b_per_iter=np.array(b_steps, dtype=int),
-        resolvent_per_iter=np.array(r_steps, dtype=int),
-        warmup_b=0,
-        params={"alpha": alpha, "max_iterations": config.max_iterations,
-                "counts_per_row": True, "record_iterates": record},
-    )
+class _OHMDRS(_Rule):
+    """w_k = J_{alpha B}(u_k); u_{k+1} = beta_k u0 + (1-beta_k)
+    (J_{alpha A}(w_k - alpha B w_k) + alpha B w_k); beta_k = 1/(k+2)."""
+
+    row_fields = ("w", "v", "op_w")
+    final_row_billed = True
+
+    def evaluate(self, k):
+        alpha, tol = self.alpha, self.tol
+        w = self.b.resolvent(alpha, self.z, tol)
+        self.bw = bw = self.b(w)
+        self.v = v = self.b.prox(alpha, w - alpha * bw, tol)
+        return np.linalg.norm(w - v), (w, v, bw)  # = alpha ||G_alpha(w_k)||
+
+    def step(self, k):
+        beta = 1.0 / (k + 2)
+        self.z = beta * self.z0 + (1.0 - beta) * (self.v + self.alpha * self.bw)
+        return ()
 
 
-def _run_apg_star(config, problem, z0):
-    # z_k solves ||z + alpha B z - xi_k|| <= eps_k by anchored extragradient
-    # from xi_k; xi_{k+1} = beta_k xi_0 + (1-beta_k)(J_{alpha A}(z_k -
-    # alpha B z_k) + alpha B z_k); beta_k = 1/(k+2)
-    a_op = problem.prox_part
-    b_op = _Counted(problem.operator)
-    alpha, lip = config.alpha, problem.lipschitz
-    shifted_l = 1.0 + alpha * lip
-    b_xi0 = b_op(z0)
-    warmup = 1
-    m_const = 1.0 + (np.linalg.norm(b_xi0) / lip if lip > 0 else 0.0)
-    xi = z0
-    xis, zs, ops, res = [z0], [], [], []
-    inner_evals, b_steps, r_steps = [], [], []
-    for k in range(config.max_iterations + 1):
-        eps_k = m_const / ((k + 1.0) ** 2 * (k + 2.0))
+class _APGStar(_Rule):
+    """z_k solves ||z + alpha B z - xi_k|| <= eps_k by anchored extragradient
+    from xi_k; xi_{k+1} = beta_k xi_0 + (1-beta_k)(J_{alpha A}(z_k -
+    alpha B z_k) + alpha B z_k); beta_k = 1/(k+2)."""
+
+    row_fields = ("z", "op_z", "inner_b_evals")
+    kept_fields = ("inner_b_evals",)
+    final_row_billed = True
+
+    def __init__(self, config, problem, oracle, z0, record):
+        super().__init__(config, problem, oracle, z0, record)
+        lip = problem.lipschitz
+        self.shifted_l = 1.0 + config.alpha * lip
+        b_xi0 = self.b(z0)  # warm start
+        self.m_const = 1.0 + (np.linalg.norm(b_xi0) / lip if lip > 0 else 0.0)
+        self.params = {"m_constant": self.m_const}
+
+    def evaluate(self, k):
+        alpha, b, xi = self.alpha, self.b, self.z
+        eps_k = self.m_const / ((k + 1.0) ** 2 * (k + 2.0))
         z, evals = solve_strongly_monotone(
-            lambda u: u + alpha * b_op(u) - xi,
-            mu=1.0, lipschitz=shifted_l, z0=xi, tol=eps_k)
-        bz = b_op(z)
-        v = a_op.resolvent(alpha, z - alpha * bz, config.resolvent_tolerance)
-        zs.append(z)
-        ops.append(bz)
-        res.append(np.linalg.norm(z - v) / alpha)  # ||G_alpha(z_k)||
-        inner_evals.append(evals)
-        b_steps.append(evals + 1)
-        r_steps.append(1)
-        if k < config.max_iterations:
-            beta = 1.0 / (k + 2)
-            xi = beta * z0 + (1.0 - beta) * (v + alpha * bz)
-            xis.append(xi)
-        if config.stop_residual is not None and res[-1] <= config.stop_residual:
-            break
-    record = config.record_iterates
-    n = len(zs)
-    return IterateTrace(
-        algorithm="APG_STAR",
-        main=np.array(xis[:n] if record else [xis[0], xis[n - 1]]),
-        residual_norms=np.array(res),
-        auxiliary={"z": np.array(zs), "op_z": np.array(ops),
-                   "inner_b_evals": np.array(inner_evals, dtype=int)}
-        if record else {"inner_b_evals": np.array(inner_evals, dtype=int)},
-        op_evals=None,
-        b_per_iter=np.array(b_steps, dtype=int),
-        resolvent_per_iter=np.array(r_steps, dtype=int),
-        warmup_b=warmup,
-        params={"alpha": alpha, "max_iterations": config.max_iterations,
-                "m_constant": m_const, "counts_per_row": True,
-                "record_iterates": record},
-    )
+            lambda u: u + alpha * b(u) - xi,
+            mu=1.0, lipschitz=self.shifted_l, z0=xi, tol=eps_k)
+        self.bz = bz = b(z)
+        self.v = v = b.prox(alpha, z - alpha * bz, self.tol)
+        return np.linalg.norm(z - v) / alpha, (z, bz, evals)  # ||G_alpha(z_k)||
+
+    def step(self, k):
+        beta = 1.0 / (k + 2)
+        self.z = beta * self.z0 + (1.0 - beta) * (self.v + self.alpha * self.bz)
+        return ()
 
 
-_STEPPERS = {
-    "GDA": _run_gda,
-    "EG": _run_eg,
-    "OG": _run_og,
-    "AGM": _run_agm,
-    "EAG": _run_eag,
-    "EAG_V": _run_eag_v,
-    "FEG": _run_feg,
-    "APS": _run_aps,
-    "APS_V": _run_aps_v,
-    "OHM": _run_ohm,
-    "OC_HALPERN": _run_oc_halpern,
-    "SM_EAG_PLUS": _run_sm_eag_plus,
-    "OHM_DRS": _run_ohm_drs,
-    "APG_STAR": _run_apg_star,
+_RULES = {
+    "GDA": _GDA,
+    "EG": _EG,
+    "OG": _OG,
+    "AGM": _AGM,
+    "EAG": _EAG,
+    "EAG_V": _EAGV,
+    "FEG": _FEG,
+    "APS": _APS,
+    "APS_V": _APSV,
+    "OHM": _OHM,
+    "OC_HALPERN": _OCHalpern,
+    "SM_EAG_PLUS": _SMEAGPlus,
+    "OHM_DRS": _OHMDRS,
+    "APG_STAR": _APGStar,
 }

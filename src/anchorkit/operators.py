@@ -86,6 +86,27 @@ def solve_strongly_monotone(fn, mu: float, lipschitz: float, z0: Array,
         f"after {max_iterations} iterations")
 
 
+def _iterative_resolvent(op, alpha: float, z: Array, tol: float) -> Array:
+    """Resolvent of ``op`` by forward iterations: solve w + alpha op(w) = z.
+
+    The map w -> w + alpha op(w) - z is (1 + alpha mu)-strongly monotone and
+    (1 + alpha L)-Lipschitz for op's declared constants; the strongly
+    monotone solver runs on it from z, with the budget
+    ``10 (1 + alpha L) log(1/tol)`` (at least 20).
+    """
+    op._check_dim(z)
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    shifted_l = 1.0 + alpha * op.lipschitz
+    budget = max(20, math.ceil(
+        10.0 * shifted_l * max(1.0, math.log(1.0 / tol))))
+    u, _ = solve_strongly_monotone(
+        lambda w: w + alpha * op(w) - z,
+        mu=1.0 + alpha * op.mu, lipschitz=shifted_l, z0=z, tol=tol,
+        max_iterations=budget)
+    return u
+
+
 class Operator:
     """Base class. Subclasses set ``dim``, ``lipschitz`` and ``mu``.
 
@@ -222,17 +243,7 @@ class CallableOperator(Operator):
         return "iterative"
 
     def resolvent(self, alpha, z, tol=DEFAULT_RESOLVENT_TOL):
-        # run the strongly monotone solver on u -> u + alpha*op(u) - z,
-        # which is 1-strongly monotone and (1 + alpha L)-Lipschitz
-        self._check_dim(z)
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
-        shifted_l = 1.0 + alpha * self.lipschitz
-        budget = max(20, math.ceil(10.0 * shifted_l * max(1.0, math.log(1.0 / tol))))
-        u, _ = solve_strongly_monotone(
-            lambda w: w + alpha * self(w) - z,
-            mu=1.0, lipschitz=shifted_l, z0=z, tol=tol, max_iterations=budget)
-        return u
+        return _iterative_resolvent(self, alpha, z, tol)
 
 
 class GradientOperator(CallableOperator):
@@ -288,14 +299,7 @@ class ShiftedIdentityPlus(Operator):
         return "iterative"
 
     def resolvent(self, alpha, z, tol=DEFAULT_RESOLVENT_TOL):
-        self._check_dim(z)
-        budget = max(20, math.ceil(
-            10.0 * (1.0 + alpha * self.lipschitz) * max(1.0, math.log(1.0 / tol))))
-        u, _ = solve_strongly_monotone(
-            lambda w: w + alpha * self(w) - z,
-            mu=1.0 + alpha * self.mu, lipschitz=1.0 + alpha * self.lipschitz,
-            z0=z, tol=tol, max_iterations=budget)
-        return u
+        return _iterative_resolvent(self, alpha, z, tol)
 
 
 class ScaledOperator(Operator):
@@ -347,14 +351,7 @@ class SumOperator(Operator):
         return "iterative"
 
     def resolvent(self, alpha, z, tol=DEFAULT_RESOLVENT_TOL):
-        self._check_dim(z)
-        budget = max(20, math.ceil(
-            10.0 * (1.0 + alpha * self.lipschitz) * max(1.0, math.log(1.0 / tol))))
-        u, _ = solve_strongly_monotone(
-            lambda w: w + alpha * self(w) - z,
-            mu=1.0 + alpha * self.mu, lipschitz=1.0 + alpha * self.lipschitz,
-            z0=z, tol=tol, max_iterations=budget)
-        return u
+        return _iterative_resolvent(self, alpha, z, tol)
 
 
 # ---------------------------------------------------------------------------

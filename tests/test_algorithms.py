@@ -1,13 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from anchorkit.algorithms import (
+    ALGORITHMS,
     AlgorithmConfig,
     max_step_strongly_monotone,
     ohm_u_form,
     run,
 )
-from anchorkit.errors import ConfigError, StepSizeCollapse
+from anchorkit.errors import ConfigError, DomainViolation, StepSizeCollapse
 from anchorkit.operators import (
     AffineOperator,
     BlockProxOperator,
@@ -374,13 +377,39 @@ def test_apg_star_inner_tolerance_enforced():
 
 def test_oracle_accounting():
     prob = make_random_monotone_affine(0, 4, 2.0)
-    z0 = np.ones(4)
-    for name, per_iter, warm in (("EAG", 2, 0), ("FEG", 2, 0), ("EG", 2, 0),
-                                 ("GDA", 1, 0), ("OG", 1, 1), ("APS", 1, 1)):
-        t = run(cfg(name, 0.05, 25), prob, z0)
-        assert np.all(t.b_per_iter == per_iter), name
+    comp = make_box_bilinear_composite(seed=5)
+    # name, problem, billed B and resolvent calls per step, warm-up B calls,
+    # and whether the final row's evaluation is billed as one more entry
+    # (the splitting methods; APG_STAR's B count per row is 1 + inner evals)
+    for name, problem, per_b, per_res, warm, final in (
+            ("EAG", prob, 2, 0, 0, False), ("FEG", prob, 2, 0, 0, False),
+            ("EG", prob, 2, 0, 0, False), ("GDA", prob, 1, 0, 0, False),
+            ("OG", prob, 1, 0, 1, False), ("APS", prob, 1, 0, 1, False),
+            ("OHM", prob, 0, 1, 0, False), ("OC_HALPERN", prob, 0, 1, 0, False),
+            ("OHM_DRS", comp, 1, 2, 0, True),
+            ("APG_STAR", comp, None, 1, 1, True)):
+        extra = {"gamma": 1.5} if name == "OC_HALPERN" else {}
+        t = run(cfg(name, 0.05, 25, **extra), problem, np.ones(problem.dim))
+        entries = 26 if final else 25
+        expected_b = (t.auxiliary["inner_b_evals"] + 1 if per_b is None
+                      else np.full(entries, per_b))
+        assert np.array_equal(t.b_per_iter, expected_b), name
+        assert np.array_equal(t.resolvent_per_iter,
+                              np.full(entries, per_res)), name
         assert t.warmup_b == warm, name
-        assert t.total_b_evals() == warm + 25 * per_iter
+        assert t.total_b_evals() == warm + expected_b.sum()
+        assert t.total_resolvent_evals() == entries * per_res
+        # the per-step totals end at the final row; with one entry per step
+        # row 0 carries the warm-up alone
+        b_rows, r_rows = t.cumulative_counts()
+        ending_at_final_row = lambda per_step: np.concatenate(
+            [[0], np.cumsum(per_step)])[-26:]
+        assert np.array_equal(b_rows,
+                              warm + ending_at_final_row(expected_b)), name
+        assert np.array_equal(
+            r_rows, ending_at_final_row(np.full(entries, per_res))), name
+        assert b_rows[-1] == t.total_b_evals(), name
+        assert r_rows[-1] == t.total_resolvent_evals(), name
 
 
 def test_anchor_dominates_first_half_step():
@@ -394,16 +423,137 @@ def test_anchor_dominates_first_half_step():
     assert np.array_equal(t2.auxiliary["half"][0], z0)
 
 
+def test_ohm_on_prox_only_problem():
+    # no forward map: no op_evals, one billed resolvent per iteration
+    box = BoxProx([-0.5, -0.5, -0.5], [0.5, 0.5, 0.5])
+    prob = Problem(name="box", operator=BlockProxOperator([(box, 3)]))
+    t = run(cfg("OHM", 1.0, 20), prob, np.array([2.0, -3.0, 0.25]))
+    assert t.op_evals is None
+    assert np.array_equal(t.resolvent_per_iter, np.ones(20, dtype=int))
+    assert not t.b_per_iter.any()
+    b_rows, r_rows = t.cumulative_counts()
+    assert np.array_equal(r_rows, np.arange(21))
+    assert not b_rows.any()
+
+
+class _TallyForward(AffineOperator):
+    """Exact affine resolvent; counts forward calls, or raises on them."""
+
+    def __init__(self, matrix, fails=False):
+        super().__init__(matrix)
+        self.fails = fails
+        self.forward_calls = 0
+
+    def __call__(self, z):
+        if self.fails:
+            raise DomainViolation("forward map undefined")
+        self.forward_calls += 1
+        return super().__call__(z)
+
+
+def test_ohm_forward_calls_are_instrumentation_only():
+    op = _TallyForward(np.eye(2))
+    prob = Problem(name="tally", operator=op)
+    run(cfg("OHM", 0.5, 10, record_iterates=False), prob, np.ones(2))
+    assert op.forward_calls == 0
+    t = run(cfg("OHM", 0.5, 10), prob, np.ones(2))
+    assert op.forward_calls == 11 and len(t.op_evals) == 11
+
+
+def test_ohm_forward_errors_other_than_missing_propagate():
+    prob = Problem(name="fails", operator=_TallyForward(np.eye(2), fails=True))
+    with pytest.raises(DomainViolation):
+        run(cfg("OHM", 0.5, 5), prob, np.ones(2))
+
+
 def test_early_stop_and_slim_recording():
     prob = make_random_scsc(3, 4, 5.0, 1.0)
     z0 = np.ones(4)
-    t = run(cfg("SM_EAG_PLUS", max_step_strongly_monotone(5.0, 1.0), 5000,
+    step = max_step_strongly_monotone(5.0, 1.0)
+    t = run(cfg("SM_EAG_PLUS", step, 5000,
                 stop_residual=1e-6, record_iterates=False), prob, z0)
+    full = run(cfg("SM_EAG_PLUS", step, 5000, stop_residual=1e-6), prob, z0)
     assert t.iterations < 5000
+    assert t.iterations == full.iterations == len(full.main) - 1
     assert t.residual_norms[-1] <= 1e-6
     assert len(t.main) == 2  # start and final only
     with pytest.raises(ValueError):
         t.cumulative_counts()
+
+
+def _recording_case(name):
+    """(alpha, extra config keywords, problem, start) exercising ``name``."""
+    z0 = np.linspace(-1.0, 2.0, 6)
+    if name in ("OHM_DRS", "APG_STAR"):
+        comp = make_box_bilinear_composite(seed=3)
+        return 0.4 / comp.lipschitz, {}, comp, np.ones(comp.dim)
+    if name == "AGM":
+        fig = make_figure1()
+        return 0.025, {}, fig, fig.start
+    if name in ("SM_EAG_PLUS", "OC_HALPERN"):
+        return (max_step_strongly_monotone(5.0, 1.0), {},
+                make_random_scsc(2, 6, 5.0, 1.0), z0)
+    extra = {"theta": 1.0} if name == "APS_V" else {}
+    return 0.05, extra, make_random_monotone_affine(4, 6, 5.0), z0
+
+
+@pytest.mark.parametrize("name", ALGORITHMS)
+def test_recording_modes_agree_bitwise(name):
+    alpha, extra, prob, z0 = _recording_case(name)
+    probe = run(cfg(name, alpha, 300, **extra), prob, z0)
+    for stop in (None, float(probe.residual_norms[100])):
+        full = run(cfg(name, alpha, 300, stop_residual=stop, **extra),
+                   prob, z0)
+        slim = run(cfg(name, alpha, 300, stop_residual=stop,
+                       record_iterates=False, **extra), prob, z0)
+        # a run stops at the first row whose residual meets the threshold;
+        # OHM and OC_HALPERN learn it by computing the next row, and keep it
+        if stop is None:
+            assert full.iterations == 300
+        else:
+            first = np.flatnonzero(probe.residual_norms <= stop)[0]
+            lag = 1 if name in ("OHM", "OC_HALPERN") else 0
+            assert full.iterations == first + lag
+        assert np.array_equal(full.residual_norms,
+                              probe.residual_norms[:full.iterations + 1])
+        assert slim.iterations == full.iterations
+        assert np.array_equal(slim.residual_norms, full.residual_norms)
+        assert np.array_equal(slim.final, full.final)
+        assert np.array_equal(slim.start, full.start)
+        assert np.array_equal(slim.b_per_iter, full.b_per_iter)
+        assert np.array_equal(slim.resolvent_per_iter, full.resolvent_per_iter)
+        assert slim.warmup_b == full.warmup_b
+        assert slim.total_b_evals() == full.total_b_evals()
+        assert slim.total_resolvent_evals() == full.total_resolvent_evals()
+        assert len(slim.main) == 2 and slim.op_evals is None
+        assert set(slim.auxiliary) == ({"inner_b_evals"}
+                                       if name == "APG_STAR" else set())
+        for key, seq in slim.auxiliary.items():
+            assert np.array_equal(seq, full.auxiliary[key])
+
+
+@pytest.mark.parametrize("name", ("EG", "OG", "EAG_V", "APS_V", "OHM",
+                                  "OHM_DRS", "APG_STAR"))
+def test_slim_recording_memory_independent_of_iterations(name):
+    d, iters = 500, 400
+    smooth = make_random_monotone_affine(0, d, 2.0)
+    if name in ("OHM_DRS", "APG_STAR"):
+        prob = make_composite(BoxProx(-np.ones(d), np.ones(d)), None, smooth)
+    else:
+        prob = smooth
+    extra = {"theta": 1.0} if name == "APS_V" else {}
+    z0 = np.linspace(-2.0, 2.0, d)
+    # the full run also builds the resolvent's cached factorisation
+    full = run(cfg(name, 0.1, iters, **extra), prob, z0)
+    tracemalloc.start()
+    try:
+        slim = run(cfg(name, 0.1, iters, record_iterates=False, **extra),
+                   prob, z0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert slim.iterations == iters
+    assert peak < full.main.nbytes / 4, (peak, full.main.nbytes)
 
 
 def test_trace_lengths_and_immutability():
