@@ -52,7 +52,6 @@ class AlgorithmConfig:
     momentum_a: float = 3.0          # AGM only, must exceed 2
     gamma: float | None = None       # OC_HALPERN contraction parameter (> 1)
     theta: float | None = None       # APS_V only
-    epsilon_schedule: str = "default"  # APG_STAR inner tolerance rule
     resolvent_tolerance: float = 1e-12
     stop_residual: float | None = None
     record_iterates: bool = True
@@ -188,12 +187,8 @@ def validate_config(config: AlgorithmConfig, problem: Problem) -> None:
         if config.alpha > top * (1.0 + 1e-12):
             raise ConfigError(
                 f"SM_EAG_PLUS needs alpha <= (sqrt(L^2+mu^2)+mu)/L^2 = {top:.6g}")
-    if name == "APG_STAR":
-        if config.alpha * lip >= 1.0:
-            raise ConfigError("APG_STAR needs alpha * L < 1")
-        if config.epsilon_schedule != "default":
-            raise ConfigError(
-                f"unknown inner tolerance rule {config.epsilon_schedule!r}")
+    if name == "APG_STAR" and config.alpha * lip >= 1.0:
+        raise ConfigError("APG_STAR needs alpha * L < 1")
     if name == "APS_V":
         if config.theta is None or config.theta <= 0:
             raise ConfigError("APS_V needs theta > 0 (no endorsed default)")
@@ -543,11 +538,11 @@ class _OHM(_Rule):
     row_fields = ("half",)
     stop_lag = 1
     gamma_sq = 1.0
+    params = {"gamma": 1.0}
 
     def __init__(self, config, problem, oracle, z0, record):
         super().__init__(config, problem, oracle, z0, record)
         self.big_s = 1.0
-        self.params = {"gamma": config.gamma}
         self.op_w = None
         if record:
             try:
@@ -581,8 +576,7 @@ class _OCHalpern(_OHM):
         self.params = {"gamma": gamma}
 
 
-def ohm_u_form(problem: Problem, alpha: float, iterations: int, z0,
-               tol: float = 1e-12) -> Array:
+def ohm_u_form(problem: Problem, alpha: float, iterations: int, z0) -> Array:
     """Single-sequence form u_{k+1} = u0/(k+2) + (k+1)/(k+2) T(u_k).
 
     Equivalent to the half-step form under u_k = w_{k+1/2}; exposed for the
@@ -593,7 +587,7 @@ def ohm_u_form(problem: Problem, alpha: float, iterations: int, z0,
     us = [z0]
     for k in range(iterations):
         beta = 1.0 / (k + 2)
-        u = beta * z0 + (1.0 - beta) * problem.operator.resolvent(alpha, u, tol)
+        u = beta * z0 + (1.0 - beta) * problem.operator.resolvent(alpha, u)
         us.append(u)
     return np.array(us)
 

@@ -1,5 +1,7 @@
-"""Trace analysis: merging-path distances, Lyapunov evaluation, summability
-constants, and measured-versus-theoretical rate reports.
+"""Trace analysis: merging-path rules and distances, Lyapunov evaluation,
+summability constants, and measured-versus-theoretical rate reports. The
+merging-path rule of each pair (``MP_RULES``, ``merging_path``) and the
+reference point of each bound (``reference_point``) are decided here alone.
 
 Verdict convention: a measurement passes when
 ``measured <= bound * (1 + rtol) + atol`` with rtol = 1e-9 and an absolute
@@ -111,22 +113,22 @@ class LyapunovTrace:
     def passed(self) -> bool:
         return self.nonnegative_ok and self.decrements_ok
 
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "values": [float(v) for v in self.values],
-            "decrements": [float(v) for v in self.decrements],
-            "certified_lower": [float(v) for v in self.certified_lower],
-            "slack": self.slack,
-            "verdict": "pass" if self.passed else "fail",
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
 
 # ---------------------------------------------------------------------------
-# merging-path distances
+# merging paths
+
+#: the merging-path rule of each algorithm pair; any algorithm against itself
+#: has the rule "self"
+MP_RULES = {
+    ("FEG", "OHM"): "constant",
+    ("EAG", "OHM"): "reported",
+    ("APS", "OHM"): "reported",
+    ("SM_EAG_PLUS", "OC_HALPERN"): "geometric",
+    ("APG_STAR", "OHM_DRS"): "splitting",
+}
+
+#: epsilon of the geometric merging weight (1 + 2 alpha mu (1 - epsilon))^k
+GEOMETRIC_EPSILON = 0.1
 
 
 def mp_distance(trace1, trace2) -> Array:
@@ -139,38 +141,110 @@ def mp_distance(trace1, trace2) -> Array:
     return np.sum((a - b) ** 2, axis=1)
 
 
-def run_ohm_partner(problem: Problem, alpha: float, iterations: int, z0,
-                    tol: float = 1e-12):
+def mp_rule(first: str, second: str) -> str:
+    """The merging-path rule of an algorithm pair; ConfigError if none."""
+    rule = "self" if first == second else MP_RULES.get((first, second))
+    if rule is None:
+        raise ConfigError(f"no declared merging-path rule for pair "
+                          f"{(first, second)}")
+    return rule
+
+
+def reported_split(rows: int) -> int:
+    """First row of the tail that the "reported" rule keeps within the
+    supremum of the rows before it."""
+    return max(1, 3 * rows // 4)
+
+
+def geometric_weights(alpha: float, mu: float, rows: int) -> Array:
+    """(1 + 2 alpha mu (1 - epsilon))^k for k = 0..rows-1."""
+    return (1.0 + 2.0 * alpha * mu * (1.0 - GEOMETRIC_EPSILON)) ** np.arange(rows)
+
+
+@dataclass(frozen=True)
+class MergingPath:
+    """A pair's merging-path report for k = 0..K, with its verdict and note."""
+
+    sq_distance: Array
+    report: BoundReport
+    passed: bool
+    note: str
+
+
+def merging_path(rule: str, trace1, trace2, problem: Problem) -> MergingPath:
+    """Apply a merging-path rule (see ``MP_RULES``) to two traces that start
+    from the same point.
+
+    "constant" and "splitting" check the paper's bounds. "reported" weights
+    the squared distances by k^2 and "geometric" by ``geometric_weights``;
+    their bound is the weighted supremum as an empirical envelope, and the
+    verdict asks it to be finite and, for "reported", attained before
+    ``reported_split``. "self" asks for identical paths.
+    """
+    sq = mp_distance(trace1, trace2)
+    if rule == "constant":
+        report = mp_bound_feg_ohm(trace1, problem, trace_ohm=trace2)
+        return MergingPath(sq, report, report.passed, "constant bound")
+    if rule == "splitting":
+        xi_star = reference_point(trace1, problem)
+        report = mp_bound_apg(trace1, trace2, problem, xi_star=xi_star)
+        c = apg_path_constant(problem, trace1.start, xi_star)
+        return MergingPath(sq, report, report.passed,
+                           f"path constant C(xi_0) = {c:.6g}")
+    k = np.arange(len(sq))
+    if rule == "self":
+        measured, bound = sq, np.ones(len(sq))
+        passed, note = bool(np.all(sq == 0.0)), "identical algorithms"
+    elif rule == "geometric":
+        growth = geometric_weights(trace1.params["alpha"], problem.mu, len(sq))
+        weighted = sq * growth
+        passed = bool(np.all(np.isfinite(weighted)))
+        sup = float(weighted.max()) if passed else float("inf")
+        measured, bound = sq, np.maximum(sup / np.maximum(growth, 1.0), ATOL)
+        note = (f"empirical geometric envelope, constant {sup:.6g} "
+                f"(reported, not asserted)")
+    elif rule == "reported":
+        measured = k ** 2 * sq
+        finite = bool(np.all(np.isfinite(measured)))
+        split = reported_split(len(sq))
+        passed = finite and bool(measured[split:].max()
+                                 <= max(measured[:split].max(), ATOL))
+        sup = float(measured.max()) if finite else float("inf")
+        bound = np.full(len(sq), max(sup, ATOL))
+        note = (f"empirical envelope sup k^2 dist^2 = {sup:.6g} "
+                f"(no theoretical constant)")
+    else:
+        raise ConfigError(f"unknown merging-path rule {rule!r}")
+    report = BoundReport(label=f"{rule}-merging-path", k_values=k,
+                         measured=measured, bound=bound)
+    return MergingPath(sq, report, passed, note)
+
+
+def run_ohm_partner(problem: Problem, alpha: float, iterations: int, z0):
     """Anchored proximal partner run used by the merging-path bounds."""
     cfg = algorithms.AlgorithmConfig(algorithm="OHM", alpha=alpha,
-                                     max_iterations=iterations,
-                                     resolvent_tolerance=tol)
+                                     max_iterations=iterations)
     return algorithms.run(cfg, problem, z0)
 
 
 def mp_bound_feg_ohm(trace_feg, problem: Problem, z_star=None,
                      trace_ohm=None) -> BoundReport:
     """k^2-weighted squared distance of FEG to its anchored proximal partner
-    against the constant ||z0 - z*||^2 / (1 - alpha^2 L^2)."""
+    against the constant ||z0 - z*||^2 / (1 - alpha^2 L^2), k = 0..K."""
     alpha = trace_feg.params["alpha"]
     lip = problem.lipschitz
     if alpha * lip >= 1.0:
         raise ConfigError("bound needs alpha * L < 1")
-    if z_star is None:
-        z_star = problem.solution
-    if z_star is None:
-        raise MissingReferencePoint("no solution available for the constant")
+    z_star = reference_point(trace_feg, problem, z_star)
     if trace_ohm is None:
         trace_ohm = run_ohm_partner(problem, alpha, trace_feg.iterations,
                                     trace_feg.start)
     sq = mp_distance(trace_feg, trace_ohm)
-    k = np.arange(1, len(sq))
-    measured = k ** 2 * sq[1:]
+    k = np.arange(len(sq))
     const = float(np.sum((trace_feg.start - z_star) ** 2)
                   / (1.0 - alpha ** 2 * lip ** 2))
     return BoundReport(label="feg-ohm-merging-path", k_values=k,
-                       measured=measured, bound=np.full(k.shape, const),
-                       skipped="k=0 (identical starts)")
+                       measured=k ** 2 * sq, bound=np.full(k.shape, const))
 
 
 def feg_summability_report(trace_feg, problem: Problem, z_star=None) -> BoundReport:
@@ -180,10 +254,7 @@ def feg_summability_report(trace_feg, problem: Problem, z_star=None) -> BoundRep
     lip = problem.lipschitz
     if alpha * lip >= 1.0:
         raise ConfigError("bound needs alpha * L < 1")
-    if z_star is None:
-        z_star = problem.solution
-    if z_star is None:
-        raise MissingReferencePoint("no solution available for the constant")
+    z_star = reference_point(trace_feg, problem, z_star)
     op_main = trace_feg.op_evals
     op_half = trace_feg.auxiliary["op_half"]
     n = len(op_half)
@@ -207,9 +278,7 @@ def mp_bound_apg(trace_apg, trace_drs, problem: Problem,
     n = min(len(z), len(w), len(sq_outer))
     sq_inner = np.sum((z[:n] - w[:n]) ** 2, axis=1)
     measured = np.maximum(sq_outer[:n], sq_inner)
-    if xi_star is None:
-        xi_star = fixed_point_reference(problem, trace_apg.params["alpha"],
-                                        start=trace_apg.start)
+    xi_star = reference_point(trace_apg, problem, xi_star)
     c = apg_path_constant(problem, trace_apg.start, xi_star)
     k = np.arange(n)
     lip = problem.lipschitz
@@ -311,95 +380,82 @@ RATE_RULES = ("OHM_RATE", "OC_HALPERN_RATE", "SM_EAG_RATE", "FEG_RATE",
 def rate_bound(trace, problem: Problem, rule: str, reference=None) -> BoundReport:
     """Compare a trace's natural residuals against a theoretical rate.
 
-    ``reference`` overrides the reference point (w*, z*, or xi*); by default
-    the problem's known solution is used, or a long anchored reference run
-    for the splitting rules.
+    The reference point (w*, z*, or xi*) is ``reference_point``'s: the given
+    ``reference``, else the splitting fixed point of a composite problem,
+    else the problem's known solution.
     """
     if rule not in RATE_RULES:
         raise ConfigError(f"unknown rate rule {rule!r}")
     alpha = trace.params.get("alpha")
     res = trace.residual_norms
     start = trace.start
-
-    if rule in ("OHM_RATE", "OC_HALPERN_RATE", "SM_EAG_RATE", "FEG_RATE"):
-        ref = reference if reference is not None else problem.solution
-        if ref is None:
-            raise MissingReferencePoint(f"{rule} needs a solution point")
-        dist0 = float(np.sum((start - ref) ** 2))
-        if rule == "OHM_RATE":
-            k = np.arange(len(res))
-            bound = 4.0 * dist0 / (k + 1.0) ** 2
-            measured = res ** 2
-            skipped = ""
-        elif rule == "OC_HALPERN_RATE":
-            gamma = trace.params.get("gamma")
-            if gamma is None or gamma <= 1.0:
-                raise ConfigError("OC_HALPERN_RATE needs gamma > 1")
-            k = np.arange(len(res))
-            gsum = (gamma ** (k + 1.0) - 1.0) / (gamma - 1.0)
-            bound = (1.0 + 1.0 / gamma) ** 2 * dist0 / gsum ** 2
-            measured = res ** 2
-            skipped = ""
-        elif rule == "SM_EAG_RATE":
-            mu = problem.mu
-            x = 1.0 + 2.0 * alpha * mu
-            k = np.arange(1, len(res))
-            root = math.sqrt(x)
-            if root > 1.0:
-                gsum = (root ** k - 1.0) / (root - 1.0)  # sum_{j<k} x^(j/2)
-            else:
-                gsum = k.astype(float)  # mu = 0 limit
-            bound = (root + 1.0) ** 2 * dist0 / (alpha ** 2 * gsum ** 2)
-            measured = res[1:] ** 2
-            skipped = "k=0 (empty anchor sum)"
-        else:  # FEG_RATE
-            lip = problem.lipschitz
-            k = np.arange(1, len(res))
-            bound = 4.0 * lip ** 2 * dist0 / k.astype(float) ** 2
-            measured = res[1:] ** 2
-            skipped = "k=0 (bound vacuous)"
-        return BoundReport(label=rule.lower().replace("_", "-"), k_values=k,
-                           measured=measured, bound=bound, skipped=skipped)
-
-    # splitting rules need the fixed point of the splitting map
-    ref = reference if reference is not None else fixed_point_reference(
-        problem, alpha, start=start)
+    ref = reference_point(trace, problem, reference)
+    dist0 = float(np.sum((start - ref) ** 2))
     k = np.arange(len(res))
-    if rule == "OHM_DRS_RATE":
-        dist0 = float(np.sum((start - ref) ** 2))
+    measured = res ** 2
+    skipped = ""
+    if rule in ("OHM_RATE", "OHM_DRS_RATE"):
+        # OHM_DRS residuals already carry the alpha factor
         bound = 4.0 * dist0 / (k + 1.0) ** 2
-        measured = res ** 2  # residuals already carry the alpha factor
+    elif rule == "OC_HALPERN_RATE":
+        gamma = trace.params.get("gamma")
+        if gamma is None or gamma <= 1.0:
+            raise ConfigError("OC_HALPERN_RATE needs gamma > 1")
+        gsum = (gamma ** (k + 1.0) - 1.0) / (gamma - 1.0)
+        bound = (1.0 + 1.0 / gamma) ** 2 * dist0 / gsum ** 2
+    elif rule == "SM_EAG_RATE":
+        x = 1.0 + 2.0 * alpha * problem.mu
+        k, measured = k[1:], measured[1:]
+        root = math.sqrt(x)
+        if root > 1.0:
+            gsum = (root ** k - 1.0) / (root - 1.0)  # sum_{j<k} x^(j/2)
+        else:
+            gsum = k.astype(float)  # mu = 0 limit
+        bound = (root + 1.0) ** 2 * dist0 / (alpha ** 2 * gsum ** 2)
+        skipped = "k=0 (empty anchor sum)"
+    elif rule == "FEG_RATE":
+        k, measured = k[1:], measured[1:]
+        bound = 4.0 * problem.lipschitz ** 2 * dist0 / k.astype(float) ** 2
+        skipped = "k=0 (bound vacuous)"
     else:  # APG_RESIDUAL
         lip = problem.lipschitz
         c = apg_path_constant(problem, start, ref)
         bound = ((3.0 + alpha * lip) ** 2 * c ** 2
                  / (alpha ** 2 * lip ** 2 * (k + 1.0) ** 2))
-        measured = res ** 2
     return BoundReport(label=rule.lower().replace("_", "-"), k_values=k,
-                       measured=measured, bound=bound)
+                       measured=measured, bound=bound, skipped=skipped)
 
 
 # ---------------------------------------------------------------------------
 # reference points
 
 
-def fixed_point_reference(problem: Problem, alpha: float,
-                          iterations: int = 100_000,
-                          tol: float = 1e-12, start=None) -> Array:
+def reference_point(trace, problem: Problem, reference=None) -> Array:
+    """The reference point of a bound on ``trace``: ``reference`` when given;
+    for a composite problem, the fixed point of the splitting map reached from
+    the trace's start at its step size; otherwise the problem's known
+    solution, or MissingReferencePoint."""
+    if reference is not None:
+        return reference
+    if problem.is_composite:
+        return fixed_point_reference(problem, trace.params["alpha"],
+                                     trace.start)
+    if problem.solution is None:
+        raise MissingReferencePoint(f"{problem.name} has no known solution "
+                                    f"to serve as the reference point")
+    return problem.solution
+
+
+def fixed_point_reference(problem: Problem, alpha: float, start,
+                          iterations: int = 100_000) -> Array:
     """Long anchored reference run approximating the projection of the start
     onto the fixed-point set (splitting map for composite problems, resolvent
     otherwise)."""
-    z0 = start if start is not None else problem.start
-    if z0 is None:
-        z0 = problem.solution
-    if z0 is None:
-        raise MissingReferencePoint("no start point available")
     name = "OHM_DRS" if problem.is_composite else "OHM"
     cfg = algorithms.AlgorithmConfig(algorithm=name, alpha=alpha,
                                      max_iterations=iterations,
-                                     resolvent_tolerance=tol,
                                      record_iterates=False)
-    return algorithms.run(cfg, problem, z0).final
+    return algorithms.run(cfg, problem, start).final
 
 
 def affine_zero_projection(problem: Problem, z0) -> Array:

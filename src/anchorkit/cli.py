@@ -1,4 +1,6 @@
-"""Command-line front end.
+"""Command-line front end. It parses configs, runs algorithms and writes
+outputs; every verdict, merging-path rules included, comes from ``analysis``
+or ``suites``.
 
 Subcommands: ``run <config.json>``, ``compare <config.json>``,
 ``figure1 [--out DIR]``, ``verify <suite>``. Exit codes: 0 success,
@@ -10,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -19,17 +22,10 @@ from .algorithms import ALGORITHMS, AlgorithmConfig, run
 from .errors import AnchorkitError, ConfigError, DomainViolation
 from .problems import PROBLEM_BUILDERS, build_problem
 
-_ALGO_FIELDS = ("alpha", "max_iterations", "momentum_a", "gamma", "theta",
-                "epsilon_schedule", "resolvent_tolerance", "stop_residual")
-
-#: algorithm pairs with a declared merging-path rule for ``compare``
-MP_RULES = {
-    ("FEG", "OHM"): "constant",
-    ("EAG", "OHM"): "reported",
-    ("APS", "OHM"): "reported",
-    ("SM_EAG_PLUS", "OC_HALPERN"): "geometric",
-    ("APG_STAR", "OHM_DRS"): "splitting",
-}
+#: keys an algorithm entry may set besides ``algorithm``; trace CSVs need
+#: recorded iterates, so ``record_iterates`` is not one of them
+_ALGO_FIELDS = frozenset(f.name for f in fields(AlgorithmConfig)) - {
+    "algorithm", "record_iterates"}
 
 
 def _fail(code: str, detail: str, status: int = 2) -> int:
@@ -59,7 +55,10 @@ def _parse_experiment(cfg: dict):
         name = entry.get("algorithm")
         if name not in ALGORITHMS:
             raise ConfigError(f"UNKNOWN_ALGORITHM:{name}")
-        kwargs = {k: entry[k] for k in _ALGO_FIELDS if k in entry}
+        kwargs = {k: v for k, v in entry.items() if k != "algorithm"}
+        unknown = sorted(set(kwargs) - _ALGO_FIELDS)
+        if unknown:
+            raise ConfigError(f"{name}: unknown keys {unknown}")
         kwargs.setdefault("max_iterations", iterations)
         if "alpha" not in kwargs:
             raise ConfigError(f"{name}: alpha is required")
@@ -87,9 +86,8 @@ def _write_trace_csv(path: Path, trace) -> None:
     rows = [",".join(header)]
     n = len(trace.main)
     for k in range(n):
-        res = trace.residual_norms[k] if k < len(trace.residual_norms) else ""
         cells = [str(k)] + [_format(v) for v in trace.main[k]]
-        cells.append(_format(res) if res != "" else "")
+        cells.append(_format(trace.residual_norms[k]))
         cells.append(str(int(b_cum[k])))
         cells.append(str(int(r_cum[k])))
         rows.append(",".join(cells))
@@ -110,87 +108,35 @@ def cmd_run(config_path: str) -> int:
     return 0
 
 
-def _compare_reports(rule, traces, problem):
-    """(mp measured per k, bound per k, verdict, note) for a declared pair."""
-    t1, t2 = traces
-    sq = analysis.mp_distance(t1, t2)
-    k = np.arange(len(sq))
-    if rule == "constant":
-        report = analysis.mp_bound_feg_ohm(t1, problem, trace_ohm=t2)
-        bound = np.concatenate([[report.bound[0]], report.bound])
-        return k ** 2 * sq, bound, report.passed, "constant bound"
-    if rule == "splitting":
-        xi_star = analysis.fixed_point_reference(problem, t1.params["alpha"],
-                                                 start=t1.start)
-        report = analysis.mp_bound_apg(t1, t2, problem, xi_star=xi_star)
-        c = analysis.apg_path_constant(problem, t1.start, xi_star)
-        return (report.measured, report.bound, report.passed,
-                f"path constant C(xi_0) = {c:.6g}")
-    if rule == "geometric":
-        alpha = t1.params["alpha"]
-        mu = problem.mu
-        growth = (1.0 + 2.0 * alpha * mu * 0.9) ** k  # epsilon = 0.1
-        weighted = sq * growth
-        finite = bool(np.all(np.isfinite(weighted)))
-        sup = float(weighted.max()) if finite else float("inf")
-        bound = np.maximum(sup / np.maximum(growth, 1.0), analysis.ATOL)
-        return (sq, bound, finite,
-                f"empirical geometric envelope, constant {sup:.6g} "
-                f"(reported, not asserted)")
-    # reported: quadratic weighting without a theoretical constant
-    s = k ** 2 * sq
-    finite = bool(np.all(np.isfinite(s)))
-    split = max(1, 3 * len(s) // 4)
-    stable = finite and s[split:].max() <= max(s[:split].max(), analysis.ATOL)
-    sup = float(s.max()) if finite else float("inf")
-    bound = np.full(len(sq), max(sup, analysis.ATOL))
-    return (s, bound, bool(stable),
-            f"empirical envelope sup k^2 dist^2 = {sup:.6g} "
-            f"(no theoretical constant)")
-
-
 def cmd_compare(config_path: str) -> int:
     cfg = _load_config(config_path)
     problem, configs, z0, out_dir = _parse_experiment(cfg)
     if len(configs) != 2:
         raise ConfigError("compare needs exactly two algorithms")
     pair = (configs[0].algorithm, configs[1].algorithm)
-    rule = MP_RULES.get(pair)
-    if rule is None and pair[0] == pair[1]:
-        rule = "self"
-    if rule is None:
-        raise ConfigError(f"no declared merging-path rule for pair {pair}")
+    rule = analysis.mp_rule(*pair)
     if configs[0].alpha != configs[1].alpha:
         raise ConfigError("compare needs both algorithms at the same alpha")
     traces = [run(c, problem, z0) for c in configs]
+    mp = analysis.merging_path(rule, *traces, problem)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if rule == "self":
-        sq = analysis.mp_distance(*traces)
-        bound = np.full(len(sq), 1.0)
-        verdict, note = bool(np.all(sq == 0.0)), "identical algorithms"
-        measured = sq
-    else:
-        measured, bound, verdict, note = _compare_reports(rule, traces, problem)
-    sq = analysis.mp_distance(*traces)
-    k = np.arange(len(measured))
     rows = ["k,sq_distance,k2_sq_distance,bound,ratio"]
-    for i in k:
-        ratio = measured[i] / (bound[i] + analysis.ATOL)
-        rows.append(",".join([str(int(i)), _format(sq[i]),
-                              _format(i * i * sq[i]), _format(bound[i]),
-                              _format(ratio)]))
+    for k, sq, bound, ratio in zip(mp.report.k_values, mp.sq_distance,
+                                   mp.report.bound, mp.report.ratios):
+        rows.append(",".join([str(int(k)), _format(sq), _format(k * k * sq),
+                              _format(bound), _format(ratio)]))
     mp_path = out_dir / "mp.csv"
     mp_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
     verdict_doc = {
         "pair": list(pair),
         "rule": rule,
-        "verdict": "pass" if verdict else "fail",
-        "note": note,
+        "verdict": "pass" if mp.passed else "fail",
+        "note": mp.note,
     }
     (out_dir / "bound.json").write_text(json.dumps(verdict_doc, indent=2) + "\n",
                                         encoding="utf-8")
     print(json.dumps(verdict_doc))
-    return 0 if verdict else 1
+    return 0 if mp.passed else 1
 
 
 def cmd_figure1(out: str, iterations: int = 200) -> int:

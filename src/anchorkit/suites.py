@@ -131,7 +131,8 @@ def feg_ohm_mp_suite() -> SuiteResult:
 
 def eag_aps_mp_suite() -> SuiteResult:
     out = SuiteResult("eag-aps-mp")
-    iterations, split = 2000, 1500
+    iterations = 2000
+    split = analysis.reported_split(iterations + 1)
     sups = {"EAG": 0.0, "APS": 0.0}
     for prob, z0 in _affine_set():
         alpha = 0.125 / prob.lipschitz
@@ -139,16 +140,12 @@ def eag_aps_mp_suite() -> SuiteResult:
         for name in ("EAG", "APS"):
             trace = run(AlgorithmConfig(name, alpha=alpha,
                                         max_iterations=iterations), prob, z0)
-            s = np.arange(iterations + 1) ** 2 * analysis.mp_distance(trace,
-                                                                      partner)
-            if not np.all(np.isfinite(s)):
-                out.check(False, f"{name} on {prob.name}: non-finite distances")
+            mp = analysis.merging_path("reported", trace, partner, prob)
+            if not mp.passed:
+                out.check(False, f"{name} on {prob.name}: k^2 dist^2 not "
+                                 f"finite or still growing after k={split}")
                 continue
-            head, tail = s[:split].max(), s[split:].max()
-            if tail > head:
-                out.check(False, f"{name} on {prob.name}: k^2 dist^2 still "
-                                 f"growing ({tail:.3e} > {head:.3e})")
-            sups[name] = max(sups[name], s.max())
+            sups[name] = max(sups[name], mp.report.measured.max())
     for name, sup in sups.items():
         out.check(True, f"{name}: sup k^2 dist^2 = {sup:.4e}, finite and "
                         f"attained before k={split}")
@@ -199,9 +196,9 @@ def sm_eag_rate_suite() -> SuiteResult:
 
 def sm_oc_halpern_mp_suite() -> SuiteResult:
     out = SuiteResult("sm-eag-oc-halpern-mp")
-    lipschitz, mu, epsilon = 10.0, 0.1, 0.1
+    lipschitz, mu = 10.0, 0.1
     alpha = 0.5 * max_step_strongly_monotone(lipschitz, mu)
-    growth = 1.0 + 2.0 * alpha * mu * (1.0 - epsilon)
+    weights = analysis.geometric_weights(alpha, mu, 501)
     sup_all = 0.0
     for seed in range(5):
         prob = make_random_scsc(seed, 10, lipschitz, mu)
@@ -210,14 +207,15 @@ def sm_oc_halpern_mp_suite() -> SuiteResult:
                                  max_iterations=500), prob, z0)
         oc = run(AlgorithmConfig("OC_HALPERN", alpha=alpha,
                                  max_iterations=500), prob, z0)
-        weighted = analysis.mp_distance(sm, oc) * growth ** np.arange(501)
+        weighted = analysis.mp_distance(sm, oc) * weights
         ok = bool(np.all(np.isfinite(weighted)))
         out.check(ok, f"seed {seed}: weighted distances finite, "
                       f"sup {weighted.max():.4e} at k={weighted.argmax()}")
         sup_all = max(sup_all, float(weighted.max()))
     out.details["implied_constant"] = sup_all
     out.info(f"implied merging constant {sup_all:.4e} "
-             f"(reported, not asserted; epsilon = {epsilon})")
+             f"(reported, not asserted; "
+             f"epsilon = {analysis.GEOMETRIC_EPSILON})")
     return out
 
 
@@ -365,12 +363,12 @@ def figure1_trajectories(iterations=200):
     return prob, runs, failures
 
 
-def figure1_summary(runs, at_k=50, threshold=None):
-    """Pairwise trajectory distances at ``at_k``; the merge threshold defaults
-    to 1e-3 of the initial-point scale."""
+def figure1_summary(runs):
+    """Pairwise trajectory distances at k = 50, with the merge threshold 1e-3
+    of the initial-point scale."""
+    at_k = 50
     some = next(iter(runs.values()))
-    if threshold is None:
-        threshold = 1e-3 * float(np.linalg.norm(some.main[0]))
+    threshold = 1e-3 * float(np.linalg.norm(some.main[0]))
     anchored = [n for n in runs if not n.startswith("AGM")]
     momentum = [n for n in runs if n.startswith("AGM")]
 
@@ -432,8 +430,9 @@ def speedup_problem(lipschitz=1.0, mu=1e-4) -> Problem:
                    solution=np.zeros(3))
 
 
-def speedup_suite(tol=1e-6) -> SuiteResult:
+def speedup_suite() -> SuiteResult:
     out = SuiteResult("speedup")
+    tol = 1e-6
     prob = speedup_problem()
     z0 = np.array([1.0, 0.7, -0.7])
     budget = 3_000_000
@@ -470,8 +469,9 @@ def _sample_pairs(rng, dim, count, scale=2.0):
             scale * rng.standard_normal((count, dim)))
 
 
-def operator_property_suite(pairs=1000) -> SuiteResult:
+def operator_property_suite() -> SuiteResult:
     out = SuiteResult("operator-properties")
+    pairs = 1000
     rng = np.random.default_rng(99)
     slack = 1e-9
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -197,6 +199,32 @@ def test_rate_bound_oc_halpern():
     t = run(cfg("OC_HALPERN", 0.2, 200), prob, z0)
     rep = analysis.rate_bound(t, prob, "OC_HALPERN_RATE")
     assert rep.passed
+
+
+def test_ohm_trace_refused_by_oc_halpern_rate():
+    # OHM runs at gamma = 1 whatever gamma the config carries, and its trace
+    # says so, so the rule for gamma > 1 refuses it
+    prob = make_random_monotone_affine(0, 4, 2.0)
+    t = run(cfg("OHM", 0.2, 200, gamma=1.5), prob, np.ones(4))
+    assert t.params["gamma"] == 1.0
+    with pytest.raises(ConfigError):
+        analysis.rate_bound(t, prob, "OC_HALPERN_RATE")
+
+
+def test_reference_point_order():
+    prob = make_random_monotone_affine(0, 4, 2.0)
+    t = run(cfg("OHM", 0.2, 5), prob, np.ones(4))
+    given = np.full(4, 0.5)
+    assert analysis.reference_point(t, prob, given) is given
+    assert analysis.reference_point(t, prob) is prob.solution
+    # a composite problem's splitting fixed point wins over its solution z*
+    comp = replace(make_box_bilinear_composite(seed=5), solution=np.zeros(4))
+    alpha = 0.5 / comp.lipschitz
+    xi0 = np.ones(comp.dim)
+    drs = run(cfg("OHM_DRS", alpha, 5), comp, xi0)
+    assert np.array_equal(analysis.reference_point(drs, comp),
+                          analysis.fixed_point_reference(comp, alpha,
+                                                         start=xi0))
 
 
 def test_rate_bound_missing_reference():

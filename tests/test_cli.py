@@ -108,6 +108,34 @@ def test_config_error_on_bad_step(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["error"] == "CONFIG_ERROR"
 
 
+def test_unknown_algorithm_key_rejected(tmp_path, capsys):
+    cfgp = write_config(tmp_path / "typo.json", {
+        "problem": {"name": "bilinear", "params": {"coupling": [[1.0]]}},
+        "start": [1.0, 0.0],
+        "iterations": 40,
+        "algorithms": [{"algorithm": "FEG", "alpha": 0.5,
+                        "stop_residul": 1e-3}],
+        "outputs": {"directory": str(tmp_path / "out")},
+    })
+    assert main(["run", cfgp]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "CONFIG_ERROR" and "stop_residul" in doc["detail"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_epsilon_schedule_rejected(tmp_path, capsys):
+    cfgp = write_config(tmp_path / "eps.json", {
+        "problem": {"name": "box_bilinear_composite", "params": {"seed": 5}},
+        "start": [0.5, -0.5, 0.25, 1.0],
+        "iterations": 10,
+        "algorithms": [{"algorithm": "APG_STAR", "alpha": 0.2,
+                        "epsilon_schedule": "default"}],
+        "outputs": {"directory": str(tmp_path / "out")},
+    })
+    assert main(["run", cfgp]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "CONFIG_ERROR"
+
+
 def test_compare_feg_ohm_pass(tmp_path, capsys):
     cfgp = write_config(tmp_path / "cmp.json", {
         "problem": {"name": "random_monotone_affine",
@@ -234,3 +262,59 @@ def test_compare_geometric_pair(tmp_path, capsys):
     assert main(["compare", cfgp]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["verdict"] == "pass" and "envelope" in doc["note"]
+
+
+def _compare(tmp_path, problem, algorithms, iterations, **extra):
+    cfgp = write_config(tmp_path / "cmp.json", {
+        "problem": problem, "iterations": iterations,
+        "algorithms": algorithms,
+        "outputs": {"directory": str(tmp_path / "cmp-out")}, **extra})
+    return main(["compare", cfgp])
+
+
+AFFINE_SEED3 = {"name": "random_monotone_affine",
+                "params": {"seed": 3, "d": 10, "lipschitz": 10.0}}
+
+
+def test_compare_eag_ohm_reported_pass(tmp_path, capsys):
+    rc = _compare(tmp_path, AFFINE_SEED3,
+                  [{"algorithm": "EAG", "alpha": 0.0125},
+                   {"algorithm": "OHM", "alpha": 0.0125}], 2000, seed=1003)
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert doc["rule"] == "reported" and doc["verdict"] == "pass"
+    assert "no theoretical constant" in doc["note"]
+    rows = (tmp_path / "cmp-out" / "mp.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2001
+    # the bound column is the envelope sup k^2 dist^2
+    k2 = [float(r.split(",")[2]) for r in rows]
+    assert {float(r.split(",")[3]) for r in rows} == {max(k2)}
+
+
+def test_compare_aps_ohm_reported_fail(tmp_path, capsys):
+    rc = _compare(tmp_path, AFFINE_SEED3,
+                  [{"algorithm": "APS", "alpha": 0.0125},
+                   {"algorithm": "OHM", "alpha": 0.0125}], 400, seed=7)
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 1
+    assert doc["rule"] == "reported" and doc["verdict"] == "fail"
+    verdict = json.loads((tmp_path / "cmp-out" / "bound.json").read_text())
+    assert verdict["verdict"] == "fail"
+
+
+def test_compare_self_pair_with_different_settings_fails(tmp_path, capsys):
+    rc = _compare(tmp_path,
+                  {"name": "random_scsc",
+                   "params": {"seed": 0, "d": 6, "lipschitz": 10.0,
+                              "mu": 0.1}},
+                  [{"algorithm": "OC_HALPERN", "alpha": 0.05,
+                    "gamma": 1.001},
+                   {"algorithm": "OC_HALPERN", "alpha": 0.05,
+                    "gamma": 1.002}], 200,
+                  start=[0.4, -0.2, 1.0, 0.0, -0.6, 0.3])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 1
+    assert doc["rule"] == "self" and doc["verdict"] == "fail"
+    rows = (tmp_path / "cmp-out" / "mp.csv").read_text().splitlines()[1:]
+    assert float(rows[0].split(",")[1]) == 0.0
+    assert float(rows[-1].split(",")[1]) > 0.0
