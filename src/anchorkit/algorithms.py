@@ -32,6 +32,7 @@ from .operators import (
     Operator,
     as_vector,
     solve_strongly_monotone,
+    vector_norm,
 )
 from .problems import Problem
 
@@ -174,6 +175,8 @@ def validate_config(config: AlgorithmConfig, problem: Problem) -> None:
         raise ConfigError("alpha must be a positive finite real")
     if config.max_iterations < 1:
         raise ConfigError("max_iterations must be at least 1")
+    if not config.resolvent_tolerance > 0:
+        raise ConfigError("resolvent_tolerance must be positive")
     lip, mu = problem.lipschitz, problem.mu
     if problem.is_composite and name not in ("OHM_DRS", "APG_STAR"):
         raise ConfigError(f"{name} does not handle composite problems")
@@ -321,7 +324,7 @@ class _ForwardResidual(_Rule):
 
     def evaluate(self, k):
         self.bz = bz = self.b(self.z)
-        return np.linalg.norm(bz), (bz,)
+        return vector_norm(bz), (bz,)
 
 
 class _GDA(_ForwardResidual):
@@ -349,7 +352,7 @@ class _OG(_Rule):
         self.cur = self.prev = self.b(z0)  # warm start
 
     def evaluate(self, k):
-        return np.linalg.norm(self.cur), (self.cur,)
+        return vector_norm(self.cur), (self.cur,)
 
     def step(self, k):
         alpha, cur = self.alpha, self.cur
@@ -373,7 +376,7 @@ class _AGM(_Rule):
 
     def evaluate(self, k):
         grad = self.raw(self.z)
-        return np.linalg.norm(grad), (grad, self.y)
+        return vector_norm(grad), (grad, self.y)
 
     def step(self, k):
         a, x = self.a, self.z
@@ -450,7 +453,7 @@ class _APS(_Rule):
 
     def evaluate(self, k):
         bz = self.raw(self.z)
-        return np.linalg.norm(bz), (bz, self.v, self.bv)
+        return vector_norm(bz), (bz, self.v, self.bv)
 
     def step(self, k):
         z0, z, alpha = self.z0, self.z, self.alpha
@@ -474,7 +477,7 @@ class _EAGV(_ForwardResidual):
 
     def evaluate(self, k):
         self.bz = bz = self.b(self.z)
-        return np.linalg.norm(bz), (bz, self.alpha)
+        return vector_norm(bz), (bz, self.alpha)
 
     def step(self, k):
         z0, z, alpha, lip = self.z0, self.z, self.alpha, self.lip
@@ -501,7 +504,7 @@ class _APSV(_APS):
 
     def evaluate(self, k):
         bz = self.raw(self.z)
-        return np.linalg.norm(bz), (bz, self.v, self.bv, self.alpha)
+        return vector_norm(bz), (bz, self.v, self.bv, self.alpha)
 
     def step(self, k):
         z0, z, alpha, m_const = self.z0, self.z, self.alpha, self.m_const
@@ -556,7 +559,7 @@ class _OHM(_Rule):
         half = beta * self.z0 + (1.0 - beta) * self.z
         self.w = self.b.resolvent(self.alpha, half, self.tol)
         row = (half,) if self.op_w is None else (half, self.op_w)
-        return np.linalg.norm(half - self.w), row
+        return vector_norm(half - self.w), row
 
     def step(self, k):
         self.z = self.w
@@ -604,7 +607,7 @@ class _OHMDRS(_Rule):
         w = self.b.resolvent(alpha, self.z, tol)
         self.bw = bw = self.b(w)
         self.v = v = self.b.prox(alpha, w - alpha * bw, tol)
-        return np.linalg.norm(w - v), (w, v, bw)  # = alpha ||G_alpha(w_k)||
+        return vector_norm(w - v), (w, v, bw)  # = alpha ||G_alpha(w_k)||
 
     def step(self, k):
         beta = 1.0 / (k + 2)
@@ -637,7 +640,7 @@ class _APGStar(_Rule):
             mu=1.0, lipschitz=self.shifted_l, z0=xi, tol=eps_k)
         self.bz = bz = b(z)
         self.v = v = b.prox(alpha, z - alpha * bz, self.tol)
-        return np.linalg.norm(z - v) / alpha, (z, bz, evals)  # ||G_alpha(z_k)||
+        return vector_norm(z - v) / alpha, (z, bz, evals)  # ||G_alpha(z_k)||
 
     def step(self, k):
         beta = 1.0 / (k + 2)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -18,14 +19,16 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, suites
-from .algorithms import ALGORITHMS, AlgorithmConfig, run
+from .algorithms import ALGORITHMS, AlgorithmConfig, run, validate_config
 from .errors import AnchorkitError, ConfigError, DomainViolation
+from .operators import as_vector
 from .problems import PROBLEM_BUILDERS, build_problem
 
-#: keys an algorithm entry may set besides ``algorithm``; trace CSVs need
-#: recorded iterates, so ``record_iterates`` is not one of them
-_ALGO_FIELDS = frozenset(f.name for f in fields(AlgorithmConfig)) - {
-    "algorithm", "record_iterates"}
+#: keys an algorithm entry may set besides ``algorithm``, each with whether
+#: it may be null; trace CSVs need recorded iterates, so ``record_iterates``
+#: is not one of them
+_ALGO_FIELDS = {f.name: f.default is None for f in fields(AlgorithmConfig)
+                if f.name not in ("algorithm", "record_iterates")}
 
 
 def _fail(code: str, detail: str, status: int = 2) -> int:
@@ -38,40 +41,73 @@ def _load_config(path: str) -> dict:
         return json.load(fh)
 
 
-def _parse_experiment(cfg: dict):
+def _number(where: str, value, integer: bool = False):
+    """``value`` if it is a finite JSON number (an integer if asked), else
+    a ConfigError naming ``where``."""
+    kinds = int if integer else (int, float)
+    if (isinstance(value, bool) or not isinstance(value, kinds)
+            or isinstance(value, float) and not math.isfinite(value)):
+        kind = "an integer" if integer else "a finite number"
+        raise ConfigError(f"{where} must be {kind}, got {value!r}")
+    return value
+
+
+def _parse_experiment(cfg):
+    if not isinstance(cfg, dict):
+        raise ConfigError("config must be a JSON object")
     problem_cfg = cfg.get("problem")
     if not isinstance(problem_cfg, dict) or "name" not in problem_cfg:
         raise ConfigError("config needs problem: {name, params}")
     pname = problem_cfg["name"]
-    if pname not in PROBLEM_BUILDERS:
+    if not isinstance(pname, str) or pname not in PROBLEM_BUILDERS:
         raise KeyError(f"unknown problem {pname!r}")
-    problem = build_problem(pname, problem_cfg.get("params"))
-    iterations = int(cfg.get("iterations", 1000))
+    try:
+        problem = build_problem(pname, problem_cfg.get("params"))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"problem {pname}: {exc}") from None
+    iterations = _number("iterations", cfg.get("iterations", 1000),
+                         integer=True)
     algos = cfg.get("algorithms")
-    if not algos:
+    if not isinstance(algos, list) or not algos:
         raise ConfigError("config needs a non-empty algorithms list")
     configs = []
     for entry in algos:
+        if not isinstance(entry, dict):
+            raise ConfigError("each algorithms entry must be a JSON object")
         name = entry.get("algorithm")
-        if name not in ALGORITHMS:
+        if not isinstance(name, str) or name not in ALGORITHMS:
             raise ConfigError(f"UNKNOWN_ALGORITHM:{name}")
         kwargs = {k: v for k, v in entry.items() if k != "algorithm"}
-        unknown = sorted(set(kwargs) - _ALGO_FIELDS)
+        unknown = sorted(kwargs.keys() - _ALGO_FIELDS.keys())
         if unknown:
             raise ConfigError(f"{name}: unknown keys {unknown}")
         kwargs.setdefault("max_iterations", iterations)
         if "alpha" not in kwargs:
             raise ConfigError(f"{name}: alpha is required")
+        for key, value in kwargs.items():
+            if value is not None or not _ALGO_FIELDS[key]:
+                _number(f"{name}: {key}", value,
+                        integer=key == "max_iterations")
         configs.append(AlgorithmConfig(algorithm=name, **kwargs))
+        validate_config(configs[-1], problem)  # before any file is written
     if "start" in cfg:
-        z0 = np.asarray(cfg["start"], dtype=float)
+        try:
+            z0 = as_vector(cfg["start"], problem.dim)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"start: {exc}") from None
     elif problem.start is not None:
         z0 = problem.start
     else:
-        seed = int(cfg.get("seed", 0))
+        seed = _number("seed", cfg.get("seed", 0), integer=True)
+        if seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {seed}")
         z0 = np.random.default_rng(seed).standard_normal(problem.dim)
-    out_dir = Path(cfg.get("outputs", {}).get("directory", "anchorkit-out"))
-    return problem, configs, z0, out_dir
+    outputs = cfg.get("outputs", {})
+    directory = (outputs.get("directory", "anchorkit-out")
+                 if isinstance(outputs, dict) else None)
+    if not isinstance(directory, str):
+        raise ConfigError("outputs must be {directory: a path string}")
+    return problem, configs, z0, Path(directory)
 
 
 def _format(v: float) -> str:
@@ -140,6 +176,9 @@ def cmd_compare(config_path: str) -> int:
 
 
 def cmd_figure1(out: str, iterations: int = 200) -> int:
+    if iterations < suites.FIGURE1_SUMMARY_K:
+        raise ConfigError(f"figure1 needs --iterations >= "
+                          f"{suites.FIGURE1_SUMMARY_K}, the summary's row")
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     prob, runs, failures = suites.figure1_trajectories(iterations)

@@ -10,7 +10,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_factor
+from scipy.linalg.lapack import dgetrs
 
 from .errors import (
     DimensionMismatch,
@@ -44,6 +45,15 @@ def as_vector(coords, dim: int | None = None) -> Array:
     return v
 
 
+def vector_norm(v: Array) -> float:
+    """Euclidean norm of a real vector, ``sqrt(v . v)``.
+
+    This is the formula ``np.linalg.norm`` applies to a real 1-D vector, so
+    the result is bit-identical to it, without its dispatch layers.
+    """
+    return math.sqrt(v.dot(v))
+
+
 def solve_strongly_monotone(fn, mu: float, lipschitz: float, z0: Array,
                             tol: float, max_iterations: int | None = None):
     """Drive ``||fn(z)|| <= tol`` for a strongly monotone Lipschitz map.
@@ -70,7 +80,7 @@ def solve_strongly_monotone(fn, mu: float, lipschitz: float, z0: Array,
     evals = 1
     big_s = 1.0  # sum of x^j, j = 0..k
     for _ in range(max_iterations):
-        if np.linalg.norm(val) <= tol:
+        if vector_norm(val) <= tol:
             return z, evals
         beta = 1.0 / big_s
         half = beta * anchor + (1.0 - beta) * (z - (step / x) * val)
@@ -79,10 +89,10 @@ def solve_strongly_monotone(fn, mu: float, lipschitz: float, z0: Array,
         val = fn(z)
         evals += 2
         big_s = 1.0 + x * big_s
-    if np.linalg.norm(val) <= tol:
+    if vector_norm(val) <= tol:
         return z, evals
     raise InnerLoopBudgetExceeded(
-        f"residual {np.linalg.norm(val):.3e} > tol {tol:.3e} "
+        f"residual {vector_norm(val):.3e} > tol {tol:.3e} "
         f"after {max_iterations} iterations")
 
 
@@ -165,6 +175,11 @@ class AffineOperator(Operator):
     (2-norm and smallest eigenvalue of the symmetric part); if supplied they
     are verified against the spectrum at construction. The matrix must be
     monotone: min eig of (M + M^T)/2 >= -1e-9.
+
+    The resolvent factors I + alpha M once per step size and solves each
+    call with LAPACK ``getrs``. The factors are memoised per alpha; the memo
+    never changes a result, so the operator is still immutable after
+    construction in every observable way.
     """
 
     def __init__(self, matrix, offset=None, lipschitz=None, mu=None):
@@ -207,7 +222,8 @@ class AffineOperator(Operator):
         return "affine"
 
     def resolvent(self, alpha, z, tol=DEFAULT_RESOLVENT_TOL):
-        # direct dense solve of (I + alpha M) u = z - alpha b, LU cached per alpha
+        # direct dense solve of (I + alpha M) u = z - alpha b, LU cached per
+        # alpha; the bits are those of scipy.linalg.lu_solve
         self._check_dim(z)
         if alpha <= 0:
             raise ValueError("alpha must be positive")
@@ -215,7 +231,15 @@ class AffineOperator(Operator):
         if factors is None:
             factors = lu_factor(np.eye(self.dim) + alpha * self.matrix)
             self._lu_cache[alpha] = factors
-        return lu_solve(factors, z - alpha * self.offset)
+        rhs = z - alpha * self.offset
+        # rhs . rhs is finite for a finite rhs unless it overflows, and then
+        # the elementwise check decides
+        if not math.isfinite(rhs.dot(rhs)) and not np.isfinite(rhs).all():
+            raise ValueError("array must not contain infs or NaNs")
+        u, info = dgetrs(*factors, rhs, overwrite_b=True)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of getrs")
+        return u
 
 
 class CallableOperator(Operator):

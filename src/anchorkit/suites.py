@@ -36,6 +36,9 @@ from .problems import (
 #: momentum parameters for the divergent momentum baselines (a > 2)
 AGM_MOMENTUM_CHOICES = (3.0, 5.0, 9.0)
 
+#: the row of the figure-1 trajectories that the summary compares
+FIGURE1_SUMMARY_K = 50
+
 
 @dataclass
 class SuiteResult:
@@ -364,9 +367,9 @@ def figure1_trajectories(iterations=200):
 
 
 def figure1_summary(runs):
-    """Pairwise trajectory distances at k = 50, with the merge threshold 1e-3
-    of the initial-point scale."""
-    at_k = 50
+    """Pairwise trajectory distances at k = FIGURE1_SUMMARY_K, with the merge
+    threshold 1e-3 of the initial-point scale."""
+    at_k = FIGURE1_SUMMARY_K
     some = next(iter(runs.values()))
     threshold = 1e-3 * float(np.linalg.norm(some.main[0]))
     anchored = [n for n in runs if not n.startswith("AGM")]

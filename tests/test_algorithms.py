@@ -330,6 +330,27 @@ def test_ohm_drs_residual_identity():
         assert abs(lhs - t.residual_norms[k]) <= 1e-12
 
 
+def test_residual_norms_match_numpy_norm_bitwise():
+    # each rule's residual is np.linalg.norm of its residual vector, bit for
+    # bit, whatever helper computes it
+    prob = make_random_monotone_affine(seed=3, d=10, lipschitz=10.0)
+    z0 = np.random.default_rng(1003).standard_normal(10)
+    feg = run(cfg("FEG", 0.05, 200), prob, z0)
+    assert all(feg.residual_norms[k] == np.linalg.norm(feg.op_evals[k])
+               for k in range(201))
+    ohm = run(cfg("OHM", 0.05, 200), prob, z0)
+    half = ohm.auxiliary["half"]
+    assert all(ohm.residual_norms[k]
+               == np.linalg.norm(half[k] - ohm.main[k + 1])
+               for k in range(200))
+    comp = make_box_bilinear_composite(seed=9)
+    drs = run(cfg("OHM_DRS", 0.4 / comp.lipschitz, 200), comp,
+              np.array([1.5, -2.0, 0.3, 0.9]))
+    w, v = drs.auxiliary["w"], drs.auxiliary["v"]
+    assert all(drs.residual_norms[k] == np.linalg.norm(w[k] - v[k])
+               for k in range(201))
+
+
 def test_apg_star_zero_smooth_exits_inner_immediately():
     box = BoxProx([0.0, 0.0], [1.0, 1.0])
     comp = Problem(name="boxes", operator=ZeroOperator(2),

@@ -136,6 +136,54 @@ def test_epsilon_schedule_rejected(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["error"] == "CONFIG_ERROR"
 
 
+DROP = object()  # marks a key the bad config leaves out
+
+VALID_RUN = {
+    "problem": {"name": "bilinear", "params": {"coupling": [[1.0]]}},
+    "start": [1.0, 0.0],
+    "iterations": 5,
+    "algorithms": [{"algorithm": "FEG", "alpha": 0.5}],
+}
+
+
+@pytest.mark.parametrize("change", [
+    {"algorithms": [{"algorithm": "FEG", "alpha": "0.1"}]},
+    {"algorithms": [{"algorithm": "FEG", "alpha": 0.5,
+                     "stop_residual": "x"}]},
+    {"start": [float("nan"), 0.0]},
+    None,  # a top-level JSON array
+    {"iterations": 2.5},
+    {"problem": {"name": "bilinear",
+                 "params": {"coupling": [[1.0]], "shift": 1.0}}},
+    {"start": DROP, "seed": -1},
+    {"algorithms": [{"algorithm": "FEG", "alpha": 0.5,
+                     "resolvent_tolerance": 0}]},
+], ids=["alpha-string", "stop-residual-string", "nan-start", "json-array",
+        "fractional-iterations", "unknown-problem-parameter", "negative-seed",
+        "zero-resolvent-tolerance"])
+def test_bad_config_fails_closed(change, tmp_path, capsys):
+    out = tmp_path / "out"
+    doc = {**VALID_RUN, "outputs": {"directory": str(out)}}
+    if change is None:
+        doc = [doc]
+    else:
+        doc = {k: v for k, v in {**doc, **change}.items() if v is not DROP}
+    path = tmp_path / "bad.json"
+    # json.dumps writes NaN, which json.load reads back
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "CONFIG_ERROR"
+    assert not out.exists()
+
+
+def test_figure1_rejects_too_few_iterations(tmp_path, capsys):
+    out = tmp_path / "fig"
+    assert main(["figure1", "--out", str(out), "--iterations", "49"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "CONFIG_ERROR" and "50" in doc["detail"]
+    assert not out.exists()
+
+
 def test_compare_feg_ohm_pass(tmp_path, capsys):
     cfgp = write_config(tmp_path / "cmp.json", {
         "problem": {"name": "random_monotone_affine",

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 
 from anchorkit.errors import (
     DimensionMismatch,
@@ -26,6 +27,7 @@ from anchorkit.operators import (
     forward_backward_residual,
     prox,
     solve_strongly_monotone,
+    vector_norm,
 )
 
 ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -78,6 +80,48 @@ def test_affine_resolvent_against_direct_solve():
         z = rng.standard_normal(4)
         expected = np.linalg.solve(np.eye(4) + alpha * m, z - alpha * b)
         assert np.allclose(op.resolvent(alpha, z), expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 10, 300])
+def test_affine_resolvent_bits_match_lu_solve(d):
+    # the direct getrs call must give scipy.linalg.lu_solve's bits, including
+    # on a cache hit (alpha repeated)
+    rng = np.random.default_rng(d)
+    m = rng.standard_normal((d, d))
+    m = m @ m.T / d + (m - m.T)
+    b = rng.standard_normal(d)
+    op = AffineOperator(m, b)
+    for alpha in (0.01, 0.3, 2.5, 0.3, 0.01):
+        z = rng.standard_normal(d)
+        expected = lu_solve(lu_factor(np.eye(d) + alpha * m), z - alpha * b)
+        z_before = z.copy()
+        got = op.resolvent(alpha, z)
+        assert got.dtype == np.float64 and got.shape == (d,)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(z, z_before)  # the solve overwrites a copy
+    assert sorted(op._lu_cache) == [0.01, 0.3, 2.5]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_affine_resolvent_rejects_non_finite_input(bad):
+    op = AffineOperator(ROT, [0.5, -0.5])
+    z = np.array([1.0, bad])
+    with pytest.raises(ValueError):
+        op.resolvent(0.5, z)
+    # a finite input whose squared norm overflows is still solved
+    big = np.array([1e200, -1e200])
+    with np.errstate(over="ignore"):
+        got = op.resolvent(0.5, big)
+    assert np.array_equal(got, lu_solve(lu_factor(np.eye(2) + 0.5 * ROT),
+                                        big - 0.5 * op.offset))
+
+
+def test_vector_norm_matches_numpy_bitwise():
+    rng = np.random.default_rng(4)
+    for d in (1, 2, 10, 300, 1000):
+        for scale in (1e-200, 1e-3, 1.0, 1e150):
+            v = scale * rng.standard_normal(d)
+            assert vector_norm(v) == np.linalg.norm(v)
 
 
 def test_affine_resolvent_hand_examples():
