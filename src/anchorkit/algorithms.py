@@ -31,7 +31,7 @@ from .operators import (
     GradientOperator,
     Operator,
     as_vector,
-    solve_strongly_monotone,
+    iterative_resolvent,
     vector_norm,
 )
 from .problems import Problem
@@ -45,7 +45,12 @@ ALGORITHMS = (
 
 @dataclass(frozen=True)
 class AlgorithmConfig:
-    """Algorithm identifier plus every scalar/schedule parameter."""
+    """Algorithm identifier plus every scalar/schedule parameter.
+
+    ``momentum_a``, ``gamma`` and ``theta`` belong to one algorithm each;
+    ``validate_config`` refuses them set for any other. Iterative resolvents
+    are solved to ``operators.RESOLVENT_TOL``, which is not configurable.
+    """
 
     algorithm: str
     alpha: float
@@ -53,7 +58,6 @@ class AlgorithmConfig:
     momentum_a: float = 3.0          # AGM only, must exceed 2
     gamma: float | None = None       # OC_HALPERN contraction parameter (> 1)
     theta: float | None = None       # APS_V only
-    resolvent_tolerance: float = 1e-12
     stop_residual: float | None = None
     record_iterates: bool = True
 
@@ -136,27 +140,29 @@ class IterateTrace:
 
 class _Counted:
     """Oracle wrapper that counts algorithmic calls: forward evaluations of
-    B, and resolvents of B or of the prox part A."""
+    B, and resolvents of B or of the prox part A. It carries B's ``dim``,
+    ``lipschitz`` and ``mu``, so it can be the base of an inner map."""
 
-    __slots__ = ("op", "prox_part", "b", "res")
+    __slots__ = ("op", "prox_part", "b", "res", "dim", "lipschitz", "mu")
 
     def __init__(self, op: Operator, prox_part: Operator | None = None):
         self.op = op
         self.prox_part = prox_part
         self.b = 0
         self.res = 0
+        self.dim, self.lipschitz, self.mu = op.dim, op.lipschitz, op.mu
 
     def __call__(self, z):
         self.b += 1
         return self.op(z)
 
-    def resolvent(self, alpha, z, tol):
+    def resolvent(self, alpha, z):
         self.res += 1
-        return self.op.resolvent(alpha, z, tol)
+        return self.op.resolvent(alpha, z)
 
-    def prox(self, alpha, z, tol):
+    def prox(self, alpha, z):
         self.res += 1
-        return self.prox_part.resolvent(alpha, z, tol)
+        return self.prox_part.resolvent(alpha, z)
 
 
 def max_step_strongly_monotone(lipschitz: float, mu: float) -> float:
@@ -175,8 +181,13 @@ def validate_config(config: AlgorithmConfig, problem: Problem) -> None:
         raise ConfigError("alpha must be a positive finite real")
     if config.max_iterations < 1:
         raise ConfigError("max_iterations must be at least 1")
-    if not config.resolvent_tolerance > 0:
-        raise ConfigError("resolvent_tolerance must be positive")
+    for field_name, owner, unset in (
+            ("momentum_a", "AGM", AlgorithmConfig.momentum_a),
+            ("gamma", "OC_HALPERN", None),
+            ("theta", "APS_V", None)):
+        if name != owner and getattr(config, field_name) != unset:
+            raise ConfigError(f"{name} ignores {field_name}; only {owner} "
+                              f"takes it")
     lip, mu = problem.lipschitz, problem.mu
     if problem.is_composite and name not in ("OHM_DRS", "APG_STAR"):
         raise ConfigError(f"{name} does not handle composite problems")
@@ -307,7 +318,6 @@ class _Rule:
 
     def __init__(self, config, problem, oracle, z0, record):
         self.alpha = config.alpha
-        self.tol = config.resolvent_tolerance
         self.z0 = self.z = z0
         self.b = oracle
         self.raw = problem.operator
@@ -557,7 +567,7 @@ class _OHM(_Rule):
     def evaluate(self, k):
         beta = 1.0 / self.big_s
         half = beta * self.z0 + (1.0 - beta) * self.z
-        self.w = self.b.resolvent(self.alpha, half, self.tol)
+        self.w = self.b.resolvent(self.alpha, half)
         row = (half,) if self.op_w is None else (half, self.op_w)
         return vector_norm(half - self.w), row
 
@@ -603,10 +613,10 @@ class _OHMDRS(_Rule):
     final_row_billed = True
 
     def evaluate(self, k):
-        alpha, tol = self.alpha, self.tol
-        w = self.b.resolvent(alpha, self.z, tol)
+        alpha = self.alpha
+        w = self.b.resolvent(alpha, self.z)
         self.bw = bw = self.b(w)
-        self.v = v = self.b.prox(alpha, w - alpha * bw, tol)
+        self.v = v = self.b.prox(alpha, w - alpha * bw)
         return vector_norm(w - v), (w, v, bw)  # = alpha ||G_alpha(w_k)||
 
     def step(self, k):
@@ -616,9 +626,10 @@ class _OHMDRS(_Rule):
 
 
 class _APGStar(_Rule):
-    """z_k solves ||z + alpha B z - xi_k|| <= eps_k by anchored extragradient
-    from xi_k; xi_{k+1} = beta_k xi_0 + (1-beta_k)(J_{alpha A}(z_k -
-    alpha B z_k) + alpha B z_k); beta_k = 1/(k+2)."""
+    """z_k solves ||z + alpha B z - xi_k|| <= eps_k: the iterative resolvent
+    of B at xi_k, solved to eps_k instead of to the resolvent tolerance, with
+    every inner call of B billed; xi_{k+1} = beta_k xi_0 + (1-beta_k)
+    (J_{alpha A}(z_k - alpha B z_k) + alpha B z_k); beta_k = 1/(k+2)."""
 
     row_fields = ("z", "op_z", "inner_b_evals")
     kept_fields = ("inner_b_evals",)
@@ -627,19 +638,16 @@ class _APGStar(_Rule):
     def __init__(self, config, problem, oracle, z0, record):
         super().__init__(config, problem, oracle, z0, record)
         lip = problem.lipschitz
-        self.shifted_l = 1.0 + config.alpha * lip
         b_xi0 = self.b(z0)  # warm start
         self.m_const = 1.0 + (np.linalg.norm(b_xi0) / lip if lip > 0 else 0.0)
         self.params = {"m_constant": self.m_const}
 
     def evaluate(self, k):
-        alpha, b, xi = self.alpha, self.b, self.z
+        alpha, b = self.alpha, self.b
         eps_k = self.m_const / ((k + 1.0) ** 2 * (k + 2.0))
-        z, evals = solve_strongly_monotone(
-            lambda u: u + alpha * b(u) - xi,
-            mu=1.0, lipschitz=self.shifted_l, z0=xi, tol=eps_k)
+        z, evals = iterative_resolvent(b, alpha, self.z, eps_k)
         self.bz = bz = b(z)
-        self.v = v = b.prox(alpha, z - alpha * bz, self.tol)
+        self.v = v = b.prox(alpha, z - alpha * bz)
         return vector_norm(z - v) / alpha, (z, bz, evals)  # ||G_alpha(z_k)||
 
     def step(self, k):

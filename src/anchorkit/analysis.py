@@ -4,10 +4,12 @@ merging-path rule of each pair (``MP_RULES``, ``merging_path``) and the
 reference point of each bound (``reference_point``) are decided here alone.
 
 Verdict convention: a measurement passes when
-``measured <= bound * (1 + rtol) + atol`` with rtol = 1e-9 and an absolute
-floor atol = 1e-14; the floor absorbs floating-point cancellation noise once
+``measured <= bound * (1 + RTOL) + ATOL`` with RTOL = 1e-9 and an absolute
+floor ATOL = 1e-14; the floor absorbs floating-point cancellation noise once
 residuals decay to machine level without masking real violations. Ratios are
-reported against ``bound + atol`` so that the verdict and ``max_ratio`` agree.
+reported against ``bound + ATOL`` so that the verdict and ``max_ratio`` agree.
+These tolerances, and ``LYAPUNOV_SLACK``, are constants: no report loosens
+them.
 """
 from __future__ import annotations
 
@@ -30,6 +32,9 @@ from .problems import Problem
 
 RTOL = 1e-9
 ATOL = 1e-14
+#: slack of the Lyapunov checks, V_k >= 0 and decrements above the
+#: certified lower bounds
+LYAPUNOV_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -40,8 +45,6 @@ class BoundReport:
     k_values: Array
     measured: Array
     bound: Array
-    rtol: float = RTOL
-    atol: float = ATOL
     skipped: str = ""
 
     def __post_init__(self):
@@ -53,7 +56,7 @@ class BoundReport:
 
     @property
     def ratios(self) -> Array:
-        return self.measured / (self.bound + self.atol)
+        return self.measured / (self.bound + ATOL)
 
     @property
     def max_ratio(self) -> float:
@@ -61,7 +64,7 @@ class BoundReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_ratio <= 1.0 + self.rtol
+        return self.max_ratio <= 1.0 + RTOL
 
     def worst(self):
         """(k, ratio) at the largest measured/bound ratio."""
@@ -75,8 +78,8 @@ class BoundReport:
             "measured": [float(v) for v in self.measured],
             "bound": [float(v) for v in self.bound],
             "max_ratio": self.max_ratio,
-            "rtol": self.rtol,
-            "atol": self.atol,
+            "rtol": RTOL,
+            "atol": ATOL,
             "skipped": self.skipped,
             "verdict": "pass" if self.passed else "fail",
         }
@@ -99,15 +102,15 @@ class LyapunovTrace:
     values: Array
     decrements: Array
     certified_lower: Array
-    slack: float = 1e-9
 
     @property
     def nonnegative_ok(self) -> bool:
-        return bool(np.all(self.values >= -self.slack))
+        return bool(np.all(self.values >= -LYAPUNOV_SLACK))
 
     @property
     def decrements_ok(self) -> bool:
-        return bool(np.all(self.decrements >= self.certified_lower - self.slack))
+        return bool(np.all(self.decrements
+                           >= self.certified_lower - LYAPUNOV_SLACK))
 
     @property
     def passed(self) -> bool:

@@ -3,6 +3,11 @@
 Every operator carries exact regularity metadata (Lipschitz constant and
 strong-monotonicity modulus) supplied at construction; nothing is estimated
 at runtime. Operators are immutable after construction and safe to share.
+
+Every resolvent has the one signature ``resolvent(alpha, z)``. Affine and
+prox resolvents are exact; the resolvent of a forward-only operator is
+``iterative_resolvent``, which solves the inner map ``ShiftedIdentityPlus``
+to residual ``RESOLVENT_TOL``.
 """
 from __future__ import annotations
 
@@ -27,8 +32,8 @@ Array = np.ndarray
 #: slack used when verifying metadata against computed spectra
 _META_SLACK = 1e-9
 
-#: default tolerance for iterative resolvents (configuration knob)
-DEFAULT_RESOLVENT_TOL = 1e-12
+#: residual to which every iterative resolvent is solved
+RESOLVENT_TOL = 1e-12
 
 
 def as_vector(coords, dim: int | None = None) -> Array:
@@ -96,25 +101,21 @@ def solve_strongly_monotone(fn, mu: float, lipschitz: float, z0: Array,
         f"after {max_iterations} iterations")
 
 
-def _iterative_resolvent(op, alpha: float, z: Array, tol: float) -> Array:
+def iterative_resolvent(op, alpha: float, z: Array, tol: float = RESOLVENT_TOL):
     """Resolvent of ``op`` by forward iterations: solve w + alpha op(w) = z.
 
-    The map w -> w + alpha op(w) - z is (1 + alpha mu)-strongly monotone and
-    (1 + alpha L)-Lipschitz for op's declared constants; the strongly
-    monotone solver runs on it from z, with the budget
-    ``10 (1 + alpha L) log(1/tol)`` (at least 20).
+    Runs the strongly monotone solver on ``ShiftedIdentityPlus(op, alpha, z)``
+    from z down to residual ``tol``, with the budget
+    ``10 (1 + alpha L) log(1/tol)`` (at least 20). ``op`` needs only a forward
+    call plus ``dim``, ``lipschitz`` and ``mu``. Returns ``(w, n_evals)``,
+    where ``n_evals`` counts calls of the inner map, one call of ``op`` each.
     """
-    op._check_dim(z)
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    shifted_l = 1.0 + alpha * op.lipschitz
+    inner = ShiftedIdentityPlus(op, alpha, z)
     budget = max(20, math.ceil(
-        10.0 * shifted_l * max(1.0, math.log(1.0 / tol))))
-    u, _ = solve_strongly_monotone(
-        lambda w: w + alpha * op(w) - z,
-        mu=1.0 + alpha * op.mu, lipschitz=shifted_l, z0=z, tol=tol,
-        max_iterations=budget)
-    return u
+        10.0 * inner.lipschitz * max(1.0, math.log(1.0 / tol))))
+    return solve_strongly_monotone(inner, mu=inner.mu,
+                                   lipschitz=inner.lipschitz, z0=inner.shift,
+                                   tol=tol, max_iterations=budget)
 
 
 class Operator:
@@ -135,7 +136,7 @@ class Operator:
         """One of 'affine', 'prox', 'iterative', or None."""
         return None
 
-    def resolvent(self, alpha: float, z: Array, tol: float = DEFAULT_RESOLVENT_TOL) -> Array:
+    def resolvent(self, alpha: float, z: Array) -> Array:
         """Return u with z = u + alpha * op(u)."""
         raise NoResolventCapability(f"{type(self).__name__} has no resolvent")
 
@@ -163,7 +164,7 @@ class ZeroOperator(Operator):
     def resolvent_kind(self):
         return "affine"
 
-    def resolvent(self, alpha, z, tol=DEFAULT_RESOLVENT_TOL):
+    def resolvent(self, alpha, z):
         self._check_dim(z)
         return np.array(z, dtype=float)
 
@@ -221,7 +222,7 @@ class AffineOperator(Operator):
     def resolvent_kind(self):
         return "affine"
 
-    def resolvent(self, alpha, z, tol=DEFAULT_RESOLVENT_TOL):
+    def resolvent(self, alpha, z):
         # direct dense solve of (I + alpha M) u = z - alpha b, LU cached per
         # alpha; the bits are those of scipy.linalg.lu_solve
         self._check_dim(z)
@@ -242,7 +243,19 @@ class AffineOperator(Operator):
         return u
 
 
-class CallableOperator(Operator):
+class _ForwardOnly(Operator):
+    """An operator known through its forward map alone: its resolvent is the
+    point of ``iterative_resolvent``."""
+
+    @property
+    def resolvent_kind(self):
+        return "iterative"
+
+    def resolvent(self, alpha, z):
+        return iterative_resolvent(self, alpha, z)[0]
+
+
+class CallableOperator(_ForwardOnly):
     """Wraps a forward map with declared constants and an optional open domain."""
 
     def __init__(self, fn, dim, lipschitz, mu=0.0, domain=None):
@@ -262,13 +275,6 @@ class CallableOperator(Operator):
             raise DomainViolation(f"point {z} outside the open domain")
         return self.fn(z)
 
-    @property
-    def resolvent_kind(self):
-        return "iterative"
-
-    def resolvent(self, alpha, z, tol=DEFAULT_RESOLVENT_TOL):
-        return _iterative_resolvent(self, alpha, z, tol)
-
 
 class GradientOperator(CallableOperator):
     """Gradient field of a differentiable convex objective."""
@@ -285,22 +291,14 @@ class GradientOperator(CallableOperator):
         return self.value(z)
 
 
-class SaddleOperator(CallableOperator):
-    """Stacked (grad_x L, -grad_y L) map of a differentiable convex-concave L."""
+class ShiftedIdentityPlus(_ForwardOnly):
+    """z -> z + alpha * base(z) - shift, the inner map of every resolvent
+    evaluated by forward iterations.
 
-    def __init__(self, fn, x_dim, y_dim, lipschitz, value=None, mu=0.0, domain=None):
-        super().__init__(fn, x_dim + y_dim, lipschitz, mu=mu, domain=domain)
-        self.x_dim = int(x_dim)
-        self.y_dim = int(y_dim)
-        self.value = value  # scalar L(x, y) on the stacked vector
-
-
-class ShiftedIdentityPlus(Operator):
-    """z -> z + alpha * base(z) - shift.
-
-    One-strongly monotone and (1 + alpha L)-Lipschitz when the base is
-    monotone and L-Lipschitz; this is the inner-loop operator used to
-    evaluate resolvents by forward iterations.
+    (1 + alpha mu)-strongly monotone and (1 + alpha L)-Lipschitz for the
+    base's declared constants; its zero is J_{alpha base}(shift). The base
+    needs only a forward call plus ``dim``, ``lipschitz`` and ``mu``. A
+    non-finite shift raises ValueError.
     """
 
     def __init__(self, base: Operator, alpha: float, shift):
@@ -317,13 +315,6 @@ class ShiftedIdentityPlus(Operator):
     def __call__(self, z):
         self._check_dim(z)
         return z + self.alpha * self.base(z) - self.shift
-
-    @property
-    def resolvent_kind(self):
-        return "iterative"
-
-    def resolvent(self, alpha, z, tol=DEFAULT_RESOLVENT_TOL):
-        return _iterative_resolvent(self, alpha, z, tol)
 
 
 class ScaledOperator(Operator):
@@ -345,11 +336,11 @@ class ScaledOperator(Operator):
     def resolvent_kind(self):
         return self.base.resolvent_kind
 
-    def resolvent(self, alpha, z, tol=DEFAULT_RESOLVENT_TOL):
-        return self.base.resolvent(alpha * self.scale, z, tol)
+    def resolvent(self, alpha, z):
+        return self.base.resolvent(alpha * self.scale, z)
 
 
-class SumOperator(Operator):
+class SumOperator(_ForwardOnly):
     """Pointwise sum of forward-evaluable operators."""
 
     def __init__(self, parts):
@@ -369,13 +360,6 @@ class SumOperator(Operator):
         for p in self.parts[1:]:
             out = out + p(z)
         return out
-
-    @property
-    def resolvent_kind(self):
-        return "iterative"
-
-    def resolvent(self, alpha, z, tol=DEFAULT_RESOLVENT_TOL):
-        return _iterative_resolvent(self, alpha, z, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +513,7 @@ class BlockProxOperator(Operator):
     def resolvent_kind(self):
         return "prox"
 
-    def resolvent(self, alpha, z, tol=DEFAULT_RESOLVENT_TOL):
+    def resolvent(self, alpha, z):
         self._check_dim(z)
         if alpha <= 0:
             raise ValueError("alpha must be positive")
@@ -545,35 +529,26 @@ class BlockProxOperator(Operator):
 # derived maps
 
 
-def _as_resolvent_part(a, dim):
-    """Accept an Operator, a single prox spec, or a (spec_x, spec_y)-style list."""
-    if isinstance(a, Operator):
-        return a
-    if isinstance(a, (list, tuple)):
-        return BlockProxOperator(a)
-    return BlockProxOperator([(a, dim)])
-
-
-def forward_backward_residual(a_part, b_op: Operator, alpha: float, z,
-                              tol: float = DEFAULT_RESOLVENT_TOL) -> Array:
+def forward_backward_residual(a_part, b_op: Operator, alpha: float, z) -> Array:
     """G_alpha(z) = (z - J_{alpha A}(z - alpha B z)) / alpha.
 
     Vanishes exactly at solutions of 0 in (A + B)(z). ``a_part`` may be an
-    operator, a prox spec, or a list of (spec, width) blocks.
+    operator or a prox spec; an iterative J_{alpha A} is solved to residual
+    ``RESOLVENT_TOL``.
     """
     z = as_vector(z, b_op.dim)
-    a_op = _as_resolvent_part(a_part, b_op.dim)
-    backward = a_op.resolvent(alpha, z - alpha * b_op(z), tol)
+    a_op = (a_part if isinstance(a_part, Operator)
+            else BlockProxOperator([(a_part, b_op.dim)]))
+    backward = a_op.resolvent(alpha, z - alpha * b_op(z))
     return (z - backward) / alpha
 
 
-def drs_map(a_op: Operator, b_op: Operator, alpha: float, u,
-            tol: float = DEFAULT_RESOLVENT_TOL) -> Array:
+def drs_map(a_op: Operator, b_op: Operator, alpha: float, u) -> Array:
     """Douglas-Rachford map u - J_{alpha B}(u) + J_{alpha A}(2 J_{alpha B}(u) - u).
 
     Fixed points u* satisfy J_{alpha B}(u*) in Zer(A + B).
     """
     u = as_vector(u, b_op.dim)
-    w = b_op.resolvent(alpha, u, tol)
-    v = a_op.resolvent(alpha, 2.0 * w - u, tol)
+    w = b_op.resolvent(alpha, u)
+    v = a_op.resolvent(alpha, 2.0 * w - u)
     return u - w + v

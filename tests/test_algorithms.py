@@ -19,6 +19,7 @@ from anchorkit.operators import (
     ZeroProx,
     drs_map,
     forward_backward_residual,
+    solve_strongly_monotone,
 )
 from anchorkit.problems import (
     Problem,
@@ -390,6 +391,22 @@ def test_apg_star_inner_tolerance_enforced():
         eps_k = m / ((k + 1.0) ** 2 * (k + 2.0))
         gap = np.linalg.norm(z + alpha * comp.operator(z) - xi)
         assert gap <= eps_k * (1 + 1e-12)
+
+
+def test_apg_star_inner_solve_is_the_solver_bitwise():
+    comp = make_box_bilinear_composite(seed=5)
+    alpha = 0.5 / comp.lipschitz
+    b = comp.operator
+    t = run(cfg("APG_STAR", alpha, 100), comp, np.ones(comp.dim))
+    m = t.params["m_constant"]
+    for k in (0, 10, 100):
+        xi = t.main[k]
+        eps_k = m / ((k + 1.0) ** 2 * (k + 2.0))
+        z, evals = solve_strongly_monotone(
+            lambda u: u + alpha * b(u) - xi, mu=1.0,
+            lipschitz=1.0 + alpha * b.lipschitz, z0=xi, tol=eps_k)
+        assert np.array_equal(t.auxiliary["z"][k], z)
+        assert t.auxiliary["inner_b_evals"][k] == evals
 
 
 # ---------------------------------------------------------------------------

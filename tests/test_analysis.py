@@ -202,13 +202,15 @@ def test_rate_bound_oc_halpern():
 
 
 def test_ohm_trace_refused_by_oc_halpern_rate():
-    # OHM runs at gamma = 1 whatever gamma the config carries, and its trace
-    # says so, so the rule for gamma > 1 refuses it
+    # OHM runs at gamma = 1 and its trace says so, so the rule for gamma > 1
+    # refuses it; a gamma in OHM's config is refused before the run
     prob = make_random_monotone_affine(0, 4, 2.0)
-    t = run(cfg("OHM", 0.2, 200, gamma=1.5), prob, np.ones(4))
+    t = run(cfg("OHM", 0.2, 200), prob, np.ones(4))
     assert t.params["gamma"] == 1.0
     with pytest.raises(ConfigError):
         analysis.rate_bound(t, prob, "OC_HALPERN_RATE")
+    with pytest.raises(ConfigError, match="gamma"):
+        run(cfg("OHM", 0.2, 200, gamma=1.5), prob, np.ones(4))
 
 
 def test_reference_point_order():

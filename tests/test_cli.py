@@ -158,9 +158,15 @@ VALID_RUN = {
     {"start": DROP, "seed": -1},
     {"algorithms": [{"algorithm": "FEG", "alpha": 0.5,
                      "resolvent_tolerance": 0}]},
+    {"algorithms": [{"algorithm": "FEG", "alpha": 0.5,
+                     "resolvent_tolerance": 1e-10}]},
+    {"algorithms": [{"algorithm": "FEG", "alpha": 0.5, "momentum_a": 9.0}]},
+    {"algorithms": [{"algorithm": "OHM", "alpha": 0.5, "gamma": 1.5}]},
+    {"algorithms": [{"algorithm": "FEG", "alpha": 0.5, "theta": 3.0}]},
 ], ids=["alpha-string", "stop-residual-string", "nan-start", "json-array",
         "fractional-iterations", "unknown-problem-parameter", "negative-seed",
-        "zero-resolvent-tolerance"])
+        "zero-resolvent-tolerance", "resolvent-tolerance",
+        "ignored-momentum-a", "ignored-gamma", "ignored-theta"])
 def test_bad_config_fails_closed(change, tmp_path, capsys):
     out = tmp_path / "out"
     doc = {**VALID_RUN, "outputs": {"directory": str(out)}}

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
@@ -141,8 +143,51 @@ def test_iterative_resolvent_agrees_with_exact():
     for _ in range(5):
         z = rng.standard_normal(2)
         a = exact.resolvent(0.7, z)
-        b = approx.resolvent(0.7, z, tol=1e-13)
+        b = approx.resolvent(0.7, z)
         assert np.linalg.norm(a - b) < 1e-11
+
+
+def _resolvent_by_solver(op, alpha, z):
+    """The iterative resolvent written out: the inner map, its constants and
+    the budget max(20, ceil(10 (1 + alpha L) log(1e12)))."""
+    budget = max(20, math.ceil(10.0 * (1.0 + alpha * op.lipschitz)
+                               * math.log(1e12)))
+    return solve_strongly_monotone(
+        lambda w: w + alpha * op(w) - z, mu=1.0 + alpha * op.mu,
+        lipschitz=1.0 + alpha * op.lipschitz, z0=z, tol=1e-12,
+        max_iterations=budget)[0]
+
+
+def test_iterative_resolvents_match_the_solver_bitwise():
+    m = np.array([[2.0, 1.0], [-1.0, 0.5]])
+    exact = AffineOperator(m)
+    merely = CallableOperator(lambda z: ROT @ z, 2, lipschitz=1.0)
+    strongly = CallableOperator(lambda z: m @ z, 2, lipschitz=exact.lipschitz,
+                                mu=exact.mu)
+    assert strongly.mu > 0
+    ops = [merely, strongly, SumOperator([AffineOperator(ROT), strongly])]
+    rng = np.random.default_rng(8)
+    for op in ops:
+        for alpha in (0.3, 0.7):
+            z = rng.standard_normal(2)
+            assert np.array_equal(op.resolvent(alpha, z),
+                                  _resolvent_by_solver(op, alpha, z))
+
+
+def test_iterative_resolvent_rejects_nan_at_once():
+    calls = []
+
+    def fn(z):
+        calls.append(z)
+        return z
+
+    op = CallableOperator(fn, 2, lipschitz=1.0)
+    shifted = ShiftedIdentityPlus(op, 0.5, np.zeros(2))
+    sums = SumOperator([op, ZeroOperator(2)])
+    for target in (op, shifted, sums):
+        with pytest.raises(ValueError):
+            target.resolvent(0.5, np.array([np.nan, 1.0]))
+    assert calls == []
 
 
 def test_strongly_monotone_solver_budget():
