@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NoForwardEvaluation, StepSizeCollapse
+from .errors import ConfigError, StepSizeCollapse
 from .operators import (
     Array,
     GradientOperator,
@@ -78,20 +78,19 @@ class IterateTrace:
     algorithm: str
     main: Array
     residual_norms: Array
+    b_per_iter: Array
+    resolvent_per_iter: Array
     auxiliary: dict = field(default_factory=dict)
     op_evals: Array | None = None
-    b_per_iter: Array | None = None
-    resolvent_per_iter: Array | None = None
     warmup_b: int = 0
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for arr in (self.main, self.residual_norms, self.op_evals,
-                    self.b_per_iter, self.resolvent_per_iter):
+                    self.b_per_iter, self.resolvent_per_iter,
+                    *self.auxiliary.values()):
             if arr is not None:
                 arr.setflags(write=False)
-        for arr in self.auxiliary.values():
-            arr.setflags(write=False)
 
     @property
     def iterations(self) -> int:
@@ -106,14 +105,9 @@ class IterateTrace:
         return self.main[-1]
 
     def total_b_evals(self) -> int:
-        n = self.warmup_b
-        if self.b_per_iter is not None:
-            n += int(self.b_per_iter.sum())
-        return n
+        return self.warmup_b + int(self.b_per_iter.sum())
 
     def total_resolvent_evals(self) -> int:
-        if self.resolvent_per_iter is None:
-            return 0
         return int(self.resolvent_per_iter.sum())
 
     def cumulative_counts(self):
@@ -130,8 +124,7 @@ class IterateTrace:
 
         def cumulative(per_iter):
             out = np.zeros(rows, dtype=int)
-            if per_iter is not None:
-                out[rows - len(per_iter):] = np.cumsum(per_iter)
+            out[rows - len(per_iter):] = np.cumsum(per_iter)
             return out
 
         return (cumulative(self.b_per_iter) + self.warmup_b,
@@ -229,15 +222,15 @@ def run(config: AlgorithmConfig, problem: Problem, z0) -> IterateTrace:
 
     Without recorded iterates only the start, the rule's current state and
     the per-row scalars are held, so the memory for iterates stays O(d)
-    whatever the number of iterations, and no call is made for
-    instrumentation alone. Deterministic: identical inputs produce
-    bit-identical traces.
+    whatever the number of iterations. The rule makes the same oracle calls
+    whether or not iterates are recorded. Deterministic: identical inputs
+    produce bit-identical traces.
     """
     validate_config(config, problem)
     z0 = as_vector(z0, problem.dim)
     record = config.record_iterates
     oracle = _Counted(problem.operator, problem.prox_part)
-    rule = _RULES[config.algorithm](config, problem, oracle, z0, record)
+    rule = _RULES[config.algorithm](config, problem, oracle, z0)
     warmup = oracle.b
     last, stop, lag = config.max_iterations, config.stop_residual, rule.stop_lag
     evaluate, step = rule.evaluate, rule.step
@@ -316,7 +309,7 @@ class _Rule:
     stop_lag = 0             # the stop test reads the residual of row k - lag
     params: dict = {}        # extra trace parameters
 
-    def __init__(self, config, problem, oracle, z0, record):
+    def __init__(self, config, problem, oracle, z0):
         self.alpha = config.alpha
         self.z0 = self.z = z0
         self.b = oracle
@@ -357,8 +350,8 @@ class _OG(_Rule):
 
     row_fields = ("op_evals",)
 
-    def __init__(self, config, problem, oracle, z0, record):
-        super().__init__(config, problem, oracle, z0, record)
+    def __init__(self, config, problem, oracle, z0):
+        super().__init__(config, problem, oracle, z0)
         self.cur = self.prev = self.b(z0)  # warm start
 
     def evaluate(self, k):
@@ -379,8 +372,8 @@ class _AGM(_Rule):
 
     row_fields = ("op_evals", "extrapolated")
 
-    def __init__(self, config, problem, oracle, z0, record):
-        super().__init__(config, problem, oracle, z0, record)
+    def __init__(self, config, problem, oracle, z0):
+        super().__init__(config, problem, oracle, z0)
         self.y = z0
         self.a = config.momentum_a
 
@@ -426,8 +419,8 @@ class _FEG(_ForwardResidual):
 
     step_fields = ("half", "op_half")
 
-    def __init__(self, config, problem, oracle, z0, record):
-        super().__init__(config, problem, oracle, z0, record)
+    def __init__(self, config, problem, oracle, z0):
+        super().__init__(config, problem, oracle, z0)
         self.x = self.contraction(config, problem)
         self.a_eff = config.alpha / self.x
         self.big_s = 1.0
@@ -456,8 +449,8 @@ class _APS(_Rule):
 
     row_fields = ("op_evals", "v", "op_v")
 
-    def __init__(self, config, problem, oracle, z0, record):
-        super().__init__(config, problem, oracle, z0, record)
+    def __init__(self, config, problem, oracle, z0):
+        super().__init__(config, problem, oracle, z0)
         self.v = z0
         self.bv = self.b(z0)  # warm start
 
@@ -481,8 +474,8 @@ class _EAGV(_ForwardResidual):
     row_fields = ("op_evals", "alpha")
     step_fields = ("half", "op_half")
 
-    def __init__(self, config, problem, oracle, z0, record):
-        super().__init__(config, problem, oracle, z0, record)
+    def __init__(self, config, problem, oracle, z0):
+        super().__init__(config, problem, oracle, z0)
         self.lip = problem.lipschitz
 
     def evaluate(self, k):
@@ -508,8 +501,8 @@ class _APSV(_APS):
 
     row_fields = ("op_evals", "v", "op_v", "alpha")
 
-    def __init__(self, config, problem, oracle, z0, record):
-        super().__init__(config, problem, oracle, z0, record)
+    def __init__(self, config, problem, oracle, z0):
+        super().__init__(config, problem, oracle, z0)
         self.m_const = 2.0 * problem.lipschitz ** 2 * (1.0 + config.theta)
 
     def evaluate(self, k):
@@ -544,44 +537,31 @@ class _OHM(_Rule):
 
     Row k's residual ||w_{k+1/2} - J(w_{k+1/2})|| yields w_{k+1}, so a run
     stops one row after the row whose residual met ``stop_residual``, and the
-    final row's resolvent is instrumentation. ``op_evals`` (B w_k) is recorded
-    only with recorded iterates and a forward-evaluable B.
+    final row's resolvent is instrumentation. The rule only calls resolvents,
+    so B needs no forward evaluation and the trace has no ``op_evals``.
     """
 
     row_fields = ("half",)
     stop_lag = 1
     gamma_sq = 1.0
+    big_s = 1.0  # the sum of gamma^{2j}, j <= k
     params = {"gamma": 1.0}
-
-    def __init__(self, config, problem, oracle, z0, record):
-        super().__init__(config, problem, oracle, z0, record)
-        self.big_s = 1.0
-        self.op_w = None
-        if record:
-            try:
-                self.op_w = self.raw(z0)
-                self.row_fields = ("half", "op_evals")
-            except NoForwardEvaluation:
-                pass
 
     def evaluate(self, k):
         beta = 1.0 / self.big_s
         half = beta * self.z0 + (1.0 - beta) * self.z
         self.w = self.b.resolvent(self.alpha, half)
-        row = (half,) if self.op_w is None else (half, self.op_w)
-        return vector_norm(half - self.w), row
+        return vector_norm(half - self.w), (half,)
 
     def step(self, k):
         self.z = self.w
         self.big_s = 1.0 + self.gamma_sq * self.big_s
-        if self.op_w is not None:
-            self.op_w = self.raw(self.z)
         return ()
 
 
 class _OCHalpern(_OHM):
-    def __init__(self, config, problem, oracle, z0, record):
-        super().__init__(config, problem, oracle, z0, record)
+    def __init__(self, config, problem, oracle, z0):
+        super().__init__(config, problem, oracle, z0)
         gamma = config.gamma
         if gamma is None:
             gamma = math.sqrt(1.0 + 2.0 * config.alpha * problem.mu)
@@ -635,8 +615,8 @@ class _APGStar(_Rule):
     kept_fields = ("inner_b_evals",)
     final_row_billed = True
 
-    def __init__(self, config, problem, oracle, z0, record):
-        super().__init__(config, problem, oracle, z0, record)
+    def __init__(self, config, problem, oracle, z0):
+        super().__init__(config, problem, oracle, z0)
         lip = problem.lipschitz
         b_xi0 = self.b(z0)  # warm start
         self.m_const = 1.0 + (np.linalg.norm(b_xi0) / lip if lip > 0 else 0.0)

@@ -4,10 +4,10 @@ merging-path rule of each pair (``MP_RULES``, ``merging_path``) and the
 reference point of each bound (``reference_point``) are decided here alone.
 
 Verdict convention: a measurement passes when
-``measured <= bound * (1 + RTOL) + ATOL`` with RTOL = 1e-9 and an absolute
+``measured / (bound + ATOL) <= 1 + RTOL`` with RTOL = 1e-9 and an absolute
 floor ATOL = 1e-14; the floor absorbs floating-point cancellation noise once
-residuals decay to machine level without masking real violations. Ratios are
-reported against ``bound + ATOL`` so that the verdict and ``max_ratio`` agree.
+residuals decay to machine level without masking real violations. That
+quotient is the reported ratio, so the verdict and ``max_ratio`` agree.
 These tolerances, and ``LYAPUNOV_SLACK``, are constants: no report loosens
 them.
 """
@@ -230,15 +230,16 @@ def run_ohm_partner(problem: Problem, alpha: float, iterations: int, z0):
     return algorithms.run(cfg, problem, z0)
 
 
-def mp_bound_feg_ohm(trace_feg, problem: Problem, z_star=None,
+def mp_bound_feg_ohm(trace_feg, problem: Problem,
                      trace_ohm=None) -> BoundReport:
     """k^2-weighted squared distance of FEG to its anchored proximal partner
-    against the constant ||z0 - z*||^2 / (1 - alpha^2 L^2), k = 0..K."""
+    against the constant ||z0 - z*||^2 / (1 - alpha^2 L^2), k = 0..K, with
+    z* from ``reference_point``."""
     alpha = trace_feg.params["alpha"]
     lip = problem.lipschitz
     if alpha * lip >= 1.0:
         raise ConfigError("bound needs alpha * L < 1")
-    z_star = reference_point(trace_feg, problem, z_star)
+    z_star = reference_point(trace_feg, problem)
     if trace_ohm is None:
         trace_ohm = run_ohm_partner(problem, alpha, trace_feg.iterations,
                                     trace_feg.start)
@@ -250,14 +251,15 @@ def mp_bound_feg_ohm(trace_feg, problem: Problem, z_star=None,
                        measured=k ** 2 * sq, bound=np.full(k.shape, const))
 
 
-def feg_summability_report(trace_feg, problem: Problem, z_star=None) -> BoundReport:
+def feg_summability_report(trace_feg, problem: Problem) -> BoundReport:
     """Partial sums of ||k B z_k - (k+1) B z_{k+1/2}||^2 against
-    ||z0 - z*||^2 / (alpha^2 (1 - alpha^2 L^2))."""
+    ||z0 - z*||^2 / (alpha^2 (1 - alpha^2 L^2)), with z* from
+    ``reference_point``."""
     alpha = trace_feg.params["alpha"]
     lip = problem.lipschitz
     if alpha * lip >= 1.0:
         raise ConfigError("bound needs alpha * L < 1")
-    z_star = reference_point(trace_feg, problem, z_star)
+    z_star = reference_point(trace_feg, problem)
     op_main = trace_feg.op_evals
     op_half = trace_feg.auxiliary["op_half"]
     n = len(op_half)

@@ -31,9 +31,10 @@ _ALGO_FIELDS = {f.name: f.default is None for f in fields(AlgorithmConfig)
                 if f.name not in ("algorithm", "record_iterates")}
 
 
-def _fail(code: str, detail: str, status: int = 2) -> int:
+def _fail(code: str, detail: str) -> int:
+    """Print the machine-readable error; return the config-error exit code."""
     print(json.dumps({"error": code, "detail": detail}))
-    return status
+    return 2
 
 
 def _load_config(path: str) -> dict:
@@ -110,8 +111,20 @@ def _parse_experiment(cfg):
     return problem, configs, z0, Path(directory)
 
 
-def _format(v: float) -> str:
-    return f"{v:.17g}"
+def _write_csv(path: Path, header, *blocks) -> None:
+    """Write ``header``, then for each row index k a line of k followed by
+    row k of each 2-D array in ``blocks``: integer arrays as integers, the
+    others with 17 significant digits, which round-trip exactly. Lines are
+    built one row at a time, so a wide trace is never held as cells."""
+    specs = ["" if np.issubdtype(block.dtype, np.integer) else ".17g"
+             for block in blocks]
+    lines = [",".join(header)]
+    for k, parts in enumerate(zip(*blocks)):
+        cells = [str(k)]
+        for spec, part in zip(specs, parts):
+            cells += [format(v, spec) for v in part.tolist()]
+        lines.append(",".join(cells))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _write_trace_csv(path: Path, trace) -> None:
@@ -119,15 +132,8 @@ def _write_trace_csv(path: Path, trace) -> None:
     b_cum, r_cum = trace.cumulative_counts()
     header = (["k"] + [f"z_{i}" for i in range(d)]
               + ["residual_norm", "oracle_B_count", "oracle_resolvent_count"])
-    rows = [",".join(header)]
-    n = len(trace.main)
-    for k in range(n):
-        cells = [str(k)] + [_format(v) for v in trace.main[k]]
-        cells.append(_format(trace.residual_norms[k]))
-        cells.append(str(int(b_cum[k])))
-        cells.append(str(int(r_cum[k])))
-        rows.append(",".join(cells))
-    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    _write_csv(path, header, trace.main, trace.residual_norms[:, None],
+               np.column_stack([b_cum, r_cum]))
 
 
 def cmd_run(config_path: str) -> int:
@@ -156,13 +162,11 @@ def cmd_compare(config_path: str) -> int:
     traces = [run(c, problem, z0) for c in configs]
     mp = analysis.merging_path(rule, *traces, problem)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = ["k,sq_distance,k2_sq_distance,bound,ratio"]
-    for k, sq, bound, ratio in zip(mp.report.k_values, mp.sq_distance,
-                                   mp.report.bound, mp.report.ratios):
-        rows.append(",".join([str(int(k)), _format(sq), _format(k * k * sq),
-                              _format(bound), _format(ratio)]))
-    mp_path = out_dir / "mp.csv"
-    mp_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    k, sq = mp.report.k_values, mp.sq_distance  # k = 0, 1, ..., K
+    _write_csv(out_dir / "mp.csv",
+               ["k", "sq_distance", "k2_sq_distance", "bound", "ratio"],
+               np.column_stack([sq, k * k * sq, mp.report.bound,
+                                mp.report.ratios]))
     verdict_doc = {
         "pair": list(pair),
         "rule": rule,
@@ -184,11 +188,8 @@ def cmd_figure1(out: str, iterations: int = 200) -> int:
     prob, runs, failures = suites.figure1_trajectories(iterations)
     for label, trace in runs.items():
         safe = label.replace("(", "_").replace(")", "").replace("=", "")
-        rows = ["k,x1,x2"]
-        for k, point in enumerate(trace.main):
-            rows.append(f"{k},{_format(point[0])},{_format(point[1])}")
-        (out_dir / f"trajectory_{safe}.csv").write_text(
-            "\n".join(rows) + "\n", encoding="utf-8")
+        _write_csv(out_dir / f"trajectory_{safe}.csv", ["k", "x1", "x2"],
+                   trace.main)
     summary = suites.figure1_summary(runs)
     summary["start"] = [float(v) for v in prob.start]
     summary["iterations"] = iterations

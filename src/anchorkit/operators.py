@@ -60,14 +60,15 @@ def vector_norm(v: Array) -> float:
 
 
 def solve_strongly_monotone(fn, mu: float, lipschitz: float, z0: Array,
-                            tol: float, max_iterations: int | None = None):
+                            tol: float, max_iterations: int):
     """Drive ``||fn(z)|| <= tol`` for a strongly monotone Lipschitz map.
 
     Runs the anchored extragradient recursion for a ``mu``-strongly monotone,
     ``lipschitz``-Lipschitz single-valued map with the admissible-maximal step
     ``(sqrt(L^2 + mu^2) + mu) / L^2``, anchor weights given by inverse
-    geometric sums, and the matching damped half-step. Converges linearly,
-    so the default budget ``10 * (L / mu) * log(1/tol)`` is generous.
+    geometric sums, and the matching damped half-step. Converges linearly;
+    the caller sets the budget ``max_iterations`` (``iterative_resolvent``
+    gives ``10 L log(1/tol)``, at least 20).
 
     Returns ``(z, n_evals)`` where ``n_evals`` counts calls to ``fn``.
     Raises InnerLoopBudgetExceeded past the budget.
@@ -76,9 +77,6 @@ def solve_strongly_monotone(fn, mu: float, lipschitz: float, z0: Array,
         raise InfeasibleConstants(f"need 0 < mu <= L, got mu={mu}, L={lipschitz}")
     step = (math.hypot(lipschitz, mu) + mu) / lipschitz ** 2
     x = 1.0 + 2.0 * step * mu
-    if max_iterations is None:
-        max_iterations = max(20, math.ceil(
-            10.0 * (lipschitz / mu) * max(1.0, math.log(1.0 / tol))))
     anchor = np.array(z0, dtype=float)
     z = anchor.copy()
     val = fn(z)

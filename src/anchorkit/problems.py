@@ -123,13 +123,12 @@ def make_random_monotone_affine(seed, d, lipschitz, z_star=None,
     rng = np.random.default_rng(seed)
     k = rng.standard_normal((d, d))
     k = k - k.T
-    norm = np.linalg.norm(k, 2)
-    if norm == 0.0:
-        raise SingularSystem("degenerate draw")
-    mat = (lipschitz / norm) * k
-    sigma = np.linalg.svd(mat, compute_uv=False)
+    # the largest singular value is the 2-norm, and the min/max ratio, which
+    # does not depend on scale, is the singularity test
+    sigma = np.linalg.svd(k, compute_uv=False)
     if sigma.min() <= 1e-9 * sigma.max():
         raise SingularSystem(f"seed {seed} produced a near-singular matrix")
+    mat = (lipschitz / sigma.max()) * k
     zs = np.zeros(d) if z_star is None else as_vector(z_star, d)
     op = AffineOperator(mat, -mat @ zs, lipschitz=lipschitz, mu=0.0)
     return Problem(name=name or f"monotone-affine-{seed}", operator=op,

@@ -79,25 +79,31 @@ def _scsc_set(d=10, lipschitz=10.0):
     return problems
 
 
+def _worst(reports):
+    """The report with the largest ``max_ratio`` (the first of equals)."""
+    return max(reports, key=lambda report: report.max_ratio)
+
+
 # ---------------------------------------------------------------------------
 # 1. fixed-point residual rate of the anchored proximal method
 
 
 def ohm_rate_suite() -> SuiteResult:
     out = SuiteResult("ohm-rate")
-    worst = 0.0
+    reports = []
     for prob, z0 in _affine_set():
         trace = run(AlgorithmConfig("OHM", alpha=0.1, max_iterations=1000),
                     prob, z0)
         report = analysis.rate_bound(trace, prob, "OHM_RATE")
-        worst = max(worst, report.max_ratio)
+        reports.append(report)
         if not report.passed:
             k, ratio = report.worst()
             out.check(False, f"{prob.name}: ratio {ratio:.3e} at k={k}")
-    out.check(worst <= 1.0 + analysis.RTOL,
+    worst = _worst(reports)
+    out.check(worst.passed,
               f"residual^2 <= 4 d0^2/(k+1)^2 on 20 problems, "
-              f"max ratio {worst:.4f}")
-    out.details["max_ratio"] = worst
+              f"max ratio {worst.max_ratio:.4f}")
+    out.details["max_ratio"] = worst.max_ratio
     return out
 
 
@@ -108,22 +114,22 @@ def ohm_rate_suite() -> SuiteResult:
 def feg_ohm_mp_suite() -> SuiteResult:
     out = SuiteResult("feg-ohm-mp")
     for ratio_al in (0.25, 0.5, 0.9):
-        worst_mp = worst_sum = 0.0
+        mps, sums = [], []
         for prob, z0 in _affine_set():
             alpha = ratio_al / prob.lipschitz
             trace = run(AlgorithmConfig("FEG", alpha=alpha,
                                         max_iterations=1000), prob, z0)
-            mp = analysis.mp_bound_feg_ohm(trace, prob)
-            summ = analysis.feg_summability_report(trace, prob)
-            worst_mp = max(worst_mp, mp.max_ratio)
-            worst_sum = max(worst_sum, summ.max_ratio)
-        out.check(worst_mp <= 1.0 + analysis.RTOL,
-                  f"alpha*L={ratio_al}: max k^2 dist^2 / bound = {worst_mp:.4f}")
-        out.check(worst_sum <= 1.0 + analysis.RTOL,
+            mps.append(analysis.mp_bound_feg_ohm(trace, prob))
+            sums.append(analysis.feg_summability_report(trace, prob))
+        worst_mp, worst_sum = _worst(mps), _worst(sums)
+        out.check(worst_mp.passed,
+                  f"alpha*L={ratio_al}: max k^2 dist^2 / bound = "
+                  f"{worst_mp.max_ratio:.4f}")
+        out.check(worst_sum.passed,
                   f"alpha*L={ratio_al}: summability partial sums ratio "
-                  f"{worst_sum:.4f}")
-        out.details[f"mp_ratio_{ratio_al}"] = worst_mp
-        out.details[f"sum_ratio_{ratio_al}"] = worst_sum
+                  f"{worst_sum.max_ratio:.4f}")
+        out.details[f"mp_ratio_{ratio_al}"] = worst_mp.max_ratio
+        out.details[f"sum_ratio_{ratio_al}"] = worst_sum.max_ratio
     return out
 
 
@@ -136,6 +142,7 @@ def eag_aps_mp_suite() -> SuiteResult:
     iterations = 2000
     split = analysis.reported_split(iterations + 1)
     sups = {"EAG": 0.0, "APS": 0.0}
+    held = {"EAG": True, "APS": True}
     for prob, z0 in _affine_set():
         alpha = 0.125 / prob.lipschitz
         partner = analysis.run_ohm_partner(prob, alpha, iterations, z0)
@@ -144,13 +151,14 @@ def eag_aps_mp_suite() -> SuiteResult:
                                         max_iterations=iterations), prob, z0)
             mp = analysis.merging_path("reported", trace, partner, prob)
             if not mp.passed:
+                held[name] = False
                 out.check(False, f"{name} on {prob.name}: k^2 dist^2 not "
                                  f"finite or still growing after k={split}")
                 continue
             sups[name] = max(sups[name], mp.report.measured.max())
     for name, sup in sups.items():
-        out.check(True, f"{name}: sup k^2 dist^2 = {sup:.4e}, finite and "
-                        f"attained before k={split}")
+        out.check(held[name], f"{name}: sup k^2 dist^2 = {sup:.4e}, finite "
+                              f"and attained before k={split}")
         out.details[f"sup_{name}"] = sup
     out.info("no theoretical constant asserted at alpha*L = 1/8 "
              "(outside the certified summability range)")
@@ -163,20 +171,21 @@ def eag_aps_mp_suite() -> SuiteResult:
 
 def sm_eag_rate_suite() -> SuiteResult:
     out = SuiteResult("sm-eag-rate")
-    worst = 0.0
+    reports = []
     for prob, z0 in _scsc_set():
         alpha = max_step_strongly_monotone(prob.lipschitz, prob.mu)
         trace = run(AlgorithmConfig("SM_EAG_PLUS", alpha=alpha,
                                     max_iterations=500), prob, z0)
         report = analysis.rate_bound(trace, prob, "SM_EAG_RATE")
-        worst = max(worst, report.max_ratio)
+        reports.append(report)
         if not report.passed:
             k, ratio = report.worst()
             out.check(False, f"{prob.name}: ratio {ratio:.3e} at k={k}")
-    out.check(worst <= 1.0 + analysis.RTOL,
+    worst = _worst(reports)
+    out.check(worst.passed,
               f"||B z_k||^2 within the geometric-anchor bound on 20 problems, "
-              f"max ratio {worst:.4f}")
-    out.details["max_ratio"] = worst
+              f"max ratio {worst.max_ratio:.4f}")
+    out.details["max_ratio"] = worst.max_ratio
 
     bilinear = make_bilinear([[1.0, 0.3], [-0.2, 0.8]])
     z0 = np.array([1.0, -2.0, 0.5, 1.5])
@@ -272,8 +281,7 @@ def apg_mp_suite() -> SuiteResult:
     prob, alpha, xi0, apg = _apg_setup(300)
     drs = run(AlgorithmConfig("OHM_DRS", alpha=alpha, max_iterations=300),
               prob, xi0)
-    xi_star = analysis.fixed_point_reference(prob, alpha, iterations=100_000,
-                                             start=xi0)
+    xi_star = analysis.reference_point(apg, prob)
     c = analysis.apg_path_constant(prob, xi0, xi_star)
     out.info(f"path constant C(xi_0) = {c:.6g}, reference point from a "
              f"100000-iteration splitting run")
@@ -417,10 +425,12 @@ def figure1_suite() -> SuiteResult:
 # 11. oracle-call comparison at condition number 1e4
 
 
-def speedup_problem(lipschitz=1.0, mu=1e-4) -> Problem:
-    """Strongly monotone operator with both a slow real mode and a dominant
-    rotation, so classical two-call/one-call methods run at their worst-case
-    rates; constants are exact by construction."""
+def speedup_problem() -> Problem:
+    """Strongly monotone operator (L = 1, mu = 1e-4, condition number 1e4)
+    with both a slow real mode and a dominant rotation, so classical
+    two-call/one-call methods run at their worst-case rates; constants are
+    exact by construction."""
+    lipschitz, mu = 1.0, 1e-4
     lam = math.sqrt(lipschitz ** 2 - mu ** 2)
     mat = np.array([
         [mu, 0.0, 0.0],
@@ -466,9 +476,9 @@ def speedup_suite() -> SuiteResult:
 # 12. operator-core property sampling
 
 
-def _sample_pairs(rng, dim, count, scale=2.0):
-    return (scale * rng.standard_normal((count, dim)),
-            scale * rng.standard_normal((count, dim)))
+def _sample_pairs(rng, dim, count):
+    return (2.0 * rng.standard_normal((count, dim)),
+            2.0 * rng.standard_normal((count, dim)))
 
 
 def operator_property_suite() -> SuiteResult:

@@ -193,7 +193,8 @@ def test_iterative_resolvent_rejects_nan_at_once():
 def test_strongly_monotone_solver_budget():
     fn = lambda z: 4.0 * z - np.array([1.0])
     z, evals = solve_strongly_monotone(fn, mu=4.0, lipschitz=4.0,
-                                       z0=np.array([10.0]), tol=1e-12)
+                                       z0=np.array([10.0]), tol=1e-12,
+                                       max_iterations=300)
     assert abs(z[0] - 0.25) < 1e-12 and evals > 0
     with pytest.raises(InnerLoopBudgetExceeded):
         solve_strongly_monotone(fn, mu=4.0, lipschitz=4.0,

@@ -1,0 +1,257 @@
+"""Compare what two anchorkit source trees compute and write.
+
+    python tools/same_outputs.py TREE_A TREE_B
+
+Each tree runs one fixed matrix, every part in a fresh Python subprocess
+with ``TREE/src`` on the path and BLAS pinned to one thread:
+
+- every algorithm's trace on a seeded problem, run in full, without recorded
+  iterates, with a stop at row 100's residual and for one iteration;
+  compared field by field (arrays with their dtype and bits), with
+  ``params``, the oracle totals and ``cumulative_counts``;
+- the stdout and exit code of ``anchorkit verify all``;
+- the files, stdout and exit codes of ``run`` (all algorithms), ``compare``
+  (the five declared pairs, a self pair and an undeclared pair) and
+  ``figure1`` at 200 and 60 iterations.
+
+Every difference is printed. The exit code is 1 if there is one, else 0.
+Given the same tree twice, it checks that the outputs are deterministic
+across processes.
+"""
+from __future__ import annotations
+
+import json
+import os
+import pickle
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ITERATIONS = 300
+STOP_ROW = 100
+
+# (case, algorithm, problem builder name, builder keywords, alpha, extra)
+TRACE_CASES = [
+    (name, name, "random_monotone_affine",
+     {"seed": 4, "d": 6, "lipschitz": 5.0}, 0.05,
+     {"theta": 1.0} if name == "APS_V" else {})
+    for name in ("GDA", "EG", "OG", "EAG", "EAG_V", "FEG", "APS", "APS_V",
+                 "OHM")
+] + [
+    (name, name, "random_scsc", {"seed": 2, "d": 6, "lipschitz": 5.0,
+                                 "mu": 1.0}, 0.2, {})
+    for name in ("SM_EAG_PLUS", "OC_HALPERN")
+] + [
+    ("AGM", "AGM", "figure1", {}, 0.025, {}),
+    ("OHM on figure1", "OHM", "figure1", {}, 0.1, {}),
+    ("OHM_DRS", "OHM_DRS", "box_bilinear_composite", {"seed": 3}, 0.1, {}),
+    ("APG_STAR", "APG_STAR", "box_bilinear_composite", {"seed": 3}, 0.1, {}),
+]
+
+AFFINE = {"name": "random_monotone_affine",
+          "params": {"seed": 4, "d": 6, "lipschitz": 5.0}}
+AFFINE10 = {"name": "random_monotone_affine",
+            "params": {"seed": 3, "d": 10, "lipschitz": 10.0}}
+SCSC = {"name": "random_scsc",
+        "params": {"seed": 2, "d": 6, "lipschitz": 5.0, "mu": 1.0}}
+SCSC_WEAK = {"name": "random_scsc",
+             "params": {"seed": 0, "d": 6, "lipschitz": 10.0, "mu": 0.1}}
+BOX = {"name": "box_bilinear_composite", "params": {"seed": 3}}
+
+
+def _algos(names, alpha):
+    return [dict(algorithm=n, alpha=alpha,
+                 **({"theta": 1.0} if n == "APS_V" else {})) for n in names]
+
+
+# (command, label, problem, algorithms, iterations)
+CLI_CASES = [
+    ("run", "affine", AFFINE, _algos(("GDA", "EG", "OG", "EAG", "EAG_V",
+                                       "FEG", "APS", "APS_V", "OHM"), 0.05),
+     200),
+    ("run", "scsc", SCSC, _algos(("SM_EAG_PLUS", "OC_HALPERN"), 0.2), 200),
+    ("run", "figure1", {"name": "figure1"},
+     _algos(("AGM",), 0.025) + [{"algorithm": "AGM", "alpha": 0.025,
+                                 "momentum_a": 5.0}]
+     + _algos(("OHM",), 0.1), 200),
+    ("run", "box", BOX, _algos(("OHM_DRS", "APG_STAR"), 0.1), 200),
+    ("compare", "FEG-OHM", AFFINE10, _algos(("FEG", "OHM"), 0.05), 300),
+    ("compare", "EAG-OHM", AFFINE10, _algos(("EAG", "OHM"), 0.0125), 400),
+    ("compare", "APS-OHM", AFFINE10, _algos(("APS", "OHM"), 0.0125), 400),
+    ("compare", "SM_EAG_PLUS-OC_HALPERN", SCSC_WEAK,
+     _algos(("SM_EAG_PLUS", "OC_HALPERN"), 0.05), 200),
+    ("compare", "APG_STAR-OHM_DRS", BOX, _algos(("APG_STAR", "OHM_DRS"), 0.1),
+     200),
+    ("compare", "FEG-FEG", AFFINE10, _algos(("FEG", "FEG"), 0.05), 100),
+    ("compare", "EG-OHM", AFFINE10, _algos(("EG", "OHM"), 0.05), 100),
+]
+
+
+def _env(tree: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+        env[var] = "1"
+    return env
+
+
+def _trace_record(trace) -> dict:
+    record = {name: getattr(trace, name)
+              for name in ("main", "residual_norms", "op_evals", "b_per_iter",
+                           "resolvent_per_iter", "warmup_b", "params",
+                           "iterations")}
+    record["auxiliary"] = dict(trace.auxiliary)
+    record["total_b_evals"] = trace.total_b_evals()
+    record["total_resolvent_evals"] = trace.total_resolvent_evals()
+    record["cumulative_counts"] = _outcome(trace.cumulative_counts)
+    return record
+
+
+def _outcome(fn):
+    """``fn()``, or the error it raised."""
+    try:
+        return fn()
+    except Exception as exc:  # the error itself is the output to compare
+        return ("raised", type(exc).__name__, str(exc))
+
+
+def collect_traces(out: str) -> None:
+    """Run the trace matrix with the ``anchorkit`` on the path and pickle
+    one record per run to ``out``."""
+    from anchorkit.algorithms import AlgorithmConfig, run
+    from anchorkit.problems import build_problem
+
+    records = {}
+    for case, name, builder, params, alpha, extra in TRACE_CASES:
+        prob = build_problem(builder, params)
+        z0 = (prob.start if prob.start is not None
+              else np.linspace(-1.0, 2.0, prob.dim))
+
+        def run_with(**kwargs):
+            config = AlgorithmConfig(name, alpha=alpha, **extra, **kwargs)
+            return _outcome(lambda: _trace_record(run(config, prob, z0)))
+
+        full = run_with(max_iterations=ITERATIONS)
+        records[f"{case}/full"] = full
+        records[f"{case}/slim"] = run_with(max_iterations=ITERATIONS,
+                                           record_iterates=False)
+        if isinstance(full, dict):
+            stop = float(full["residual_norms"][STOP_ROW])
+            records[f"{case}/stop"] = run_with(max_iterations=ITERATIONS,
+                                               stop_residual=stop)
+        records[f"{case}/one"] = run_with(max_iterations=1)
+    Path(out).write_bytes(pickle.dumps(records))
+
+
+def _cli(tree: Path, work: Path, args) -> dict:
+    proc = subprocess.run([sys.executable, "-m", "anchorkit.cli", *args],
+                          cwd=work, env=_env(tree), capture_output=True,
+                          text=True)
+    return {"exit": proc.returncode, "stdout": proc.stdout,
+            "stderr": proc.stderr}
+
+
+def _files(directory: Path) -> dict:
+    if not directory.is_dir():
+        return {}
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def collect(tree: Path, work: Path) -> dict:
+    """Every output of the matrix for one source tree, keyed by name."""
+    outputs = {}
+    pickled = work / "traces.pickle"
+    proc = subprocess.run([sys.executable, str(Path(__file__).resolve()),
+                           "--traces", str(pickled)],
+                          env=_env(tree), capture_output=True, text=True)
+    if proc.returncode != 0:
+        outputs["traces"] = {"exit": proc.returncode, "stderr": proc.stderr}
+    else:
+        for key, record in pickle.loads(pickled.read_bytes()).items():
+            outputs[f"trace {key}"] = record
+    outputs["verify all"] = _cli(tree, work, ["verify", "all"])
+    for command, label, problem, algorithms, iterations in CLI_CASES:
+        directory = f"{command}-{label}"
+        config = {"problem": problem, "iterations": iterations, "seed": 7,
+                  "algorithms": algorithms,
+                  "outputs": {"directory": directory}}
+        path = work / f"{directory}.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        result = _cli(tree, work, [command, path.name])
+        result["files"] = _files(work / directory)
+        outputs[f"{command} {label}"] = result
+    for iterations in (200, 60):
+        directory = f"figure1-{iterations}"
+        result = _cli(tree, work, ["figure1", "--out", directory,
+                                   "--iterations", str(iterations)])
+        result["files"] = _files(work / directory)
+        outputs[f"figure1 {iterations}"] = result
+    return outputs
+
+
+def differences(where: str, a, b):
+    """Human-readable lines naming every difference between two outputs."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(a.keys() | b.keys(), key=str):
+            if key not in a or key not in b:
+                side = "first" if key in a else "second"
+                yield f"{where} / {key}: only in the {side} tree"
+            else:
+                yield from differences(f"{where} / {key}", a[key], b[key])
+    elif isinstance(a, (tuple, list)) and isinstance(b, (tuple, list)):
+        if type(a) is not type(b) or len(a) != len(b):
+            yield f"{where}: {_short(a)} != {_short(b)}"
+        else:
+            for i, (x, y) in enumerate(zip(a, b)):
+                yield from differences(f"{where}[{i}]", x, y)
+    elif isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+        if a.dtype != b.dtype or a.shape != b.shape:
+            yield (f"{where}: {a.dtype}{list(a.shape)} != "
+                   f"{b.dtype}{list(b.shape)}")
+        elif a.tobytes() != b.tobytes():
+            flat_a, flat_b = a.ravel(), b.ravel()
+            i = next(i for i in range(a.size)
+                     if flat_a[i:i + 1].tobytes() != flat_b[i:i + 1].tobytes())
+            yield (f"{where}: bits differ, first at flat index {i} "
+                   f"({flat_a[i]!r} != {flat_b[i]!r})")
+    elif isinstance(a, bytes) and isinstance(b, bytes):
+        if a != b:
+            lines_a, lines_b = a.splitlines(), b.splitlines()
+            line = next((i for i, (x, y) in enumerate(zip(lines_a, lines_b))
+                         if x != y), min(len(lines_a), len(lines_b)))
+            yield (f"{where}: bytes differ from line {line + 1} "
+                   f"({len(a)} vs {len(b)} bytes)")
+    elif type(a) is not type(b) or repr(a) != repr(b):
+        yield f"{where}: {_short(a)} != {_short(b)}"
+
+
+def _short(value, width: int = 120) -> str:
+    text = " ".join(repr(value).split())
+    return text if len(text) <= width else text[:width] + "..."
+
+
+def main(argv) -> int:
+    if len(argv) == 2 and argv[0] == "--traces":
+        collect_traces(argv[1])
+        return 0
+    if len(argv) != 2:
+        print("usage: python tools/same_outputs.py TREE_A TREE_B",
+              file=sys.stderr)
+        return 2
+    trees = [Path(arg).resolve() for arg in argv]
+    outputs = []
+    for tree in trees:
+        with tempfile.TemporaryDirectory() as work:
+            outputs.append(collect(tree, Path(work)))
+    found = list(differences("", *outputs))
+    for line in found:
+        print(line.lstrip(" /"))
+    print(f"{len(found)} difference(s) between {trees[0]} and {trees[1]}")
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
