@@ -32,7 +32,6 @@ from .operators import (
     Operator,
     as_vector,
     iterative_resolvent,
-    vector_norm,
 )
 from .problems import Problem
 
@@ -136,10 +135,12 @@ class _Counted:
     B, and resolvents of B or of the prox part A. It carries B's ``dim``,
     ``lipschitz`` and ``mu``, so it can be the base of an inner map."""
 
-    __slots__ = ("op", "prox_part", "b", "res", "dim", "lipschitz", "mu")
+    __slots__ = ("op", "forward", "prox_part", "b", "res", "dim", "lipschitz",
+                 "mu")
 
     def __init__(self, op: Operator, prox_part: Operator | None = None):
         self.op = op
+        self.forward = op.__call__  # a bound method calls faster than op
         self.prox_part = prox_part
         self.b = 0
         self.res = 0
@@ -147,7 +148,7 @@ class _Counted:
 
     def __call__(self, z):
         self.b += 1
-        return self.op(z)
+        return self.forward(z)
 
     def resolvent(self, alpha, z):
         self.res += 1
@@ -300,6 +301,11 @@ class _Rule:
     field named ``op_evals`` becomes the trace's ``op_evals``. Billed calls
     go through ``self.b`` (a ``_Counted`` oracle); ``self.raw`` is the
     operator itself, for instrumentation that is never billed.
+
+    Rules run once per row, so they keep per-step values in locals, compute
+    each repeated sub-expression once (the same bits as writing it out
+    twice), and write a residual norm inline as ``math.sqrt(v.dot(v))``,
+    the formula of ``operators.vector_norm``.
     """
 
     row_fields: tuple = ()
@@ -327,7 +333,7 @@ class _ForwardResidual(_Rule):
 
     def evaluate(self, k):
         self.bz = bz = self.b(self.z)
-        return vector_norm(bz), (bz,)
+        return math.sqrt(bz.dot(bz)), (bz,)
 
 
 class _GDA(_ForwardResidual):
@@ -340,8 +346,9 @@ class _EG(_ForwardResidual):
     step_fields = ("half",)
 
     def step(self, k):
-        half = self.z - self.alpha * self.bz
-        self.z = self.z - self.alpha * self.b(half)
+        z, alpha = self.z, self.alpha
+        half = z - alpha * self.bz
+        self.z = z - alpha * self.b(half)
         return (half,)
 
 
@@ -355,7 +362,8 @@ class _OG(_Rule):
         self.cur = self.prev = self.b(z0)  # warm start
 
     def evaluate(self, k):
-        return vector_norm(self.cur), (self.cur,)
+        cur = self.cur
+        return math.sqrt(cur.dot(cur)), (cur,)
 
     def step(self, k):
         alpha, cur = self.alpha, self.cur
@@ -379,7 +387,7 @@ class _AGM(_Rule):
 
     def evaluate(self, k):
         grad = self.raw(self.z)
-        return vector_norm(grad), (grad, self.y)
+        return math.sqrt(grad.dot(grad)), (grad, self.y)
 
     def step(self, k):
         a, x = self.a, self.z
@@ -399,11 +407,12 @@ class _EAG(_ForwardResidual):
     step_fields = ("half", "op_half")
 
     def step(self, k):
-        z0, z, alpha = self.z0, self.z, self.alpha
+        alpha = self.alpha
         beta = 1.0 / (k + 1)
-        half = beta * z0 + (1.0 - beta) * z - alpha * self.bz
+        anchored = beta * self.z0 + (1.0 - beta) * self.z
+        half = anchored - alpha * self.bz
         bh = self.b(half)
-        self.z = beta * z0 + (1.0 - beta) * z - alpha * bh
+        self.z = anchored - alpha * bh
         return half, bh
 
 
@@ -429,11 +438,12 @@ class _FEG(_ForwardResidual):
         return 1.0
 
     def step(self, k):
-        z0, z = self.z0, self.z
+        z = self.z
         beta = 1.0 / self.big_s
-        half = beta * z0 + (1.0 - beta) * (z - self.a_eff * self.bz)
+        anchor_term, keep = beta * self.z0, 1.0 - beta
+        half = anchor_term + keep * (z - self.a_eff * self.bz)
         bh = self.b(half)
-        self.z = beta * z0 + (1.0 - beta) * z - self.alpha * bh
+        self.z = anchor_term + keep * z - self.alpha * bh
         self.big_s = 1.0 + self.x * self.big_s
         return half, bh
 
@@ -456,14 +466,15 @@ class _APS(_Rule):
 
     def evaluate(self, k):
         bz = self.raw(self.z)
-        return vector_norm(bz), (bz, self.v, self.bv)
+        return math.sqrt(bz.dot(bz)), (bz, self.v, self.bv)
 
     def step(self, k):
-        z0, z, alpha = self.z0, self.z, self.alpha
+        alpha = self.alpha
         beta = 1.0 / (k + 1)
-        self.v = beta * z0 + (1.0 - beta) * z - alpha * self.bv
-        self.bv = self.b(self.v)
-        self.z = beta * z0 + (1.0 - beta) * z - alpha * self.bv
+        anchored = beta * self.z0 + (1.0 - beta) * self.z
+        self.v = v = anchored - alpha * self.bv
+        self.bv = bv = self.b(v)
+        self.z = anchored - alpha * bv
         return ()
 
 
@@ -476,21 +487,22 @@ class _EAGV(_ForwardResidual):
 
     def __init__(self, config, problem, oracle, z0):
         super().__init__(config, problem, oracle, z0)
-        self.lip = problem.lipschitz
+        self.lip_sq = problem.lipschitz ** 2
 
     def evaluate(self, k):
         self.bz = bz = self.b(self.z)
-        return vector_norm(bz), (bz, self.alpha)
+        return math.sqrt(bz.dot(bz)), (bz, self.alpha)
 
     def step(self, k):
-        z0, z, alpha, lip = self.z0, self.z, self.alpha, self.lip
-        if alpha <= 0 or 1.0 - alpha ** 2 * lip ** 2 <= 0:
+        alpha = self.alpha
+        if alpha <= 0 or 1.0 - (alpha_lip_sq := alpha ** 2 * self.lip_sq) <= 0:
             raise StepSizeCollapse(f"alpha_{k} = {alpha:.6g} inadmissible")
         beta = 1.0 / (k + 2)
-        half = beta * z0 + (1.0 - beta) * z - alpha * self.bz
+        anchored = beta * self.z0 + (1.0 - beta) * self.z
+        half = anchored - alpha * self.bz
         bh = self.b(half)
-        self.z = beta * z0 + (1.0 - beta) * z - alpha * bh
-        ratio = alpha ** 2 * lip ** 2 / (1.0 - alpha ** 2 * lip ** 2)
+        self.z = anchored - alpha * bh
+        ratio = alpha_lip_sq / (1.0 - alpha_lip_sq)
         self.alpha = alpha * (1.0 - ratio / ((k + 1.0) * (k + 3.0)))
         return half, bh
 
@@ -507,22 +519,25 @@ class _APSV(_APS):
 
     def evaluate(self, k):
         bz = self.raw(self.z)
-        return vector_norm(bz), (bz, self.v, self.bv, self.alpha)
+        return math.sqrt(bz.dot(bz)), (bz, self.v, self.bv, self.alpha)
 
     def step(self, k):
-        z0, z, alpha, m_const = self.z0, self.z, self.alpha, self.m_const
+        alpha = self.alpha
         if alpha <= 0:
             raise StepSizeCollapse(f"alpha_{k} = {alpha:.6g} <= 0")
-        if 1.0 - m_const * alpha ** 2 <= 0:
+        m_alpha_sq = self.m_const * alpha ** 2
+        if 1.0 - m_alpha_sq <= 0:
             raise StepSizeCollapse(
                 f"1 - 2 L^2 (1+theta) alpha_{k}^2 <= 0 at k = {k}")
         beta = 1.0 / (k + 2)
-        self.v = beta * z0 + (1.0 - beta) * z - alpha * self.bv
-        self.bv = self.b(self.v)
-        self.z = beta * z0 + (1.0 - beta) * z - alpha * self.bv
+        keep = 1.0 - beta
+        anchored = beta * self.z0 + keep * self.z
+        self.v = v = anchored - alpha * self.bv
+        self.bv = bv = self.b(v)
+        self.z = anchored - alpha * bv
         beta_next = 1.0 / (k + 3)
-        self.alpha = (alpha * beta_next * (1.0 - beta ** 2 - m_const * alpha ** 2)
-                      / ((1.0 - m_const * alpha ** 2) * beta * (1.0 - beta)))
+        self.alpha = (alpha * beta_next * (1.0 - beta ** 2 - m_alpha_sq)
+                      / ((1.0 - m_alpha_sq) * beta * keep))
         return ()
 
 
@@ -550,8 +565,9 @@ class _OHM(_Rule):
     def evaluate(self, k):
         beta = 1.0 / self.big_s
         half = beta * self.z0 + (1.0 - beta) * self.z
-        self.w = self.b.resolvent(self.alpha, half)
-        return vector_norm(half - self.w), (half,)
+        self.w = w = self.b.resolvent(self.alpha, half)
+        gap = half - w
+        return math.sqrt(gap.dot(gap)), (half,)
 
     def step(self, k):
         self.z = self.w
@@ -597,7 +613,8 @@ class _OHMDRS(_Rule):
         w = self.b.resolvent(alpha, self.z)
         self.bw = bw = self.b(w)
         self.v = v = self.b.prox(alpha, w - alpha * bw)
-        return vector_norm(w - v), (w, v, bw)  # = alpha ||G_alpha(w_k)||
+        gap = w - v  # = alpha G_alpha(w_k)
+        return math.sqrt(gap.dot(gap)), (w, v, bw)
 
     def step(self, k):
         beta = 1.0 / (k + 2)
@@ -628,7 +645,8 @@ class _APGStar(_Rule):
         z, evals = iterative_resolvent(b, alpha, self.z, eps_k)
         self.bz = bz = b(z)
         self.v = v = b.prox(alpha, z - alpha * bz)
-        return vector_norm(z - v) / alpha, (z, bz, evals)  # ||G_alpha(z_k)||
+        gap = z - v  # = alpha G_alpha(z_k)
+        return math.sqrt(gap.dot(gap)) / alpha, (z, bz, evals)
 
     def step(self, k):
         beta = 1.0 / (k + 2)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 from scipy.linalg import lu_factor
@@ -26,6 +27,11 @@ from .errors import (
     NoForwardEvaluation,
     NoResolventCapability,
 )
+
+try:  # the ufunc behind np.clip: numpy._core from numpy 2, numpy.core before
+    from numpy._core.umath import clip as _clip
+except ImportError:
+    from numpy.core.umath import clip as _clip
 
 Array = np.ndarray
 
@@ -68,7 +74,10 @@ def solve_strongly_monotone(fn, mu: float, lipschitz: float, z0: Array,
     ``(sqrt(L^2 + mu^2) + mu) / L^2``, anchor weights given by inverse
     geometric sums, and the matching damped half-step. Converges linearly;
     the caller sets the budget ``max_iterations`` (``iterative_resolvent``
-    gives ``10 L log(1/tol)``, at least 20).
+    gives ``10 L log(1/tol)``, at least 20). Each step forms
+    ``beta * anchor`` and ``1 - beta`` once and uses the damped step
+    ``step / x`` fixed before the loop; reusing a computed value leaves
+    every bit as written out in full.
 
     Returns ``(z, n_evals)`` where ``n_evals`` counts calls to ``fn``.
     Raises InnerLoopBudgetExceeded past the budget.
@@ -77,6 +86,7 @@ def solve_strongly_monotone(fn, mu: float, lipschitz: float, z0: Array,
         raise InfeasibleConstants(f"need 0 < mu <= L, got mu={mu}, L={lipschitz}")
     step = (math.hypot(lipschitz, mu) + mu) / lipschitz ** 2
     x = 1.0 + 2.0 * step * mu
+    damped = step / x
     anchor = np.array(z0, dtype=float)
     z = anchor.copy()
     val = fn(z)
@@ -86,9 +96,10 @@ def solve_strongly_monotone(fn, mu: float, lipschitz: float, z0: Array,
         if vector_norm(val) <= tol:
             return z, evals
         beta = 1.0 / big_s
-        half = beta * anchor + (1.0 - beta) * (z - (step / x) * val)
+        anchor_term, keep = beta * anchor, 1.0 - beta
+        half = anchor_term + keep * (z - damped * val)
         vh = fn(half)
-        z = beta * anchor + (1.0 - beta) * z - step * vh
+        z = anchor_term + keep * z - step * vh
         val = fn(z)
         evals += 2
         big_s = 1.0 + x * big_s
@@ -138,10 +149,11 @@ class Operator:
         """Return u with z = u + alpha * op(u)."""
         raise NoResolventCapability(f"{type(self).__name__} has no resolvent")
 
-    def _check_dim(self, z: Array) -> None:
-        if z.shape != (self.dim,):
-            raise DimensionMismatch(
-                f"operator on R^{self.dim} evaluated at shape {z.shape}")
+    def _dim_mismatch(self, z: Array) -> NoReturn:
+        """Raise for a point whose shape is not (dim,); callers test the
+        shape inline and call this only on a mismatch."""
+        raise DimensionMismatch(
+            f"operator on R^{self.dim} evaluated at shape {z.shape}")
 
 
 class ZeroOperator(Operator):
@@ -155,7 +167,8 @@ class ZeroOperator(Operator):
         self.mu = 0.0
 
     def __call__(self, z):
-        self._check_dim(z)
+        if z.shape != (self.dim,):
+            self._dim_mismatch(z)
         return np.zeros(self.dim)
 
     @property
@@ -163,7 +176,8 @@ class ZeroOperator(Operator):
         return "affine"
 
     def resolvent(self, alpha, z):
-        self._check_dim(z)
+        if z.shape != (self.dim,):
+            self._dim_mismatch(z)
         return np.array(z, dtype=float)
 
 
@@ -175,10 +189,12 @@ class AffineOperator(Operator):
     are verified against the spectrum at construction. The matrix must be
     monotone: min eig of (M + M^T)/2 >= -1e-9.
 
-    The resolvent factors I + alpha M once per step size and solves each
-    call with LAPACK ``getrs``. The factors are memoised per alpha; the memo
-    never changes a result, so the operator is still immutable after
-    construction in every observable way.
+    Forward evaluation is ``matrix.dot(z) + offset``: ``ndarray.dot`` gives
+    the bits of ``matrix @ z`` without the ``matmul`` ufunc's dispatch. The
+    resolvent factors I + alpha M once per step size and solves each call
+    with LAPACK ``getrs``. The memo keeps, per alpha, the LU factors and
+    ``alpha * offset``; it never changes a result, so the operator is still
+    immutable after construction in every observable way.
     """
 
     def __init__(self, matrix, offset=None, lipschitz=None, mu=None):
@@ -208,13 +224,14 @@ class AffineOperator(Operator):
             raise InfeasibleConstants(f"mu = {mu} exceeds L = {lipschitz}")
         self.lipschitz = float(lipschitz)
         self.mu = float(mu)
-        self._lu_cache: dict[float, tuple] = {}
+        self._lu_cache: dict[float, tuple] = {}  # alpha -> (lu, piv, alpha b)
         self.matrix.setflags(write=False)
         self.offset.setflags(write=False)
 
     def __call__(self, z):
-        self._check_dim(z)
-        return self.matrix @ z + self.offset
+        if z.shape != (self.dim,):
+            self._dim_mismatch(z)
+        return self.matrix.dot(z) + self.offset
 
     @property
     def resolvent_kind(self):
@@ -223,19 +240,22 @@ class AffineOperator(Operator):
     def resolvent(self, alpha, z):
         # direct dense solve of (I + alpha M) u = z - alpha b, LU cached per
         # alpha; the bits are those of scipy.linalg.lu_solve
-        self._check_dim(z)
+        if z.shape != (self.dim,):
+            self._dim_mismatch(z)
         if alpha <= 0:
             raise ValueError("alpha must be positive")
-        factors = self._lu_cache.get(alpha)
-        if factors is None:
-            factors = lu_factor(np.eye(self.dim) + alpha * self.matrix)
-            self._lu_cache[alpha] = factors
-        rhs = z - alpha * self.offset
+        memo = self._lu_cache.get(alpha)
+        if memo is None:
+            memo = (*lu_factor(np.eye(self.dim) + alpha * self.matrix),
+                    alpha * self.offset)
+            self._lu_cache[alpha] = memo
+        lu, piv, alpha_offset = memo
+        rhs = z - alpha_offset
         # rhs . rhs is finite for a finite rhs unless it overflows, and then
         # the elementwise check decides
         if not math.isfinite(rhs.dot(rhs)) and not np.isfinite(rhs).all():
             raise ValueError("array must not contain infs or NaNs")
-        u, info = dgetrs(*factors, rhs, overwrite_b=True)
+        u, info = dgetrs(lu, piv, rhs, overwrite_b=True)
         if info != 0:
             raise ValueError(f"illegal value in argument {-info} of getrs")
         return u
@@ -268,7 +288,8 @@ class CallableOperator(_ForwardOnly):
             raise InfeasibleConstants(f"mu = {mu} exceeds L = {lipschitz}")
 
     def __call__(self, z):
-        self._check_dim(z)
+        if z.shape != (self.dim,):
+            self._dim_mismatch(z)
         if self.domain is not None and not self.domain(z):
             raise DomainViolation(f"point {z} outside the open domain")
         return self.fn(z)
@@ -311,7 +332,8 @@ class ShiftedIdentityPlus(_ForwardOnly):
         self.mu = 1.0 + alpha * base.mu
 
     def __call__(self, z):
-        self._check_dim(z)
+        if z.shape != (self.dim,):
+            self._dim_mismatch(z)
         return z + self.alpha * self.base(z) - self.shift
 
 
@@ -366,7 +388,12 @@ class SumOperator(_ForwardOnly):
 
 @dataclass(frozen=True)
 class BoxProx:
-    """Indicator of a coordinatewise box; prox is the clamp, for any alpha."""
+    """Indicator of a coordinatewise box; prox is the clamp, for any alpha.
+
+    The clamp is numpy's ``clip`` ufunc, which ``np.clip`` calls after its
+    Python wrapper frames; the bits are those of ``np.clip``, signed zeros
+    and NaN included.
+    """
 
     lower: Array
     upper: Array
@@ -386,7 +413,7 @@ class BoxProx:
         return self.lower.size
 
     def apply(self, alpha, x):
-        return np.clip(x, self.lower, self.upper)
+        return _clip(x, self.lower, self.upper)
 
 
 @dataclass(frozen=True)
@@ -512,7 +539,8 @@ class BlockProxOperator(Operator):
         return "prox"
 
     def resolvent(self, alpha, z):
-        self._check_dim(z)
+        if z.shape != (self.dim,):
+            self._dim_mismatch(z)
         if alpha <= 0:
             raise ValueError("alpha must be positive")
         out = np.empty(self.dim)

@@ -38,6 +38,10 @@ AGM_MOMENTUM_CHOICES = (3.0, 5.0, 9.0)
 #: the row of the figure-1 trajectories that the summary compares
 FIGURE1_SUMMARY_K = 50
 
+#: dimension and Lipschitz constant of the 20-seed problem sets
+SET_DIM = 10
+SET_LIPSCHITZ = 10.0
+
 
 @dataclass
 class SuiteResult:
@@ -58,23 +62,25 @@ class SuiteResult:
 # shared problem sets
 
 
-def _affine_set(count=20, d=10, lipschitz=10.0):
+def _affine_set(count=20):
     problems = []
     for seed in range(count):
-        prob = make_random_monotone_affine(seed, d, lipschitz)
-        z0 = np.random.default_rng(1000 + seed).standard_normal(d)
+        prob = make_random_monotone_affine(seed, SET_DIM, SET_LIPSCHITZ)
+        z0 = np.random.default_rng(1000 + seed).standard_normal(SET_DIM)
         problems.append((prob, z0))
     return problems
 
 
-def _scsc_set(d=10, lipschitz=10.0):
+def _scsc_set():
     """20 strongly monotone problems, condition numbers 10 and 100."""
     problems = []
     for seed in range(20):
         mu = 1.0 if seed < 10 else 0.1
-        z_star = 0.5 * np.random.default_rng(2000 + seed).standard_normal(d)
-        prob = make_random_scsc(seed, d, lipschitz, mu, z_star=z_star)
-        z0 = np.random.default_rng(3000 + seed).standard_normal(d)
+        z_star = (0.5 * np.random.default_rng(2000 + seed)
+                  .standard_normal(SET_DIM))
+        prob = make_random_scsc(seed, SET_DIM, SET_LIPSCHITZ, mu,
+                                z_star=z_star)
+        z0 = np.random.default_rng(3000 + seed).standard_normal(SET_DIM)
         problems.append((prob, z0))
     return problems
 

@@ -353,6 +353,85 @@ def test_residual_norms_match_numpy_norm_bitwise():
                for k in range(201))
 
 
+def test_anchored_steps_match_written_out_recursions_bitwise():
+    # rows 1-5 of each anchored rule equal its step written out in full,
+    # with every sub-expression computed where it appears, and B z = M z + b
+    prob = make_random_monotone_affine(seed=3, d=10, lipschitz=10.0)
+    scsc = make_random_scsc(seed=2, d=10, lipschitz=10.0, mu=1.0)
+    z0 = np.random.default_rng(1003).standard_normal(10)
+
+    def rows(name, alpha, problem=prob, **extra):
+        return run(cfg(name, alpha, 5, **extra), problem, z0)
+
+    def forward(problem):
+        op = problem.operator
+        return lambda z: op.matrix @ z + op.offset
+
+    B, lip = forward(prob), prob.lipschitz
+
+    a, z, want = 0.0125, z0, [z0]
+    for k in range(5):  # EAG
+        beta = 1.0 / (k + 1)
+        half = beta * z0 + (1.0 - beta) * z - a * B(z)
+        z = beta * z0 + (1.0 - beta) * z - a * B(half)
+        want.append(z)
+    assert np.array_equal(rows("EAG", a).main, want)
+
+    a, z, want, alphas = 0.05, z0, [z0], [0.05]
+    for k in range(5):  # EAG_V
+        beta = 1.0 / (k + 2)
+        half = beta * z0 + (1.0 - beta) * z - a * B(z)
+        z = beta * z0 + (1.0 - beta) * z - a * B(half)
+        ratio = a ** 2 * lip ** 2 / (1.0 - a ** 2 * lip ** 2)
+        a = a * (1.0 - ratio / ((k + 1.0) * (k + 3.0)))
+        want.append(z)
+        alphas.append(a)
+    trace = rows("EAG_V", 0.05)
+    assert np.array_equal(trace.main, want)
+    assert np.array_equal(trace.auxiliary["alpha"], alphas)
+
+    a, z, bv, want = 0.0125, z0, B(z0), [z0]
+    for k in range(5):  # APS
+        beta = 1.0 / (k + 1)
+        v = beta * z0 + (1.0 - beta) * z - a * bv
+        bv = B(v)
+        z = beta * z0 + (1.0 - beta) * z - a * bv
+        want.append(z)
+    assert np.array_equal(rows("APS", a).main, want)
+
+    a, z, bv, want, alphas = 0.01, z0, B(z0), [z0], [0.01]
+    m = 2.0 * lip ** 2 * (1.0 + 1.0)
+    for k in range(5):  # APS_V, theta = 1
+        beta = 1.0 / (k + 2)
+        v = beta * z0 + (1.0 - beta) * z - a * bv
+        bv = B(v)
+        z = beta * z0 + (1.0 - beta) * z - a * bv
+        beta_next = 1.0 / (k + 3)
+        a = (a * beta_next * (1.0 - beta ** 2 - m * a ** 2)
+             / ((1.0 - m * a ** 2) * beta * (1.0 - beta)))
+        want.append(z)
+        alphas.append(a)
+    trace = rows("APS_V", 0.01, theta=1.0)
+    assert np.array_equal(trace.main, want)
+    assert np.array_equal(trace.auxiliary["alpha"], alphas)
+
+    for name, problem, a in (("FEG", prob, 0.05),
+                             ("SM_EAG_PLUS", scsc, 0.05)):
+        B = forward(problem)
+        x = 1.0 + 2.0 * a * problem.mu if name == "SM_EAG_PLUS" else 1.0
+        z, big_s, want, halves = z0, 1.0, [z0], []
+        for k in range(5):
+            beta = 1.0 / big_s
+            half = beta * z0 + (1.0 - beta) * (z - (a / x) * B(z))
+            z = beta * z0 + (1.0 - beta) * z - a * B(half)
+            big_s = 1.0 + x * big_s
+            want.append(z)
+            halves.append(half)
+        trace = rows(name, a, problem)
+        assert np.array_equal(trace.main, want)
+        assert np.array_equal(trace.auxiliary["half"], halves)
+
+
 def test_apg_star_zero_smooth_exits_inner_immediately():
     box = BoxProx([0.0, 0.0], [1.0, 1.0])
     comp = Problem(name="boxes", operator=ZeroOperator(2),

@@ -60,6 +60,34 @@ def test_affine_eval_matches_matrix_product():
         op(np.zeros(3))
 
 
+@pytest.mark.parametrize("d", [1, 3, 10, 300, 1000])
+def test_affine_eval_bits_match_matmul(d):
+    # ndarray.dot gives the bits of M @ z + b, also where BLAS blocks the
+    # product
+    rng = np.random.default_rng(500 + d)
+    m = rng.standard_normal((d, d))
+    m = m @ m.T / d + (m - m.T)
+    op = AffineOperator(m, rng.standard_normal(d))
+    for scale in (1e-200, 1e-3, 1.0, 1e150):
+        z = scale * rng.standard_normal(d)
+        assert np.array_equal(op(z), m @ z + op.offset)
+
+
+def test_wrong_shape_raises_dimension_mismatch():
+    affine = AffineOperator(ROT, [0.5, -0.5])
+    block = BlockProxOperator([(BoxProx([0.0], [1.0]), 1), (L1Prox(1.0), 1)])
+    zero = ZeroOperator(2)
+    calls = (affine, lambda z: affine.resolvent(0.5, z),
+             lambda z: block.resolvent(0.5, z),
+             ShiftedIdentityPlus(affine, 0.5, [1.0, 2.0]),
+             zero, lambda z: zero.resolvent(0.5, z),
+             CallableOperator(lambda z: z, 2, 1.0))
+    for call in calls:
+        for bad in (np.zeros(3), np.zeros((2, 1)), np.zeros(())):
+            with pytest.raises(DimensionMismatch):
+                call(bad)
+
+
 def test_affine_metadata_verified_at_construction():
     with pytest.raises(InfeasibleConstants):
         AffineOperator(ROT, lipschitz=0.5)  # true norm is 1
@@ -240,6 +268,23 @@ def test_box_prox_clamp():
     assert np.allclose(prox(spec, 0.3, [2.0, -0.5]), [1.0, 0.0])
     with pytest.raises(ValueError):
         BoxProx([1.0], [0.0])
+
+
+def test_box_prox_bits_match_np_clip():
+    # the bare clip ufunc gives np.clip's bits: signed zeros, values at the
+    # bounds, NaN, infinities, and a box with a -0.0 lower bound
+    lower = np.array([0.0, -0.0, -1.0, -0.0, 0.0, -2.5])
+    upper = np.array([1.0, 0.0, -1.0, -0.0, 0.0, 3.0])
+    spec = BoxProx(lower, upper)
+    block = BlockProxOperator([(spec, 6)])
+    for value in (0.0, -0.0, 1.0, -1.0, -2.5, 3.0, 0.5, np.nan, np.inf,
+                  -np.inf):
+        x = np.full(6, value)
+        expected = np.clip(x, lower, upper)
+        assert spec.apply(0.3, x).tobytes() == expected.tobytes()
+        assert block.resolvent(0.3, x).tobytes() == expected.tobytes()
+    x = np.array([-0.0, 0.0, -1.0, 0.0, -0.0, np.nan])
+    assert spec.apply(0.3, x).tobytes() == np.clip(x, lower, upper).tobytes()
 
 
 def test_l1_prox_against_grid_oracle():

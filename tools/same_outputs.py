@@ -5,8 +5,9 @@
 Each tree runs one fixed matrix, every part in a fresh Python subprocess
 with ``TREE/src`` on the path and BLAS pinned to one thread:
 
-- every algorithm's trace on a seeded problem, run in full, without recorded
-  iterates, with a stop at row 100's residual and for one iteration;
+- every algorithm's trace on a seeded problem, plus FEG and OHM on a d=300
+  affine problem, run in full, without recorded iterates, with a stop at
+  row 100's residual and for one iteration;
   compared field by field (arrays with their dtype and bits), with
   ``params``, the oracle totals and ``cumulative_counts``;
 - the stdout and exit code of ``anchorkit verify all``;
@@ -49,6 +50,11 @@ TRACE_CASES = [
     ("OHM on figure1", "OHM", "figure1", {}, 0.1, {}),
     ("OHM_DRS", "OHM_DRS", "box_bilinear_composite", {"seed": 3}, 0.1, {}),
     ("APG_STAR", "APG_STAR", "box_bilinear_composite", {"seed": 3}, 0.1, {}),
+] + [
+    # large enough for BLAS to block the matrix-vector product
+    (f"{name} d=300", name, "random_monotone_affine",
+     {"seed": 5, "d": 300, "lipschitz": 10.0}, 0.05, {})
+    for name in ("FEG", "OHM")
 ]
 
 AFFINE = {"name": "random_monotone_affine",
