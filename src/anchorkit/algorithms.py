@@ -66,12 +66,14 @@ class IterateTrace:
     """Full record of a run.
 
     ``main`` holds the primary iterates, one row per index k = 0..iterations
-    (row 0 = start; fewer rows only after an early residual stop), or only
-    the start and final rows when iterates are not recorded.
+    (row 0 = start; fewer rows only after an early stop), or only the start
+    and final rows when iterates are not recorded.
     ``residual_norms[k]`` is the algorithm's natural residual at row k and
     is always kept. Auxiliary sequences have one entry per row or one per
     step, as documented per algorithm. ``b_per_iter``/``resolvent_per_iter``
-    hold the billed oracle calls of each step.
+    hold the billed oracle calls of each step. ``stop_reason`` says why the
+    run ended: ``max_iterations``, ``stop_residual``, or ``diverged`` (the
+    final row's residual is not finite).
     """
 
     algorithm: str
@@ -83,6 +85,7 @@ class IterateTrace:
     op_evals: Array | None = None
     warmup_b: int = 0
     params: dict = field(default_factory=dict)
+    stop_reason: str = "max_iterations"
 
     def __post_init__(self):
         for arr in (self.main, self.residual_norms, self.op_evals,
@@ -224,7 +227,10 @@ def run(config: AlgorithmConfig, problem: Problem, z0) -> IterateTrace:
     Without recorded iterates only the start, the rule's current state and
     the per-row scalars are held, so the memory for iterates stays O(d)
     whatever the number of iterations. The rule makes the same oracle calls
-    whether or not iterates are recorded. Deterministic: identical inputs
+    whether or not iterates are recorded. The run stops after
+    ``max_iterations`` steps, at the first row whose lagged residual is at
+    most ``stop_residual``, or at the first row whose residual is not finite
+    (``diverged``); the stopping row is kept. Deterministic: identical inputs
     produce bit-identical traces.
     """
     validate_config(config, problem)
@@ -234,7 +240,7 @@ def run(config: AlgorithmConfig, problem: Problem, z0) -> IterateTrace:
     rule = _RULES[config.algorithm](config, problem, oracle, z0)
     warmup = oracle.b
     last, stop, lag = config.max_iterations, config.stop_residual, rule.stop_lag
-    evaluate, step = rule.evaluate, rule.step
+    evaluate, step, isfinite = rule.evaluate, rule.step, math.isfinite
     kept = [i for i, name in enumerate(rule.row_fields)
             if name in rule.kept_fields]
     # running oracle totals at the start of each row; their differences are
@@ -253,13 +259,19 @@ def run(config: AlgorithmConfig, problem: Problem, z0) -> IterateTrace:
             rows.extend(row)
         elif kept:
             rows.extend([row[i] for i in kept])
-        if k == last or (stop is not None and k >= lag
-                         and residuals[k - lag] <= stop):
+        if k == last or not isfinite(residual) or (
+                stop is not None and k >= lag and residuals[k - lag] <= stop):
             break
         made = step(k)
         if record:
             points.append(rule.z)
             steps.extend(made)
+    if not isfinite(residual):
+        reason = "diverged"
+    elif stop is not None and k >= lag and residuals[k - lag] <= stop:
+        reason = "stop_residual"
+    else:
+        reason = "max_iterations"
     if rule.final_row_billed:
         b_marks.append(oracle.b)
         r_marks.append(oracle.res)
@@ -281,6 +293,7 @@ def run(config: AlgorithmConfig, problem: Problem, z0) -> IterateTrace:
         params={"alpha": config.alpha, "max_iterations": config.max_iterations,
                 "stop_residual": config.stop_residual,
                 "record_iterates": record, **rule.params},
+        stop_reason=reason,
     )
 
 

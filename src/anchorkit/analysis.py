@@ -13,6 +13,7 @@ them.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -27,7 +28,14 @@ from .errors import (
     SingularSystem,
     StepTooLarge,
 )
-from .operators import AffineOperator, Array
+from .operators import (
+    AffineOperator,
+    Array,
+    BlockProxOperator,
+    BoxProx,
+    drs_map,
+    vector_norm,
+)
 from .problems import Problem
 
 RTOL = 1e-9
@@ -434,12 +442,24 @@ def rate_bound(trace, problem: Problem, rule: str, reference=None) -> BoundRepor
 # ---------------------------------------------------------------------------
 # reference points
 
+#: the most faces (the product over coordinates of 1 + its number of finite
+#: bounds) of a box that ``fixed_point_reference`` enumerates
+MAX_BOX_FACES = 3 ** 8
+#: the splitting-map residual ||drs_map(u*) - u*|| that certifies an exact
+#: reference point
+REFERENCE_CERTIFICATE = 1e-12
+#: relative slack of the face checks: bounds, signs, consistency and
+#: distinctness of zeros
+_FACE_SLACK = 1e-9
+
 
 def reference_point(trace, problem: Problem, reference=None) -> Array:
     """The reference point of a bound on ``trace``: ``reference`` when given;
-    for a composite problem, the fixed point of the splitting map reached from
-    the trace's start at its step size; otherwise the problem's known
-    solution, or MissingReferencePoint."""
+    for a composite problem, ``fixed_point_reference`` at the trace's step
+    size (the exact, certified fixed point of the splitting map for a box
+    composite with affine B, else the end of a long splitting run from the
+    trace's start); otherwise the problem's known solution, or
+    MissingReferencePoint."""
     if reference is not None:
         return reference
     if problem.is_composite:
@@ -453,14 +473,102 @@ def reference_point(trace, problem: Problem, reference=None) -> Array:
 
 def fixed_point_reference(problem: Problem, alpha: float, start,
                           iterations: int = 100_000) -> Array:
-    """Long anchored reference run approximating the projection of the start
-    onto the fixed-point set (splitting map for composite problems, resolvent
-    otherwise)."""
+    """A fixed point of the splitting map (composite problems) or of the
+    resolvent (otherwise) at step ``alpha``.
+
+    For a composite whose B is an ``AffineOperator`` and whose prox part is
+    made of ``BoxProx`` blocks, with at most ``MAX_BOX_FACES`` faces, the
+    zero of A + B is solved exactly face by face. When it is unique, so is
+    the fixed point u* = z* + alpha B z*, which is then the limit of the
+    anchored run from any start; it is returned if it passes the
+    certificate ||drs_map(u*) - u*|| <= ``REFERENCE_CERTIFICATE``. Otherwise
+    (another kind of composite, too many faces, a possible continuum of
+    zeros, not exactly one zero, or a failed certificate) this is an
+    ``iterations``-step anchored run from ``start``, approximating the
+    projection of the start onto the fixed-point set.
+    """
+    if problem.is_composite:
+        exact = _box_composite_fixed_point(problem, alpha)
+        if exact is not None:
+            return exact
     name = "OHM_DRS" if problem.is_composite else "OHM"
     cfg = algorithms.AlgorithmConfig(algorithm=name, alpha=alpha,
                                      max_iterations=iterations,
                                      record_iterates=False)
     return algorithms.run(cfg, problem, start).final
+
+
+def _box_composite_fixed_point(problem: Problem, alpha: float):
+    """The exact splitting fixed point of a box composite with affine B, or
+    None when this solver does not apply or cannot certify a unique one.
+
+    z is a zero of N_box + M z + t exactly when, with F the coordinates
+    strictly inside their bounds, (M z + t)_F = 0, and every other
+    coordinate sits at a bound with (M z + t)_i >= 0 at a lower bound and
+    <= 0 at an upper one. Each face of the box fixes some coordinates at
+    finite bounds and leaves the rest free; the free block is solved on
+    every face, and the solutions that pass the bound and sign checks are
+    the zeros. Every zero solves the free block of the face whose relative
+    interior holds it, so unless some free block is singular and consistent
+    (then the zeros may form a continuum, and this gives up), all zeros are
+    found.
+    """
+    op, a_part = problem.operator, problem.prox_part
+    if not (isinstance(op, AffineOperator)
+            and isinstance(a_part, BlockProxOperator)
+            and all(isinstance(spec, BoxProx) for spec, _ in a_part.blocks)):
+        return None
+    lower = np.concatenate([spec.lower for spec, _ in a_part.blocks])
+    upper = np.concatenate([spec.upper for spec, _ in a_part.blocks])
+    # per coordinate: free (side 0), or fixed at a finite lower (-1) or
+    # upper (+1) bound
+    options = [[(0, 0.0)] + [(side, b) for side, b in ((-1, lo), (1, hi))
+                             if math.isfinite(b)]
+               for lo, hi in zip(lower.tolist(), upper.tolist())]
+    if math.prod(len(o) for o in options) > MAX_BOX_FACES:
+        return None
+    m, t = op.matrix, op.offset
+    t_size = float(np.abs(t).max())
+    zeros = []
+    for face in itertools.product(*options):
+        sides = np.array([side for side, _ in face])
+        z = np.array([b for _, b in face])
+        free = np.flatnonzero(sides == 0)
+        if free.size:
+            block = m[np.ix_(free, free)]
+            rhs = -(m[free] @ z + t[free])  # z is 0 on the free block
+            sol, _, rank, _ = np.linalg.lstsq(block, rhs, rcond=None)
+            z[free] = sol
+        size = float(np.abs(z).max())
+        slack_g = _FACE_SLACK * (1.0 + t_size + op.lipschitz * size)
+        if free.size and rank < free.size:
+            if vector_norm(block @ sol - rhs) <= slack_g:
+                return None  # the zeros may form a continuum
+            continue
+        slack_z = _FACE_SLACK * (1.0 + size)
+        if (np.any(z < lower - slack_z) or np.any(z > upper + slack_z)
+                or np.any(sides * (m @ z + t) > slack_g)):
+            continue
+        z = np.clip(z, lower, upper)
+        if all(np.abs(z - other).max() > slack_z for other in zeros):
+            zeros.append(z)
+            if len(zeros) > 1:
+                return None
+    if len(zeros) != 1:
+        return None
+    z = zeros[0]
+    u = z + alpha * op(z)
+    if splitting_residual(problem, alpha, u) > REFERENCE_CERTIFICATE:
+        return None
+    return u
+
+
+def splitting_residual(problem: Problem, alpha: float, u) -> float:
+    """||drs_map(u) - u||, the fixed-point residual of a composite problem's
+    splitting map at step ``alpha``."""
+    u = np.asarray(u, dtype=float)
+    return vector_norm(drs_map(problem.prox_part, problem.operator, alpha, u)
+                       - u)
 
 
 def affine_zero_projection(problem: Problem, z0) -> Array:

@@ -53,6 +53,17 @@ def _number(where: str, value, integer: bool = False):
     return value
 
 
+def _finite_numbers(where: str, value) -> None:
+    """ConfigError if ``value`` holds a non-finite number at any depth; JSON
+    has no such numbers, but Python's parser reads NaN and Infinity."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        _finite_numbers(f"{where}.{key}", item)
+
+
 def _parse_experiment(cfg):
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
@@ -62,6 +73,7 @@ def _parse_experiment(cfg):
     pname = problem_cfg["name"]
     if not isinstance(pname, str) or pname not in PROBLEM_BUILDERS:
         raise KeyError(f"unknown problem {pname!r}")
+    _finite_numbers("problem.params", problem_cfg.get("params"))
     try:
         problem = build_problem(pname, problem_cfg.get("params"))
     except (TypeError, ValueError) as exc:
@@ -140,13 +152,17 @@ def cmd_run(config_path: str) -> int:
     cfg = _load_config(config_path)
     problem, configs, z0, out_dir = _parse_experiment(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
+    written, reasons = [], []
     for i, acfg in enumerate(configs):
         trace = run(acfg, problem, z0)
         path = out_dir / f"trace_{i:02d}_{acfg.algorithm}.csv"
         _write_trace_csv(path, trace)
         written.append(str(path))
-    print(json.dumps({"status": "ok", "traces": written}))
+        reasons.append(trace.stop_reason)
+    # a diverged run is a result, not a failure: its CSV ends at the first
+    # non-finite row and the exit code stays 0
+    print(json.dumps({"status": "ok", "traces": written,
+                      "stop_reasons": reasons}))
     return 0
 
 

@@ -42,15 +42,18 @@ _META_SLACK = 1e-9
 RESOLVENT_TOL = 1e-12
 
 
-def as_vector(coords, dim: int | None = None) -> Array:
-    """Validate ``coords`` as a finite float64 vector of positive dimension."""
+def as_vector(coords, dim: int | None = None, finite: bool = True) -> Array:
+    """Validate ``coords`` as a float64 vector of positive dimension whose
+    entries are finite, or with ``finite=False`` only not NaN."""
     v = np.asarray(coords, dtype=float)
     if v.ndim == 0:
         v = v.reshape(1)
     if v.ndim != 1 or v.size == 0:
         raise DimensionMismatch(f"expected a nonempty vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if finite and not np.all(np.isfinite(v)):
         raise ValueError("vector has non-finite entries")
+    if not finite and np.any(np.isnan(v)):
+        raise ValueError("vector has NaN entries")
     if dim is not None and v.size != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {v.size}")
     return v
@@ -390,19 +393,23 @@ class SumOperator(_ForwardOnly):
 class BoxProx:
     """Indicator of a coordinatewise box; prox is the clamp, for any alpha.
 
-    The clamp is numpy's ``clip`` ufunc, which ``np.clip`` calls after its
-    Python wrapper frames; the bits are those of ``np.clip``, signed zeros
-    and NaN included.
+    A bound may be infinite (``lower = 0``, ``upper = inf`` is an orthant),
+    but no bound is NaN, no lower bound is +inf and no upper bound is -inf,
+    so the box is never empty. The clamp is numpy's ``clip`` ufunc, which
+    ``np.clip`` calls after its Python wrapper frames; the bits are those of
+    ``np.clip``, signed zeros, infinite bounds and NaN included.
     """
 
     lower: Array
     upper: Array
 
     def __post_init__(self):
-        lo = as_vector(self.lower)
-        hi = as_vector(self.upper, lo.size)
+        lo = as_vector(self.lower, finite=False)
+        hi = as_vector(self.upper, lo.size, finite=False)
         if np.any(lo > hi):
             raise ValueError("box needs lower <= upper coordinatewise")
+        if np.any(lo == np.inf) or np.any(hi == -np.inf):
+            raise ValueError("box needs lower < +inf and upper > -inf")
         lo.setflags(write=False)
         hi.setflags(write=False)
         object.__setattr__(self, "lower", lo)

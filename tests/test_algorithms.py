@@ -635,6 +635,8 @@ def test_recording_modes_agree_bitwise(name, monkeypatch):
         assert np.array_equal(full.residual_norms,
                               probe.residual_norms[:full.iterations + 1])
         assert slim.iterations == full.iterations
+        assert slim.stop_reason == full.stop_reason == (
+            "max_iterations" if stop is None else "stop_residual")
         assert np.array_equal(slim.residual_norms, full.residual_norms)
         assert np.array_equal(slim.final, full.final)
         assert np.array_equal(slim.start, full.start)
@@ -672,6 +674,28 @@ def test_slim_recording_memory_independent_of_iterations(name):
         tracemalloc.stop()
     assert slim.iterations == iters
     assert peak < full.main.nbytes / 4, (peak, full.main.nbytes)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("record", (True, False))
+def test_diverging_run_stops_at_first_non_finite_residual(record):
+    # GDA at alpha = 10 on x*y grows by sqrt(101) a step; ||B z||^2
+    # overflows at row 154
+    prob = make_bilinear([[1.0]])
+    z0 = np.array([1.0, 0.0])
+    t = run(cfg("GDA", 10.0, 300, record_iterates=record), prob, z0)
+    assert t.stop_reason == "diverged"
+    assert t.iterations == 154
+    assert np.isinf(t.residual_norms[-1])
+    assert np.all(np.isfinite(t.residual_norms[:-1]))
+    # the rows before the non-finite one are those of a run that stops
+    # just short of it
+    short = run(cfg("GDA", 10.0, 153, record_iterates=record), prob, z0)
+    assert short.stop_reason == "max_iterations"
+    assert np.array_equal(t.residual_norms[:-1], short.residual_norms)
+    assert np.array_equal(t.main[:-1] if record else t.main[:1],
+                          short.main if record else short.main[:1])
+    assert len(t.b_per_iter) == 154
 
 
 def test_trace_lengths_and_immutability():

@@ -11,11 +11,19 @@ from anchorkit.errors import (
     MissingReferencePoint,
     StepTooLarge,
 )
-from anchorkit.operators import AffineOperator, ZeroOperator
+from anchorkit.operators import (
+    AffineOperator,
+    BallProx,
+    BlockProxOperator,
+    BoxProx,
+    CallableOperator,
+    ZeroOperator,
+)
 from anchorkit.problems import (
     Problem,
     make_bilinear,
     make_box_bilinear_composite,
+    make_composite,
     make_random_monotone_affine,
     make_random_scsc,
 )
@@ -224,9 +232,80 @@ def test_reference_point_order():
     alpha = 0.5 / comp.lipschitz
     xi0 = np.ones(comp.dim)
     drs = run(cfg("OHM_DRS", alpha, 5), comp, xi0)
-    assert np.array_equal(analysis.reference_point(drs, comp),
-                          analysis.fixed_point_reference(comp, alpha,
-                                                         start=xi0))
+    ref = analysis.reference_point(drs, comp)
+    assert np.array_equal(ref, analysis.fixed_point_reference(comp, alpha,
+                                                              start=xi0))
+    # and it is the exact fixed point, not the end of a long run
+    assert (analysis.splitting_residual(comp, alpha, ref)
+            <= analysis.REFERENCE_CERTIFICATE)
+
+
+def _box_bilinear_case(seed, **kw):
+    comp = make_box_bilinear_composite(seed=seed, **kw)
+    xi0 = 2.0 * np.random.default_rng(77 + seed).standard_normal(comp.dim)
+    return comp, 0.5 / comp.lipschitz, xi0
+
+
+def test_exact_reference_skips_infinite_bounds():
+    # on the orthant there are 2 faces per coordinate, not 3
+    comp, alpha, xi0 = _box_bilinear_case(0, box_upper=np.inf)
+    ref = analysis.fixed_point_reference(comp, alpha, xi0, iterations=1)
+    assert (analysis.splitting_residual(comp, alpha, ref)
+            <= analysis.REFERENCE_CERTIFICATE)
+    assert ref.max() > 1.0  # outside the unit box
+
+
+def test_exact_reference_near_long_splitting_run():
+    comp, alpha, xi0 = _box_bilinear_case(5)
+    ref = analysis.fixed_point_reference(comp, alpha, xi0)
+    long_run = run(cfg("OHM_DRS", alpha, 100_000, record_iterates=False),
+                   comp, xi0)
+    assert np.linalg.norm(ref - long_run.final) <= 1e-3
+
+
+def _fallback_cases():
+    """Composites the exact solver must leave to the splitting run."""
+    unit = BoxProx(np.zeros(1), np.ones(1))
+    # every point of the box is a zero of 0 * z + 0
+    continuum = make_composite(unit, unit,
+                               make_bilinear([[0.0]], want_solution=False))
+    affine = make_bilinear([[1.0]], [0.3], [-0.2], want_solution=False)
+    ball = BallProx(np.zeros(1), 0.5)
+    m, t = affine.operator.matrix, affine.operator.offset
+    forward_only = Problem(
+        name="forward-only",
+        prox_part=BlockProxOperator([(unit, 1), (unit, 1)]),
+        operator=CallableOperator(lambda z: m @ z + t, 2, affine.lipschitz))
+    return {"continuum": continuum,
+            "ball": make_composite(ball, ball, affine),
+            "forward-only": forward_only}
+
+
+@pytest.mark.parametrize("name", ["continuum", "ball", "forward-only"])
+def test_reference_falls_back_to_the_splitting_run_bitwise(name):
+    comp = _fallback_cases()[name]
+    xi0 = np.array([2.0, -1.5])
+    ref = analysis.fixed_point_reference(comp, 0.3, xi0, iterations=200)
+    fallback = run(cfg("OHM_DRS", 0.3, 200, record_iterates=False), comp, xi0)
+    assert ref.tobytes() == fallback.final.tobytes()
+
+
+def test_splitting_verdicts_on_box_bilinear_seeds():
+    # the apg-mp checks beyond the suite's one problem, against a reference
+    # point that passes the certificate, which the fallback run would miss
+    # by far
+    for seed in range(20):
+        comp, alpha, xi0 = _box_bilinear_case(seed)
+        apg = run(cfg("APG_STAR", alpha, 300), comp, xi0)
+        drs = run(cfg("OHM_DRS", alpha, 300), comp, xi0)
+        ref = analysis.reference_point(apg, comp)
+        assert (analysis.splitting_residual(comp, alpha, ref)
+                <= analysis.REFERENCE_CERTIFICATE), seed
+        assert analysis.mp_bound_apg(apg, drs, comp, xi_star=ref).passed, seed
+        assert analysis.rate_bound(apg, comp, "APG_RESIDUAL",
+                                   reference=ref).passed, seed
+        assert analysis.rate_bound(drs, comp, "OHM_DRS_RATE",
+                                   reference=ref).passed, seed
 
 
 def test_rate_bound_missing_reference():

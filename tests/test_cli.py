@@ -38,6 +38,30 @@ def test_run_writes_traces(run_config, tmp_path, capsys):
     assert first[0] == "0" and float(first[1]) == 1.0
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_run_reports_stop_reasons_and_keeps_diverged_rows(tmp_path, capsys):
+    # at L = 1e308, ||B z0||^2 overflows: the forward methods diverge at
+    # row 0, which the CSV keeps, and the run still exits 0
+    out = tmp_path / "out"
+    cfgp = write_config(tmp_path / "huge.json", {
+        "problem": {"name": "random_monotone_affine",
+                    "params": {"seed": 0, "d": 4, "lipschitz": 1e308}},
+        "iterations": 20,
+        "algorithms": [{"algorithm": "GDA", "alpha": 0.1},
+                       {"algorithm": "OHM", "alpha": 0.1},
+                       {"algorithm": "OHM", "alpha": 0.1,
+                        "stop_residual": 1.0}],
+        "outputs": {"directory": str(out)},
+    })
+    assert main(["run", cfgp]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["stop_reasons"] == ["diverged", "max_iterations",
+                                   "stop_residual"]
+    lines = (out / "trace_00_GDA.csv").read_text().splitlines()
+    assert len(lines) == 2  # header + row 0
+    assert lines[1].split(",")[5] == "inf"
+
+
 def test_run_zero_problem_constant_columns(tmp_path, capsys):
     cfgp = write_config(tmp_path / "zero.json", {
         "problem": {"name": "bilinear", "params": {"coupling": [[0.0]]}},
@@ -163,10 +187,15 @@ VALID_RUN = {
     {"algorithms": [{"algorithm": "FEG", "alpha": 0.5, "momentum_a": 9.0}]},
     {"algorithms": [{"algorithm": "OHM", "alpha": 0.5, "gamma": 1.5}]},
     {"algorithms": [{"algorithm": "FEG", "alpha": 0.5, "theta": 3.0}]},
+    {"problem": {"name": "box_bilinear_composite",
+                 "params": {"seed": 0, "box_upper": float("inf")}},
+     "start": DROP,
+     "algorithms": [{"algorithm": "OHM_DRS", "alpha": 0.1}]},
 ], ids=["alpha-string", "stop-residual-string", "nan-start", "json-array",
         "fractional-iterations", "unknown-problem-parameter", "negative-seed",
         "zero-resolvent-tolerance", "resolvent-tolerance",
-        "ignored-momentum-a", "ignored-gamma", "ignored-theta"])
+        "ignored-momentum-a", "ignored-gamma", "ignored-theta",
+        "infinite-problem-parameter"])
 def test_bad_config_fails_closed(change, tmp_path, capsys):
     out = tmp_path / "out"
     doc = {**VALID_RUN, "outputs": {"directory": str(out)}}

@@ -287,6 +287,28 @@ def test_box_prox_bits_match_np_clip():
     assert spec.apply(0.3, x).tobytes() == np.clip(x, lower, upper).tobytes()
 
 
+def test_half_infinite_box():
+    # an orthant and a half-line: infinite bounds are accepted, and the
+    # clamp keeps np.clip's bits
+    lower = np.array([0.0, -np.inf, -1.0])
+    upper = np.array([np.inf, 2.0, np.inf])
+    spec = BoxProx(lower, upper)
+    x = np.array([-3.0, 5.0, -0.0])
+    for value in (x, -x, np.full(3, np.inf), np.full(3, -np.inf),
+                  np.full(3, np.nan), np.full(3, -0.0)):
+        assert spec.apply(0.3, value).tobytes() == np.clip(
+            value, lower, upper).tobytes()
+    assert np.array_equal(prox(spec, 1.0, x), [0.0, 2.0, -0.0])
+    assert BoxProx([-np.inf], [np.inf]).apply(1.0, x[:1]) == x[:1]
+    # still refused: NaN bounds, lower > upper, and bounds that empty a
+    # coordinate
+    for lo, hi in (([np.nan], [1.0]), ([0.0], [np.nan]), ([1.0], [0.0]),
+                   ([np.inf], [np.inf]), ([-np.inf], [-np.inf]),
+                   ([0.0, np.inf], [1.0, np.inf])):
+        with pytest.raises(ValueError):
+            BoxProx(lo, hi)
+
+
 def test_l1_prox_against_grid_oracle():
     spec = L1Prox(1.0)
     got = prox(spec, 0.5, [2.0, -0.2])

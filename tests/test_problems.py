@@ -184,6 +184,14 @@ def test_box_bilinear_composite_deterministic():
     assert a.is_composite
 
 
+def test_box_bilinear_composite_on_orthant():
+    comp = make_box_bilinear_composite(seed=5, box_upper=np.inf)
+    bounded = make_box_bilinear_composite(seed=5)
+    assert np.array_equal(comp.operator.matrix, bounded.operator.matrix)
+    got = comp.prox_part.resolvent(0.5, np.array([-1.0, 3.0, 1e300, 0.5]))
+    assert np.array_equal(got, [0.0, 3.0, 1e300, 0.5])
+
+
 def test_build_problem_registry():
     prob = build_problem("bilinear", {"coupling": [[1.0]]})
     assert prob.dim == 2

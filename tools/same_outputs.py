@@ -6,10 +6,11 @@ Each tree runs one fixed matrix, every part in a fresh Python subprocess
 with ``TREE/src`` on the path and BLAS pinned to one thread:
 
 - every algorithm's trace on a seeded problem, plus FEG and OHM on a d=300
-  affine problem, run in full, without recorded iterates, with a stop at
-  row 100's residual and for one iteration;
+  affine problem, GDA diverging on a 1x1 bilinear problem, and OHM_DRS and
+  APG_STAR on a half-infinite box composite, run in full, without recorded
+  iterates, with a stop at row 100's residual and for one iteration;
   compared field by field (arrays with their dtype and bits), with
-  ``params``, the oracle totals and ``cumulative_counts``;
+  ``params``, ``stop_reason``, the oracle totals and ``cumulative_counts``;
 - the stdout and exit code of ``anchorkit verify all``;
 - the files, stdout and exit codes of ``run`` (all algorithms), ``compare``
   (the five declared pairs, a self pair and an undeclared pair) and
@@ -55,6 +56,13 @@ TRACE_CASES = [
     (f"{name} d=300", name, "random_monotone_affine",
      {"seed": 5, "d": 300, "lipschitz": 10.0}, 0.05, {})
     for name in ("FEG", "OHM")
+] + [
+    # ||B z||^2 overflows at row 154, short of the 300 iterations
+    ("GDA diverging", "GDA", "bilinear", {"coupling": [[1.0]]}, 10.0, {}),
+] + [
+    (f"{name} on an orthant", name, "box_bilinear_composite",
+     {"seed": 2, "box_upper": float("inf")}, 0.1, {})
+    for name in ("OHM_DRS", "APG_STAR")
 ]
 
 AFFINE = {"name": "random_monotone_affine",
@@ -105,10 +113,11 @@ def _env(tree: Path) -> dict:
 
 
 def _trace_record(trace) -> dict:
-    record = {name: getattr(trace, name)
+    # a field that a tree's traces lack reads None
+    record = {name: getattr(trace, name, None)
               for name in ("main", "residual_norms", "op_evals", "b_per_iter",
                            "resolvent_per_iter", "warmup_b", "params",
-                           "iterations")}
+                           "stop_reason", "iterations")}
     record["auxiliary"] = dict(trace.auxiliary)
     record["total_b_evals"] = trace.total_b_evals()
     record["total_resolvent_evals"] = trace.total_resolvent_evals()
@@ -132,7 +141,10 @@ def collect_traces(out: str) -> None:
 
     records = {}
     for case, name, builder, params, alpha, extra in TRACE_CASES:
-        prob = build_problem(builder, params)
+        prob = _outcome(lambda: build_problem(builder, params))
+        if isinstance(prob, tuple):  # a tree that cannot build the problem
+            records[f"{case}/build"] = prob
+            continue
         z0 = (prob.start if prob.start is not None
               else np.linspace(-1.0, 2.0, prob.dim))
 
