@@ -458,7 +458,8 @@ def reference_point(trace, problem: Problem, reference=None) -> Array:
     for a composite problem, ``fixed_point_reference`` at the trace's step
     size (the exact, certified fixed point of the splitting map for a box
     composite with affine B, else the end of a long splitting run from the
-    trace's start); otherwise the problem's known solution, or
+    trace's start, or MissingReferencePoint when that box composite has no
+    fixed point); otherwise the problem's known solution, or
     MissingReferencePoint."""
     if reference is not None:
         return reference
@@ -481,11 +482,14 @@ def fixed_point_reference(problem: Problem, alpha: float, start,
     zero of A + B is solved exactly face by face. When it is unique, so is
     the fixed point u* = z* + alpha B z*, which is then the limit of the
     anchored run from any start; it is returned if it passes the
-    certificate ||drs_map(u*) - u*|| <= ``REFERENCE_CERTIFICATE``. Otherwise
-    (another kind of composite, too many faces, a possible continuum of
-    zeros, not exactly one zero, or a failed certificate) this is an
-    ``iterations``-step anchored run from ``start``, approximating the
-    projection of the start onto the fixed-point set.
+    certificate ||drs_map(u*) - u*|| <= ``REFERENCE_CERTIFICATE``. When
+    every face was checked, no free block was singular and consistent, and
+    no zero was found, A + B has no zero and the map no fixed point, so
+    this raises MissingReferencePoint. Otherwise (another kind of
+    composite, too many faces, a possible continuum of zeros, more than one
+    zero, or a failed certificate) this is an ``iterations``-step anchored
+    run from ``start``, approximating the projection of the start onto the
+    fixed-point set.
     """
     if problem.is_composite:
         exact = _box_composite_fixed_point(problem, alpha)
@@ -500,7 +504,8 @@ def fixed_point_reference(problem: Problem, alpha: float, start,
 
 def _box_composite_fixed_point(problem: Problem, alpha: float):
     """The exact splitting fixed point of a box composite with affine B, or
-    None when this solver does not apply or cannot certify a unique one.
+    None when this solver does not apply or cannot certify a unique one;
+    MissingReferencePoint when it proves that there is none.
 
     z is a zero of N_box + M z + t exactly when, with F the coordinates
     strictly inside their bounds, (M z + t)_F = 0, and every other
@@ -511,7 +516,7 @@ def _box_composite_fixed_point(problem: Problem, alpha: float):
     the zeros. Every zero solves the free block of the face whose relative
     interior holds it, so unless some free block is singular and consistent
     (then the zeros may form a continuum, and this gives up), all zeros are
-    found.
+    found, and finding none proves that there is none.
     """
     op, a_part = problem.operator, problem.prox_part
     if not (isinstance(op, AffineOperator)
@@ -554,8 +559,10 @@ def _box_composite_fixed_point(problem: Problem, alpha: float):
             zeros.append(z)
             if len(zeros) > 1:
                 return None
-    if len(zeros) != 1:
-        return None
+    if not zeros:
+        raise MissingReferencePoint(
+            f"{problem.name}: A + B has no zero on any face of the box, so "
+            f"the splitting map has no fixed point")
     z = zeros[0]
     u = z + alpha * op(z)
     if splitting_residual(problem, alpha, u) > REFERENCE_CERTIFICATE:

@@ -7,10 +7,10 @@ construction; the rate and bound checks divide by these constants.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DimensionMismatch, InfeasibleConstants, SingularSystem
 from .operators import (
@@ -135,10 +135,84 @@ def make_random_monotone_affine(seed, d, lipschitz, z_star=None,
                    solution=zs, notes={"seed": seed})
 
 
+def _brent_root(f, a, b, xtol, rtol, maxiter=100):
+    """A root of ``f`` in [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    A line-for-line port of SciPy's ``brentq.c``: the same operation order
+    and the same sign tests, so it returns the float that
+    ``scipy.optimize.brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)``
+    returns. It fails closed with InfeasibleConstants where brentq raises:
+    a NaN value of ``f``, no sign change over [a, b], or no convergence
+    within ``maxiter`` iterations.
+    """
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise InfeasibleConstants(f"root search: f({x!r}) is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre = value(xpre)
+    fcur = value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise InfeasibleConstants(
+            f"root search: f({a!r}) and f({b!r}) have the same sign")
+    for _ in range(maxiter):
+        if (fpre != 0 and fcur != 0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk = xpre
+            fblk = fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            bound = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+                # good short step
+                spre = scur
+                scur = stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre = xcur
+        fpre = fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise InfeasibleConstants(
+        f"root search did not converge in {maxiter} iterations")
+
+
 def _scsc_matrix(rng, d, lipschitz, mu):
     """mu*I + s*(H + K) with H PSD shifted to min eigenvalue 0 and K skew,
     jointly scaled so that lambda_min of the symmetric part is mu and the
-    2-norm is ``lipschitz``, both verified by an eigensolve."""
+    2-norm is ``lipschitz``, both verified by an eigensolve.
+
+    The scale s is the root of ``gap`` found by ``_brent_root``, a port of
+    SciPy's ``brentq`` that returns its bits, so the matrices are the ones
+    ``scipy.optimize.brentq`` gave without importing ``scipy.optimize``."""
     h = rng.standard_normal((d, d))
     h = h @ h.T
     h = h - np.linalg.eigvalsh(h).min() * np.eye(d)
@@ -155,7 +229,7 @@ def _scsc_matrix(rng, d, lipschitz, mu):
         hi *= 2.0
         if hi > 1e12:
             raise InfeasibleConstants("could not reach the requested norm")
-    s = brentq(gap, 0.0, hi, xtol=1e-15, rtol=8.9e-16)
+    s = _brent_root(gap, 0.0, hi, xtol=1e-15, rtol=8.9e-16)
     mat = mu * eye + s * base
     sym_min = np.linalg.eigvalsh(0.5 * (mat + mat.T)).min()
     two_norm = np.linalg.norm(mat, 2)

@@ -263,6 +263,18 @@ def test_exact_reference_near_long_splitting_run():
     assert np.linalg.norm(ref - long_run.final) <= 1e-3
 
 
+@pytest.mark.parametrize("seed", [1, 3, 4, 7, 8, 10])
+def test_no_zero_composite_has_no_reference_point(seed):
+    # on these orthants A + B has no zero, so the splitting map has no fixed
+    # point, and a long splitting run would drift with its budget
+    comp, alpha, xi0 = _box_bilinear_case(seed, box_upper=np.inf)
+    with pytest.raises(MissingReferencePoint, match="no zero"):
+        analysis.fixed_point_reference(comp, alpha, xi0, iterations=1)
+    drs = run(cfg("OHM_DRS", alpha, 5), comp, xi0)
+    with pytest.raises(MissingReferencePoint):
+        analysis.rate_bound(drs, comp, "OHM_DRS_RATE")
+
+
 def _fallback_cases():
     """Composites the exact solver must leave to the splitting run."""
     unit = BoxProx(np.zeros(1), np.ones(1))

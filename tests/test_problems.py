@@ -1,6 +1,15 @@
+import itertools
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
+from anchorkit import problems, suites
 from anchorkit.errors import (
     DimensionMismatch,
     DomainViolation,
@@ -10,6 +19,7 @@ from anchorkit.errors import (
 from anchorkit.operators import BoxProx, L1Prox, ZeroProx, forward_backward_residual
 from anchorkit.problems import (
     Problem,
+    _brent_root,
     build_problem,
     make_bilinear,
     make_box_bilinear_composite,
@@ -100,6 +110,95 @@ def test_random_scsc_preconditions():
         make_random_scsc(0, 1, 2.0, 1.0)  # scalar case forces mu == L
     scalar = make_random_scsc(0, 1, 1.0, 1.0)
     assert np.allclose(scalar.operator.matrix, [[1.0]])
+
+
+def _scsc_roots(monkeypatch, build):
+    """(gap, arguments) of every root search that ``build()`` makes."""
+    calls = []
+
+    def spy(f, a, b, xtol, rtol):
+        calls.append((f, a, b, xtol, rtol))
+        return _brent_root(f, a, b, xtol, rtol)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(problems, "_brent_root", spy)
+        build()
+    return calls
+
+
+def test_brent_root_matches_scipy_brentq_bitwise(monkeypatch):
+    ratios = (1e-4, 1e-3, 1e-2, 0.1, 0.5)
+    cases = 0
+    for seed, d, ratio in itertools.product(range(12), (2, 3, 10, 20), ratios):
+        calls = _scsc_roots(
+            monkeypatch, lambda: make_random_scsc(seed, d, 10.0, 10.0 * ratio))
+        for f, a, b, xtol, rtol in calls:
+            got = _brent_root(f, a, b, xtol, rtol)
+            want = brentq(f, a, b, xtol=xtol, rtol=rtol)
+            assert got.hex() == want.hex(), (seed, d, ratio)
+            cases += 1
+    assert cases == 12 * 4 * len(ratios)
+
+
+def _generic_root_cases(count):
+    """Seeded cubics, exponentials and steep tanh steps on random brackets,
+    with random tolerances and budgets. Together they take the
+    interpolation, extrapolation, bisection and minimal steps of Brent's
+    method and run out of budget; the SCSC norm gaps rarely extrapolate."""
+    rng = np.random.default_rng(0)
+    for i in range(count):
+        c = rng.standard_normal(4).tolist()
+        f = (lambda x, c=c: c[0] + c[1] * x + c[2] * x ** 2 + c[3] * x ** 3,
+             lambda x, c=c: math.exp(c[0] * x) - 1.5 - c[1],
+             lambda x, c=c: math.tanh(3 * c[0] * (x - c[1])) + 0.01 * c[2],
+             )[i % 3]
+        a, b = sorted(rng.uniform(-3.0, 3.0, 2).tolist())
+        xtol = 10.0 ** rng.uniform(-15.0, -2.0)
+        rtol = 8.9e-16 * 10.0 ** rng.uniform(0.0, 6.0)
+        yield f, a, b, xtol, rtol, int(rng.integers(1, 60))
+
+
+def test_brent_root_matches_scipy_brentq_on_generic_functions():
+    roots = 0
+    for f, a, b, xtol, rtol, maxiter in _generic_root_cases(3000):
+        try:
+            want = brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)
+        except (ValueError, RuntimeError):
+            with pytest.raises(InfeasibleConstants):
+                _brent_root(f, a, b, xtol, rtol, maxiter)
+            continue
+        assert _brent_root(f, a, b, xtol, rtol, maxiter).hex() == want.hex()
+        roots += 1
+    assert roots > 500
+
+
+def test_suite_scsc_problems_reach_brentq_scale(monkeypatch):
+    calls = _scsc_roots(monkeypatch, suites._scsc_set)
+    assert len(calls) == 20
+    for f, a, b, xtol, rtol in calls:
+        want = brentq(f, a, b, xtol=xtol, rtol=rtol)
+        assert _brent_root(f, a, b, xtol, rtol).hex() == want.hex()
+
+
+@pytest.mark.parametrize("f, maxiter", [
+    (lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5, 100),  # NaN inside
+    (lambda x: x + 1.0, 100),                                 # no sign change
+    (lambda x: x ** 3 - 0.3, 1),                              # no convergence
+], ids=["nan", "same-sign", "maxiter"])
+def test_brent_root_fails_closed(f, maxiter):
+    with pytest.raises(InfeasibleConstants):
+        _brent_root(f, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16, maxiter=maxiter)
+
+
+def test_package_does_not_import_scipy_optimize():
+    # a fresh interpreter, so modules that other tests load do not count
+    code = ("import sys, anchorkit, anchorkit.cli; "
+            "print('scipy.optimize' in sys.modules)")
+    src = str(Path(problems.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def test_figure1_values_and_gradient():

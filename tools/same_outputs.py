@@ -5,10 +5,11 @@
 Each tree runs one fixed matrix, every part in a fresh Python subprocess
 with ``TREE/src`` on the path and BLAS pinned to one thread:
 
-- every algorithm's trace on a seeded problem, plus FEG and OHM on a d=300
-  affine problem, GDA diverging on a 1x1 bilinear problem, and OHM_DRS and
-  APG_STAR on a half-infinite box composite, run in full, without recorded
-  iterates, with a stop at row 100's residual and for one iteration;
+- every algorithm's trace on a seeded problem, plus SM_EAG_PLUS on SCSC
+  problems at d=2 and d=20, FEG and OHM on a d=300 affine problem, GDA
+  diverging on a 1x1 bilinear problem, and OHM_DRS and APG_STAR on a
+  half-infinite box composite, run in full, without recorded iterates,
+  with a stop at row 100's residual and for one iteration;
   compared field by field (arrays with their dtype and bits), with
   ``params``, ``stop_reason``, the oracle totals and ``cumulative_counts``;
 - the stdout and exit code of ``anchorkit verify all``;
@@ -46,6 +47,11 @@ TRACE_CASES = [
     (name, name, "random_scsc", {"seed": 2, "d": 6, "lipschitz": 5.0,
                                  "mu": 1.0}, 0.2, {})
     for name in ("SM_EAG_PLUS", "OC_HALPERN")
+] + [
+    # the scale root of the SCSC generator at further sizes and conditions
+    (f"SM_EAG_PLUS d={d}", "SM_EAG_PLUS", "random_scsc",
+     {"seed": 2, "d": d, "lipschitz": 10.0, "mu": mu}, 0.1, {})
+    for d, mu in ((2, 0.01), (20, 1.0))
 ] + [
     ("AGM", "AGM", "figure1", {}, 0.025, {}),
     ("OHM on figure1", "OHM", "figure1", {}, 0.1, {}),
