@@ -11,13 +11,15 @@ to residual ``RESOLVENT_TOL``.
 """
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES
 from typing import NoReturn
 
 import numpy as np
-from scipy.linalg import lu_factor
-from scipy.linalg.lapack import dgetrs
+import scipy
 
 from .errors import (
     DimensionMismatch,
@@ -34,6 +36,32 @@ except ImportError:
     from numpy.core.umath import clip as _clip
 
 Array = np.ndarray
+
+
+def _load_flapack():
+    """scipy's LAPACK extension ``scipy.linalg._flapack``, loaded from its
+    file without running the ``scipy.linalg`` package.
+
+    Its routines are the objects ``scipy.linalg.lapack`` re-exports, so every
+    bit is that of ``scipy.linalg``. Raises ImportError naming the path
+    looked for when no file with an extension suffix is there.
+    """
+    base = os.path.join(os.path.dirname(scipy.__file__), "linalg", "_flapack")
+    for suffix in EXTENSION_SUFFIXES:
+        path = base + suffix
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location(
+                "scipy.linalg._flapack", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"no LAPACK extension at {base}"
+                      f"{{{','.join(EXTENSION_SUFFIXES)}}}")
+
+
+_flapack = _load_flapack()
+_dgetrf = _flapack.dgetrf
+_dgetrs = _flapack.dgetrs
 
 #: slack used when verifying metadata against computed spectra
 _META_SLACK = 1e-9
@@ -57,6 +85,25 @@ def as_vector(coords, dim: int | None = None, finite: bool = True) -> Array:
     if dim is not None and v.size != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {v.size}")
     return v
+
+
+def _lu_factor(a: Array):
+    """``(lu, piv)`` of a square float64 matrix by LAPACK ``getrf``: the
+    factors ``scipy.linalg.lu_factor`` returns, with its checks.
+
+    A non-finite matrix raises ValueError, as does an illegal argument; an
+    exactly zero pivot (a singular matrix) raises ValueError where
+    ``lu_factor`` only warns.
+    """
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    lu, piv, info = _dgetrf(a)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of getrf")
+    if info > 0:
+        raise ValueError(f"diagonal number {info} is exactly zero: "
+                         "singular matrix")
+    return lu, piv
 
 
 def vector_norm(v: Array) -> float:
@@ -194,10 +241,12 @@ class AffineOperator(Operator):
 
     Forward evaluation is ``matrix.dot(z) + offset``: ``ndarray.dot`` gives
     the bits of ``matrix @ z`` without the ``matmul`` ufunc's dispatch. The
-    resolvent factors I + alpha M once per step size and solves each call
-    with LAPACK ``getrs``. The memo keeps, per alpha, the LU factors and
-    ``alpha * offset``; it never changes a result, so the operator is still
-    immutable after construction in every observable way.
+    resolvent factors I + alpha M once per step size with LAPACK ``getrf``
+    and solves each call with LAPACK ``getrs``, the routines behind
+    ``scipy.linalg.lu_factor`` and ``scipy.linalg.lu_solve``, so the bits are
+    theirs. The memo keeps, per alpha, the LU factors and ``alpha * offset``;
+    it never changes a result, so the operator is still immutable after
+    construction in every observable way.
     """
 
     def __init__(self, matrix, offset=None, lipschitz=None, mu=None):
@@ -241,15 +290,16 @@ class AffineOperator(Operator):
         return "affine"
 
     def resolvent(self, alpha, z):
-        # direct dense solve of (I + alpha M) u = z - alpha b, LU cached per
-        # alpha; the bits are those of scipy.linalg.lu_solve
+        # direct dense solve of (I + alpha M) u = z - alpha b by getrf/getrs,
+        # LU cached per alpha; the bits are those of scipy.linalg.lu_factor
+        # followed by scipy.linalg.lu_solve
         if z.shape != (self.dim,):
             self._dim_mismatch(z)
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not 0.0 < alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {alpha}")
         memo = self._lu_cache.get(alpha)
         if memo is None:
-            memo = (*lu_factor(np.eye(self.dim) + alpha * self.matrix),
+            memo = (*_lu_factor(np.eye(self.dim) + alpha * self.matrix),
                     alpha * self.offset)
             self._lu_cache[alpha] = memo
         lu, piv, alpha_offset = memo
@@ -258,7 +308,7 @@ class AffineOperator(Operator):
         # the elementwise check decides
         if not math.isfinite(rhs.dot(rhs)) and not np.isfinite(rhs).all():
             raise ValueError("array must not contain infs or NaNs")
-        u, info = dgetrs(lu, piv, rhs, overwrite_b=True)
+        u, info = _dgetrs(lu, piv, rhs, overwrite_b=True)
         if info != 0:
             raise ValueError(f"illegal value in argument {-info} of getrs")
         return u
@@ -324,8 +374,8 @@ class ShiftedIdentityPlus(_ForwardOnly):
     """
 
     def __init__(self, base: Operator, alpha: float, shift):
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not 0.0 < alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {alpha}")
         self.base = base
         self.alpha = float(alpha)
         self.shift = as_vector(shift, base.dim).copy()
@@ -509,8 +559,8 @@ class ZeroProx:
 
 def prox(spec, alpha: float, x) -> Array:
     """Exact minimizer of alpha*f(x') + ||x' - x||^2 / 2 for the given spec."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     v = as_vector(x, getattr(spec, "dim", None))
     return spec.apply(alpha, v)
 
@@ -548,8 +598,8 @@ class BlockProxOperator(Operator):
     def resolvent(self, alpha, z):
         if z.shape != (self.dim,):
             self._dim_mismatch(z)
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not 0.0 < alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {alpha}")
         out = np.empty(self.dim)
         at = 0
         for spec, width in self.blocks:

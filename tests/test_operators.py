@@ -1,7 +1,10 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
+import scipy
 from scipy.linalg import lu_factor, lu_solve
 
 from anchorkit.errors import (
@@ -24,6 +27,8 @@ from anchorkit.operators import (
     SumOperator,
     ZeroOperator,
     ZeroProx,
+    _load_flapack,
+    _lu_factor,
     as_vector,
     drs_map,
     forward_backward_residual,
@@ -114,22 +119,74 @@ def test_affine_resolvent_against_direct_solve():
 
 @pytest.mark.parametrize("d", [1, 10, 300])
 def test_affine_resolvent_bits_match_lu_solve(d):
-    # the direct getrs call must give scipy.linalg.lu_solve's bits, including
-    # on a cache hit (alpha repeated)
+    # the direct getrf/getrs calls must give scipy.linalg.lu_factor's and
+    # lu_solve's bits, including on a cache hit (alpha repeated)
     rng = np.random.default_rng(d)
     m = rng.standard_normal((d, d))
     m = m @ m.T / d + (m - m.T)
     b = rng.standard_normal(d)
     op = AffineOperator(m, b)
-    for alpha in (0.01, 0.3, 2.5, 0.3, 0.01):
+    for alpha in (0.01, 0.3, 2.5, 0.3, 1e-9, 0.01, 1e4):
         z = rng.standard_normal(d)
-        expected = lu_solve(lu_factor(np.eye(d) + alpha * m), z - alpha * b)
+        factors = lu_factor(np.eye(d) + alpha * m)
+        expected = lu_solve(factors, z - alpha * b)
         z_before = z.copy()
         got = op.resolvent(alpha, z)
         assert got.dtype == np.float64 and got.shape == (d,)
         assert np.array_equal(got, expected)
         assert np.array_equal(z, z_before)  # the solve overwrites a copy
-    assert sorted(op._lu_cache) == [0.01, 0.3, 2.5]
+        lu, piv, _ = op._lu_cache[alpha]
+        assert lu.dtype == factors[0].dtype and piv.dtype == factors[1].dtype
+        assert np.array_equal(lu, factors[0])
+        assert np.array_equal(piv, factors[1])
+    assert sorted(op._lu_cache) == [1e-9, 0.01, 0.3, 2.5, 1e4]
+
+
+def test_lu_factor_checks():
+    # the factor refuses what scipy.linalg.lu_factor refuses, and also the
+    # exactly zero pivot that lu_factor only warns about
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        _lu_factor(np.array([[1.0, np.nan], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        _lu_factor(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="exactly zero"):
+        _lu_factor(np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="exactly zero"):
+        _lu_factor(np.array([[1.0, 2.0], [2.0, 4.0]]))
+
+
+def test_missing_lapack_extension_names_the_path(monkeypatch, tmp_path):
+    monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
+    looked_for = re.escape(str(tmp_path / "linalg" / "_flapack"))
+    with pytest.raises(ImportError, match=looked_for):
+        _load_flapack()
+
+
+def _affine_site(alpha):
+    AffineOperator(ROT).resolvent(alpha, np.ones(2))
+
+
+def _shifted_site(alpha):
+    ShiftedIdentityPlus(AffineOperator(ROT), alpha, np.ones(2))
+
+
+def _block_prox_site(alpha):
+    BlockProxOperator([(L1Prox(1.0), 3)]).resolvent(alpha, np.ones(3))
+
+
+def _prox_site(alpha):
+    prox(L1Prox(1.0), alpha, np.ones(3))
+
+
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("site", [_affine_site, _shifted_site,
+                                  _block_prox_site, _prox_site])
+def test_step_size_must_be_positive_and_finite(site, alpha):
+    # refused before any arithmetic: no numpy warning, no NaN result
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="positive and finite"):
+            site(alpha)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -190,15 +190,16 @@ def test_brent_root_fails_closed(f, maxiter):
         _brent_root(f, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16, maxiter=maxiter)
 
 
-def test_package_does_not_import_scipy_optimize():
+def test_package_imports_neither_scipy_optimize_nor_scipy_linalg():
     # a fresh interpreter, so modules that other tests load do not count
     code = ("import sys, anchorkit, anchorkit.cli; "
-            "print('scipy.optimize' in sys.modules)")
+            "print('scipy.optimize' in sys.modules, "
+            "'scipy.linalg' in sys.modules)")
     src = str(Path(problems.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 def test_figure1_values_and_gradient():
