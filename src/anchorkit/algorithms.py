@@ -598,22 +598,6 @@ class _OCHalpern(_OHM):
         self.params = {"gamma": gamma}
 
 
-def ohm_u_form(problem: Problem, alpha: float, iterations: int, z0) -> Array:
-    """Single-sequence form u_{k+1} = u0/(k+2) + (k+1)/(k+2) T(u_k).
-
-    Equivalent to the half-step form under u_k = w_{k+1/2}; exposed for the
-    two-form equivalence check.
-    """
-    z0 = as_vector(z0, problem.dim)
-    u = z0
-    us = [z0]
-    for k in range(iterations):
-        beta = 1.0 / (k + 2)
-        u = beta * z0 + (1.0 - beta) * problem.operator.resolvent(alpha, u)
-        us.append(u)
-    return np.array(us)
-
-
 class _OHMDRS(_Rule):
     """w_k = J_{alpha B}(u_k); u_{k+1} = beta_k u0 + (1-beta_k)
     (J_{alpha A}(w_k - alpha B w_k) + alpha B w_k); beta_k = 1/(k+2)."""

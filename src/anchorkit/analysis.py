@@ -14,7 +14,6 @@ them.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
@@ -78,28 +77,6 @@ class BoundReport:
         """(k, ratio) at the largest measured/bound ratio."""
         i = int(np.argmax(self.ratios))
         return int(self.k_values[i]), float(self.ratios[i])
-
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "k": [int(k) for k in self.k_values],
-            "measured": [float(v) for v in self.measured],
-            "bound": [float(v) for v in self.bound],
-            "max_ratio": self.max_ratio,
-            "rtol": RTOL,
-            "atol": ATOL,
-            "skipped": self.skipped,
-            "verdict": "pass" if self.passed else "fail",
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    def csv_rows(self):
-        """(k, measured, bound, ratio) rows."""
-        for k, m, b, r in zip(self.k_values, self.measured, self.bound,
-                              self.ratios):
-            yield int(k), float(m), float(b), float(r)
 
 
 @dataclass(frozen=True)
@@ -474,8 +451,9 @@ def reference_point(trace, problem: Problem, reference=None) -> Array:
 
 def fixed_point_reference(problem: Problem, alpha: float, start,
                           iterations: int = 100_000) -> Array:
-    """A fixed point of the splitting map (composite problems) or of the
-    resolvent (otherwise) at step ``alpha``.
+    """A fixed point of the splitting map of a composite problem at step
+    ``alpha``. A problem that is not composite has no splitting map; the
+    OHM_DRS run refuses it with ConfigError.
 
     For a composite whose B is an ``AffineOperator`` and whose prox part is
     made of ``BoxProx`` blocks, with at most ``MAX_BOX_FACES`` faces, the
@@ -491,12 +469,10 @@ def fixed_point_reference(problem: Problem, alpha: float, start,
     run from ``start``, approximating the projection of the start onto the
     fixed-point set.
     """
-    if problem.is_composite:
-        exact = _box_composite_fixed_point(problem, alpha)
-        if exact is not None:
-            return exact
-    name = "OHM_DRS" if problem.is_composite else "OHM"
-    cfg = algorithms.AlgorithmConfig(algorithm=name, alpha=alpha,
+    exact = _box_composite_fixed_point(problem, alpha)
+    if exact is not None:
+        return exact
+    cfg = algorithms.AlgorithmConfig(algorithm="OHM_DRS", alpha=alpha,
                                      max_iterations=iterations,
                                      record_iterates=False)
     return algorithms.run(cfg, problem, start).final

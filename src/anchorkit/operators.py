@@ -1,13 +1,14 @@
-"""Monotone operators on R^d: forward evaluation, resolvents, proximal maps.
+"""Monotone operators on R^d: forward evaluation, resolvents, the box prox
+and the block prox operator built from it.
 
 Every operator carries exact regularity metadata (Lipschitz constant and
 strong-monotonicity modulus) supplied at construction; nothing is estimated
 at runtime. Operators are immutable after construction and safe to share.
 
-Every resolvent has the one signature ``resolvent(alpha, z)``. Affine and
-prox resolvents are exact; the resolvent of a forward-only operator is
-``iterative_resolvent``, which solves the inner map ``ShiftedIdentityPlus``
-to residual ``RESOLVENT_TOL``.
+Every resolvent has the one signature ``resolvent(alpha, z)`` and refuses a
+step size outside 0 < alpha < inf. Affine and prox resolvents are exact;
+the resolvent of a forward-only operator is ``iterative_resolvent``, which
+solves the inner map ``ShiftedIdentityPlus`` to residual ``RESOLVENT_TOL``.
 """
 from __future__ import annotations
 
@@ -228,6 +229,8 @@ class ZeroOperator(Operator):
     def resolvent(self, alpha, z):
         if z.shape != (self.dim,):
             self._dim_mismatch(z)
+        if not 0.0 < alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {alpha}")
         return np.array(z, dtype=float)
 
 
@@ -327,7 +330,10 @@ class _ForwardOnly(Operator):
 
 
 class CallableOperator(_ForwardOnly):
-    """Wraps a forward map with declared constants and an optional open domain."""
+    """Wraps a forward map with declared constants and an optional open domain.
+
+    The constants must be finite and nonnegative, with mu <= L.
+    """
 
     def __init__(self, fn, dim, lipschitz, mu=0.0, domain=None):
         self.fn = fn
@@ -335,8 +341,11 @@ class CallableOperator(_ForwardOnly):
         self.lipschitz = float(lipschitz)
         self.mu = float(mu)
         self.domain = domain
-        if self.mu < 0 or self.lipschitz < 0:
-            raise InfeasibleConstants("constants must be nonnegative")
+        if not (0.0 <= self.lipschitz < math.inf
+                and 0.0 <= self.mu < math.inf):
+            raise InfeasibleConstants(f"constants must be finite and "
+                                      f"nonnegative, got L={lipschitz}, "
+                                      f"mu={mu}")
         if self.mu > 0 and self.mu > self.lipschitz + _META_SLACK:
             raise InfeasibleConstants(f"mu = {mu} exceeds L = {lipschitz}")
 
@@ -349,18 +358,9 @@ class CallableOperator(_ForwardOnly):
 
 
 class GradientOperator(CallableOperator):
-    """Gradient field of a differentiable convex objective."""
-
-    def __init__(self, grad, dim, lipschitz, value=None, domain=None, mu=0.0):
-        super().__init__(grad, dim, lipschitz, mu=mu, domain=domain)
-        self.value = value
-
-    def objective(self, z):
-        if self.value is None:
-            raise NoForwardEvaluation("no objective value attached")
-        if self.domain is not None and not self.domain(z):
-            raise DomainViolation(f"point {z} outside the open domain")
-        return self.value(z)
+    """Gradient field of a differentiable convex objective: a
+    ``CallableOperator`` whose type marks it as a gradient, which AGM
+    requires."""
 
 
 class ShiftedIdentityPlus(_ForwardOnly):
@@ -391,11 +391,12 @@ class ShiftedIdentityPlus(_ForwardOnly):
 
 
 class ScaledOperator(Operator):
-    """c * base for c > 0; the resolvent delegates to the base at step c*alpha."""
+    """c * base for 0 < c < inf; the resolvent delegates to the base at step
+    c*alpha."""
 
     def __init__(self, scale: float, base: Operator):
-        if scale <= 0:
-            raise ValueError("scale must be positive")
+        if not 0.0 < scale < math.inf:
+            raise ValueError(f"scale must be positive and finite, got {scale}")
         self.scale = float(scale)
         self.base = base
         self.dim = base.dim
@@ -473,103 +474,11 @@ class BoxProx:
         return _clip(x, self.lower, self.upper)
 
 
-@dataclass(frozen=True)
-class BallProx:
-    """Indicator of a Euclidean ball; prox is the radial projection."""
-
-    center: Array
-    radius: float
-
-    def __post_init__(self):
-        c = as_vector(self.center)
-        c.setflags(write=False)
-        object.__setattr__(self, "center", c)
-        if self.radius < 0:
-            raise ValueError("radius must be nonnegative")
-
-    @property
-    def dim(self):
-        return self.center.size
-
-    def apply(self, alpha, x):
-        diff = x - self.center
-        nrm = np.linalg.norm(diff)
-        if nrm <= self.radius:
-            return np.array(x, dtype=float)
-        return self.center + (self.radius / nrm) * diff
-
-
-@dataclass(frozen=True)
-class L1Prox:
-    """weight * ||.||_1; prox is soft-thresholding at level weight*alpha."""
-
-    weight: float
-
-    def __post_init__(self):
-        if self.weight < 0:
-            raise ValueError("weight must be nonnegative")
-
-    dim = None  # any dimension
-
-    def apply(self, alpha, x):
-        t = self.weight * alpha
-        return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
-
-
-@dataclass(frozen=True)
-class QuadraticProx:
-    """f(x) = x'Qx/2 + c'x with Q symmetric PSD; prox solves a linear system."""
-
-    quad: Array
-    linear: Array
-
-    def __post_init__(self):
-        q = np.asarray(self.quad, dtype=float)
-        if q.ndim != 2 or q.shape[0] != q.shape[1]:
-            raise DimensionMismatch("Q must be square")
-        if not np.allclose(q, q.T, atol=1e-12):
-            raise ValueError("Q must be symmetric")
-        if np.linalg.eigvalsh(q).min() < -1e-9:
-            raise ValueError("Q must be positive semidefinite")
-        c = as_vector(self.linear, q.shape[0])
-        q = q.copy()
-        q.setflags(write=False)
-        c.setflags(write=False)
-        object.__setattr__(self, "quad", q)
-        object.__setattr__(self, "linear", c)
-
-    @property
-    def dim(self):
-        return self.linear.size
-
-    def apply(self, alpha, x):
-        return np.linalg.solve(np.eye(self.dim) + alpha * self.quad,
-                               x - alpha * self.linear)
-
-
-@dataclass(frozen=True)
-class ZeroProx:
-    """The zero function; prox is the identity."""
-
-    dim = None
-
-    def apply(self, alpha, x):
-        return np.array(x, dtype=float)
-
-
-def prox(spec, alpha: float, x) -> Array:
-    """Exact minimizer of alpha*f(x') + ||x' - x||^2 / 2 for the given spec."""
-    if not 0.0 < alpha < math.inf:
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
-    v = as_vector(x, getattr(spec, "dim", None))
-    return spec.apply(alpha, v)
-
-
 class BlockProxOperator(Operator):
     """Saddle subdifferential represented only through blockwise prox maps.
 
-    ``blocks`` is a sequence of (prox spec, width) pairs covering the stacked
-    vector; the resolvent applies each prox to its slice. No forward
+    ``blocks`` is a sequence of (``BoxProx``, width) pairs covering the
+    stacked vector; the resolvent applies each prox to its slice. No forward
     evaluation exists (the underlying operator is set-valued).
     """
 
@@ -582,7 +491,7 @@ class BlockProxOperator(Operator):
             width = int(width)
             if width <= 0:
                 raise DimensionMismatch("block widths must be positive")
-            if spec.dim is not None and spec.dim != width:
+            if spec.dim != width:
                 raise DimensionMismatch(
                     f"spec dimension {spec.dim} != block width {width}")
             widths.append(width)
@@ -612,17 +521,16 @@ class BlockProxOperator(Operator):
 # derived maps
 
 
-def forward_backward_residual(a_part, b_op: Operator, alpha: float, z) -> Array:
+def forward_backward_residual(a_part: Operator, b_op: Operator, alpha: float,
+                              z) -> Array:
     """G_alpha(z) = (z - J_{alpha A}(z - alpha B z)) / alpha.
 
-    Vanishes exactly at solutions of 0 in (A + B)(z). ``a_part`` may be an
-    operator or a prox spec; an iterative J_{alpha A} is solved to residual
-    ``RESOLVENT_TOL``.
+    Vanishes exactly at solutions of 0 in (A + B)(z). ``a_part`` is an
+    operator with a resolvent, such as a problem's ``prox_part``; an
+    iterative J_{alpha A} is solved to residual ``RESOLVENT_TOL``.
     """
     z = as_vector(z, b_op.dim)
-    a_op = (a_part if isinstance(a_part, Operator)
-            else BlockProxOperator([(a_part, b_op.dim)]))
-    backward = a_op.resolvent(alpha, z - alpha * b_op(z))
+    backward = a_part.resolvent(alpha, z - alpha * b_op(z))
     return (z - backward) / alpha
 
 

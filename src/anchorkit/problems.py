@@ -282,15 +282,12 @@ def make_figure1() -> Problem:
     anchored-method step 0.1 (both overridable by the caller).
     """
 
-    def value(z):
-        return 4.0 * z[0] ** 2 / z[1]
-
     def grad(z):
         x1, x2 = z
         return np.array([8.0 * x1 / x2, -4.0 * x1 ** 2 / x2 ** 2])
 
     op = GradientOperator(grad, dim=2, lipschitz=FIGURE1_LIPSCHITZ,
-                          value=value, domain=lambda z: z[1] > 0.0)
+                          domain=lambda z: z[1] > 0.0)
     return Problem(name="figure1", operator=op,
                    start=np.array(FIGURE1_START),
                    notes={"agm_step": FIGURE1_AGM_STEP,
@@ -298,23 +295,16 @@ def make_figure1() -> Problem:
 
 
 def make_composite(prox_x, prox_y, smooth: Problem, name=None) -> Problem:
-    """Composite splitting: A acts blockwise as (prox_x, prox_y), B is the
-    smooth problem's saddle operator.
+    """Composite splitting: A acts blockwise as the box proxes (prox_x,
+    prox_y), B is the smooth problem's saddle operator.
 
-    The x/y widths come from the smooth problem; pass ``prox_y=None`` for a
-    plain (non-saddle) smooth part, in which case prox_x covers the whole
-    space.
+    The x/y widths come from the smooth problem's ``x_dim``/``y_dim`` notes;
+    a smooth problem without them raises DimensionMismatch.
     """
-    d = smooth.dim
-    if prox_y is None:
-        blocks = [(prox_x, d)]
-    else:
-        if "x_dim" not in smooth.notes:
-            raise DimensionMismatch(
-                "smooth problem lacks x/y split; pass prox_y=None")
-        blocks = [(prox_x, smooth.notes["x_dim"]),
-                  (prox_y, smooth.notes["y_dim"])]
-    a_part = BlockProxOperator(blocks)
+    if "x_dim" not in smooth.notes:
+        raise DimensionMismatch("smooth problem lacks x/y split")
+    a_part = BlockProxOperator([(prox_x, smooth.notes["x_dim"]),
+                                (prox_y, smooth.notes["y_dim"])])
     return Problem(name=name or f"composite-{smooth.name}",
                    operator=smooth.operator, prox_part=a_part,
                    start=smooth.start,

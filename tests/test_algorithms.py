@@ -8,7 +8,6 @@ from anchorkit.algorithms import (
     ALGORITHMS,
     AlgorithmConfig,
     max_step_strongly_monotone,
-    ohm_u_form,
     run,
 )
 from anchorkit.errors import ConfigError, StepSizeCollapse
@@ -17,7 +16,7 @@ from anchorkit.operators import (
     BlockProxOperator,
     BoxProx,
     ZeroOperator,
-    ZeroProx,
+    as_vector,
     drs_map,
     forward_backward_residual,
     solve_strongly_monotone,
@@ -46,6 +45,20 @@ def zero_problem(d=2):
 def cfg(name, alpha, iters, **kw):
     return AlgorithmConfig(algorithm=name, alpha=alpha, max_iterations=iters,
                            **kw)
+
+
+def ohm_u_form(problem, alpha, iterations, z0):
+    """Reference: OHM's single-sequence form
+    u_{k+1} = u0/(k+2) + (k+1)/(k+2) T(u_k), equivalent to the half-step
+    form under u_k = w_{k+1/2}."""
+    z0 = as_vector(z0, problem.dim)
+    u = z0
+    us = [z0]
+    for k in range(iterations):
+        beta = 1.0 / (k + 2)
+        u = beta * z0 + (1.0 - beta) * problem.operator.resolvent(alpha, u)
+        us.append(u)
+    return np.array(us)
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +144,7 @@ def test_agm_reference_recursion():
 
     from anchorkit.operators import GradientOperator
     quad = Problem(name="quad-1d",
-                   operator=GradientOperator(lambda z: z.copy(), 1, 1.0,
-                                             value=lambda z: 0.5 * z[0] ** 2),
+                   operator=GradientOperator(lambda z: z.copy(), 1, 1.0),
                    solution=np.zeros(1))
     x = y = np.array([1.0])
     ref_x = [x]
@@ -152,8 +164,7 @@ def test_agm_reference_recursion():
 def test_agm_zero_gradient_frozen():
     from anchorkit.operators import GradientOperator
     flat = Problem(name="flat",
-                   operator=GradientOperator(lambda z: np.zeros(2), 2, 0.0,
-                                             value=lambda z: 0.0))
+                   operator=GradientOperator(lambda z: np.zeros(2), 2, 0.0))
     t = run(cfg("AGM", 0.1, 20, momentum_a=5.0), flat, np.array([1.0, 2.0]))
     assert np.array_equal(t.main, np.tile([1.0, 2.0], (21, 1)))
 
@@ -282,12 +293,9 @@ def test_oc_halpern_needs_gamma_or_mu():
 
 
 def test_ohm_drs_hand_recursion():
-    prob = make_composite(
-        ZeroProx(), None,
-        Problem(name="ident", operator=AffineOperator([[1.0]], mu=1.0)))
-    # replace the zero prox with the identity function's prox J(z) = z/2
-    comp = Problem(name="ident-pair", operator=prob.operator,
-                   prox_part=prob.operator)
+    # A = B = the identity, whose resolvent at alpha = 1 is J(z) = z/2
+    ident = AffineOperator([[1.0]], mu=1.0)
+    comp = Problem(name="ident-pair", operator=ident, prox_part=ident)
     t = run(cfg("OHM_DRS", 1.0, 1), comp, np.array([1.0]))
     assert np.allclose(t.auxiliary["w"][0], [0.5])
     assert np.allclose(t.main[1], [0.75])
@@ -295,7 +303,8 @@ def test_ohm_drs_hand_recursion():
 
 def test_ohm_drs_zero_prox_reduces_to_halpern_on_smooth():
     smooth = make_bilinear([[1.0]])
-    comp = make_composite(ZeroProx(), ZeroProx(), smooth)
+    whole = BoxProx([-np.inf], [np.inf])  # the zero function's indicator
+    comp = make_composite(whole, whole, smooth)
     z0 = np.array([1.0, -0.5])
     t = run(cfg("OHM_DRS", 0.4, 50), comp, z0)
     u = ohm_u_form(smooth, 0.4, 50, z0)
@@ -658,7 +667,9 @@ def test_slim_recording_memory_independent_of_iterations(name):
     d, iters = 500, 400
     smooth = make_random_monotone_affine(0, d, 2.0)
     if name in ("OHM_DRS", "APG_STAR"):
-        prob = make_composite(BoxProx(-np.ones(d), np.ones(d)), None, smooth)
+        box = BoxProx(-np.ones(d), np.ones(d))
+        prob = Problem(name="box-affine", operator=smooth.operator,
+                       prox_part=BlockProxOperator([(box, d)]))
     else:
         prob = smooth
     extra = {"theta": 1.0} if name == "APS_V" else {}

@@ -13,7 +13,6 @@ from anchorkit.errors import (
 )
 from anchorkit.operators import (
     AffineOperator,
-    BallProx,
     BlockProxOperator,
     BoxProx,
     CallableOperator,
@@ -282,18 +281,20 @@ def _fallback_cases():
     continuum = make_composite(unit, unit,
                                make_bilinear([[0.0]], want_solution=False))
     affine = make_bilinear([[1.0]], [0.3], [-0.2], want_solution=False)
-    ball = BallProx(np.zeros(1), 0.5)
+    # A = the identity: the prox of ||z||^2 / 2, not a block of boxes
+    affine_prox = Problem(name="affine-prox", operator=affine.operator,
+                          prox_part=AffineOperator(np.eye(2)))
     m, t = affine.operator.matrix, affine.operator.offset
     forward_only = Problem(
         name="forward-only",
         prox_part=BlockProxOperator([(unit, 1), (unit, 1)]),
         operator=CallableOperator(lambda z: m @ z + t, 2, affine.lipschitz))
     return {"continuum": continuum,
-            "ball": make_composite(ball, ball, affine),
+            "affine-prox": affine_prox,
             "forward-only": forward_only}
 
 
-@pytest.mark.parametrize("name", ["continuum", "ball", "forward-only"])
+@pytest.mark.parametrize("name", ["continuum", "affine-prox", "forward-only"])
 def test_reference_falls_back_to_the_splitting_run_bitwise(name):
     comp = _fallback_cases()[name]
     xi0 = np.array([2.0, -1.5])
@@ -448,20 +449,19 @@ def test_affine_zero_projection_against_hand_construction():
 
 def test_fixed_point_reference_hits_solution():
     prob = make_random_scsc(4, 5, 4.0, 1.0, z_star=np.ones(5))
-    ref = analysis.fixed_point_reference(prob, 0.25, iterations=20_000,
+    # z* = (1, ..., 1) is inside the box and B z* = 0, so the splitting
+    # fixed point z* + alpha B z* is z* itself; one step of the fallback run
+    # would be far from it
+    box = BoxProx(np.full(5, -2.0), np.full(5, 2.0))
+    comp = replace(prob, prox_part=BlockProxOperator([(box, 5)]))
+    ref = analysis.fixed_point_reference(comp, 0.25, iterations=1,
                                          start=np.zeros(5))
-    assert np.linalg.norm(ref - prob.solution) < 1e-3
-
-
-def test_bound_report_serialization():
-    rep = analysis.BoundReport(label="demo", k_values=np.arange(3),
-                               measured=np.array([0.1, 0.2, 0.3]),
-                               bound=np.array([1.0, 1.0, 1.0]))
-    doc = rep.to_dict()
-    assert doc["verdict"] == "pass" and doc["label"] == "demo"
-    rows = list(rep.csv_rows())
-    assert rows[2][0] == 2 and abs(rows[2][3] - 0.3) < 1e-12
-    assert "verdict" in rep.to_json()
+    assert np.linalg.norm(ref - prob.solution) < 1e-12
+    # only a composite has a splitting map; a non-composite problem's
+    # reference point is its known solution
+    with pytest.raises(ConfigError, match="composite"):
+        analysis.fixed_point_reference(prob, 0.25, iterations=20_000,
+                                       start=np.zeros(5))
 
 
 def test_point_convergence_unique_zero_invariant():

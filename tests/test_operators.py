@@ -16,23 +16,19 @@ from anchorkit.errors import (
 )
 from anchorkit.operators import (
     AffineOperator,
-    BallProx,
     BlockProxOperator,
     BoxProx,
     CallableOperator,
-    L1Prox,
-    QuadraticProx,
+    GradientOperator,
     ScaledOperator,
     ShiftedIdentityPlus,
     SumOperator,
     ZeroOperator,
-    ZeroProx,
     _load_flapack,
     _lu_factor,
     as_vector,
     drs_map,
     forward_backward_residual,
-    prox,
     solve_strongly_monotone,
     vector_norm,
 )
@@ -80,7 +76,8 @@ def test_affine_eval_bits_match_matmul(d):
 
 def test_wrong_shape_raises_dimension_mismatch():
     affine = AffineOperator(ROT, [0.5, -0.5])
-    block = BlockProxOperator([(BoxProx([0.0], [1.0]), 1), (L1Prox(1.0), 1)])
+    block = BlockProxOperator([(BoxProx([0.0], [1.0]), 1),
+                               (BoxProx([-1.0], [1.0]), 1)])
     zero = ZeroOperator(2)
     calls = (affine, lambda z: affine.resolvent(0.5, z),
              lambda z: block.resolvent(0.5, z),
@@ -171,22 +168,49 @@ def _shifted_site(alpha):
 
 
 def _block_prox_site(alpha):
-    BlockProxOperator([(L1Prox(1.0), 3)]).resolvent(alpha, np.ones(3))
+    box = BoxProx(np.zeros(3), np.ones(3))
+    BlockProxOperator([(box, 3)]).resolvent(alpha, np.ones(3))
 
 
-def _prox_site(alpha):
-    prox(L1Prox(1.0), alpha, np.ones(3))
+def _zero_site(alpha):
+    ZeroOperator(3).resolvent(alpha, np.ones(3))
 
 
 @pytest.mark.parametrize("alpha", [np.nan, np.inf, 0.0, -1.0])
 @pytest.mark.parametrize("site", [_affine_site, _shifted_site,
-                                  _block_prox_site, _prox_site])
+                                  _block_prox_site, _zero_site])
 def test_step_size_must_be_positive_and_finite(site, alpha):
     # refused before any arithmetic: no numpy warning, no NaN result
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="positive and finite"):
             site(alpha)
+
+
+def _identity(z):
+    return z
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: ScaledOperator(np.nan, AffineOperator(ROT)), ValueError),
+    (lambda: ScaledOperator(np.inf, ZeroOperator(2)), ValueError),
+    (lambda: ScaledOperator(-np.inf, ZeroOperator(2)), ValueError),
+    (lambda: CallableOperator(_identity, 2, np.nan), InfeasibleConstants),
+    (lambda: CallableOperator(_identity, 2, np.inf), InfeasibleConstants),
+    (lambda: CallableOperator(_identity, 2, 1.0, mu=np.nan),
+     InfeasibleConstants),
+    (lambda: GradientOperator(_identity, 2, np.nan), InfeasibleConstants),
+    (lambda: GradientOperator(_identity, 2, np.inf, mu=np.inf),
+     InfeasibleConstants),
+], ids=["scaled-nan", "scaled-inf-zero", "scaled-minus-inf", "callable-L-nan",
+        "callable-L-inf", "callable-mu-nan", "gradient-L-nan",
+        "gradient-inf"])
+def test_constants_must_be_finite(build, error):
+    # refused at construction, so no operator carries a NaN or infinite L
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match="finite"):
+            build()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -322,7 +346,7 @@ def test_scaled_and_sum():
 
 def test_box_prox_clamp():
     spec = BoxProx([0.0, 0.0], [1.0, 1.0])
-    assert np.allclose(prox(spec, 0.3, [2.0, -0.5]), [1.0, 0.0])
+    assert np.allclose(spec.apply(0.3, np.array([2.0, -0.5])), [1.0, 0.0])
     with pytest.raises(ValueError):
         BoxProx([1.0], [0.0])
 
@@ -355,7 +379,7 @@ def test_half_infinite_box():
                   np.full(3, np.nan), np.full(3, -0.0)):
         assert spec.apply(0.3, value).tobytes() == np.clip(
             value, lower, upper).tobytes()
-    assert np.array_equal(prox(spec, 1.0, x), [0.0, 2.0, -0.0])
+    assert np.array_equal(spec.apply(1.0, x), [0.0, 2.0, -0.0])
     assert BoxProx([-np.inf], [np.inf]).apply(1.0, x[:1]) == x[:1]
     # still refused: NaN bounds, lower > upper, and bounds that empty a
     # coordinate
@@ -366,54 +390,31 @@ def test_half_infinite_box():
             BoxProx(lo, hi)
 
 
-def test_l1_prox_against_grid_oracle():
-    spec = L1Prox(1.0)
-    got = prox(spec, 0.5, [2.0, -0.2])
-    assert np.allclose(got, [1.5, 0.0])
-    # grid-search oracle on the scalar prox objective
-    for x in (2.0, -0.2, 0.7, -3.1):
-        grid = np.linspace(-5, 5, 200001)
-        objective = 0.5 * 1.0 * np.abs(grid) + 0.5 * (grid - x) ** 2
-        best = grid[np.argmin(objective)]
-        assert abs(prox(spec, 0.5, [x])[0] - best) < 1e-4
-
-
 def test_zero_prox_identity():
-    x = np.array([0.3, -0.7])
-    assert np.array_equal(prox(ZeroProx(), 2.0, x), x)
-
-
-def test_ball_prox():
-    spec = BallProx([0.0, 0.0], 1.0)
-    inside = np.array([0.3, 0.4])
-    assert np.array_equal(prox(spec, 1.0, inside), inside)
-    out = prox(spec, 1.0, [3.0, 4.0])
-    assert np.allclose(out, [0.6, 0.8])
-    assert abs(np.linalg.norm(out) - 1.0) < 1e-12
-
-
-def test_quadratic_prox_stationarity():
-    # oracle: gradient of alpha f + 0.5 ||. - x||^2 vanishes at the prox
-    rng = np.random.default_rng(1)
-    q = rng.standard_normal((3, 3))
-    q = q @ q.T
-    c = rng.standard_normal(3)
-    spec = QuadraticProx(q, c)
-    x = rng.standard_normal(3)
-    p = prox(spec, 0.7, x)
-    grad = 0.7 * (q @ p + c) + (p - x)
-    assert np.linalg.norm(grad) < 1e-10
-    with pytest.raises(ValueError):
-        QuadraticProx(-np.eye(2), np.zeros(2))
+    # the box over all of R^d is the indicator of the whole space, the zero
+    # function: its prox returns every input bit for bit, and so does the
+    # block operator and the zero operator's resolvent
+    whole = BoxProx(np.full(6, -np.inf), np.full(6, np.inf))
+    block = BlockProxOperator([(whole, 6)])
+    x = np.array([0.3, -0.7, -0.0, np.nan, np.inf, -np.inf])
+    for alpha in (0.3, 2.0):
+        assert whole.apply(alpha, x).tobytes() == x.tobytes()
+        assert block.resolvent(alpha, x).tobytes() == x.tobytes()
+        assert (ZeroOperator(6).resolvent(alpha, x).tobytes()
+                == x.tobytes())
 
 
 def test_block_prox_operator():
-    op = BlockProxOperator([(BoxProx([0.0], [1.0]), 1), (L1Prox(1.0), 2)])
+    op = BlockProxOperator([(BoxProx([0.0], [1.0]), 1),
+                            (BoxProx([-1.0, 0.0], [2.5, 1.0]), 2)])
     z = np.array([2.0, 3.0, -0.5])
     out = op.resolvent(0.5, z)
     assert np.allclose(out, [1.0, 2.5, 0.0])
     with pytest.raises(NoForwardEvaluation):
         op(z)
+    # every block's box must span its width
+    with pytest.raises(DimensionMismatch):
+        BlockProxOperator([(BoxProx([0.0], [1.0]), 2)])
 
 
 # ---------------------------------------------------------------------------
@@ -424,18 +425,19 @@ def test_forward_backward_residual_collapses():
     b = AffineOperator(ROT, np.array([0.5, 0.0]))
     z = np.array([0.2, -0.4])
     # A = 0 makes the backward step the identity
-    g = forward_backward_residual(ZeroProx(), b, 0.7, z)
+    g = forward_backward_residual(ZeroOperator(2), b, 0.7, z)
     assert np.allclose(g, b(z), atol=1e-14)
     # B = 0 and z inside the box: fixed point of the projection
-    g = forward_backward_residual(BoxProx([0.0, -1.0], [1.0, 1.0]),
-                                  ZeroOperator(2), 0.7, np.array([0.5, 0.0]))
+    box = BlockProxOperator([(BoxProx([0.0, -1.0], [1.0, 1.0]), 2)])
+    g = forward_backward_residual(box, ZeroOperator(2), 0.7,
+                                  np.array([0.5, 0.0]))
     assert np.allclose(g, 0.0)
 
 
 def test_forward_backward_residual_hand_value():
     # 1-d: box [0,1], B = identity, alpha = 0.5, z = 0.4 -> G = 0.4
-    g = forward_backward_residual(BoxProx([0.0], [1.0]),
-                                  AffineOperator([[1.0]]), 0.5,
+    box = BlockProxOperator([(BoxProx([0.0], [1.0]), 1)])
+    g = forward_backward_residual(box, AffineOperator([[1.0]]), 0.5,
                                   np.array([0.4]))
     assert np.allclose(g, [0.4])
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import anchorkit
 from anchorkit import problems, suites
 from anchorkit.errors import (
     DimensionMismatch,
@@ -16,7 +17,7 @@ from anchorkit.errors import (
     InfeasibleConstants,
     SingularSystem,
 )
-from anchorkit.operators import BoxProx, L1Prox, ZeroProx, forward_backward_residual
+from anchorkit.operators import BoxProx, forward_backward_residual
 from anchorkit.problems import (
     Problem,
     _brent_root,
@@ -206,7 +207,6 @@ def test_figure1_values_and_gradient():
     prob = make_figure1()
     op = prob.operator
     z = np.array([-2.0, 3.0])
-    assert abs(op.objective(z) - 16.0 / 3.0) < 1e-14
     assert np.allclose(op(z), [-16.0 / 3.0, -16.0 / 9.0])
     assert np.allclose(op(np.array([0.0, 2.5])), [0.0, 0.0])
     assert np.array_equal(prob.start, [-2.0, 3.0])
@@ -217,9 +217,11 @@ def test_figure1_values_and_gradient():
 
 
 def test_figure1_gradient_matches_finite_differences():
-    prob = make_figure1()
-    op = prob.operator
-    value = op.value
+    op = make_figure1().operator
+
+    def value(z):  # f(x1, x2) = 4 x1^2 / x2
+        return 4.0 * z[0] ** 2 / z[1]
+
     rng = np.random.default_rng(5)
     for _ in range(100):
         z = np.array([rng.uniform(-3, 3), rng.uniform(0.5, 5.0)])
@@ -233,8 +235,10 @@ def test_figure1_gradient_matches_finite_differences():
 
 
 def test_composite_zero_prox_reduces_to_smooth():
+    # the box over the whole line is the zero function's indicator
     smooth = make_bilinear([[1.0]])
-    comp = make_composite(ZeroProx(), ZeroProx(), smooth)
+    whole = BoxProx([-np.inf], [np.inf])
+    comp = make_composite(whole, whole, smooth)
     z = np.array([0.3, -0.8])
     assert np.array_equal(comp.prox_part.resolvent(0.5, z), z)
     assert comp.is_composite and comp.lipschitz == smooth.lipschitz
@@ -250,30 +254,25 @@ def test_composite_box_solution_kkt():
     assert np.linalg.norm(g) <= 1e-9
 
 
-def test_composite_soft_threshold_solution():
-    # L1 on x, zero on y, smooth part (x - 2, y - 0.7):
-    # bisection oracle for the stationarity of |x| + (x - 2)^2 / 2
+def test_composite_box_active_bound_solution():
+    # x in [0, 1], y free, smooth part (x - 2, y - 0.7): the zero sits at
+    # the upper bound x = 1, where -(x - 2) = 1 lies in the normal cone
+    # [0, inf), and at y = 0.7
     target = np.array([2.0, 0.7])
     smooth = Problem(name="shifted-identity",
                      operator=AffineOperator(np.eye(2), -target),
                      notes={"x_dim": 1, "y_dim": 1})
-    comp = make_composite(L1Prox(1.0), ZeroProx(), smooth)
-
-    def stat(x):  # subgradient selection for x > 0
-        return 1.0 + x - 2.0
-
-    lo, hi = 0.0, 2.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if stat(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-    x_star = 0.5 * (lo + hi)
-    assert abs(x_star - 1.0) < 1e-12
-    z_star = np.array([x_star, target[1]])
-    g = forward_backward_residual(comp.prox_part, comp.operator, 0.4, z_star)
+    comp = make_composite(BoxProx([0.0], [1.0]), BoxProx([-np.inf], [np.inf]),
+                          smooth)
+    g = forward_backward_residual(comp.prox_part, comp.operator, 0.4,
+                                  np.array([1.0, 0.7]))
     assert np.linalg.norm(g) <= 1e-9
+    g = forward_backward_residual(comp.prox_part, comp.operator, 0.4,
+                                  np.array([0.9, 0.7]))
+    assert np.linalg.norm(g) > 1e-2
+    with pytest.raises(DimensionMismatch):
+        make_composite(BoxProx([0.0], [1.0]), BoxProx([0.0], [1.0]),
+                       make_random_monotone_affine(0, 2, 1.0))
 
 
 def test_box_bilinear_composite_deterministic():
@@ -290,6 +289,13 @@ def test_box_bilinear_composite_on_orthant():
     assert np.array_equal(comp.operator.matrix, bounded.operator.matrix)
     got = comp.prox_part.resolvent(0.5, np.array([-1.0, 3.0, 1e300, 0.5]))
     assert np.array_equal(got, [0.0, 3.0, 1e300, 0.5])
+
+
+def test_exports_resolve():
+    # every exported name is defined, and none is listed twice
+    for name in anchorkit.__all__:
+        getattr(anchorkit, name)
+    assert len(set(anchorkit.__all__)) == len(anchorkit.__all__)
 
 
 def test_build_problem_registry():
