@@ -32,15 +32,10 @@ from .operators import (
     Operator,
     as_vector,
     iterative_resolvent,
+    max_step_strongly_monotone,
 )
 from .problems import Problem
 
-ALGORITHMS = (
-    "GDA", "EG", "OG", "AGM",
-    "EAG", "EAG_V", "FEG", "APS", "APS_V",
-    "OHM", "OC_HALPERN", "SM_EAG_PLUS",
-    "OHM_DRS", "APG_STAR",
-)
 
 @dataclass(frozen=True)
 class AlgorithmConfig:
@@ -162,17 +157,18 @@ class _Counted:
         return self.prox_part.resolvent(alpha, z)
 
 
-def max_step_strongly_monotone(lipschitz: float, mu: float) -> float:
-    """Largest admissible SM_EAG_PLUS step, (sqrt(L^2 + mu^2) + mu) / L^2."""
-    if lipschitz <= 0:
-        return math.inf
-    return (math.hypot(lipschitz, mu) + mu) / lipschitz ** 2
+def _oc_halpern_gamma(config: AlgorithmConfig, mu: float) -> float | None:
+    """OC_HALPERN's gamma: ``config.gamma`` when set, else sqrt(1 + 2 alpha mu)
+    on a strongly monotone problem, else None."""
+    if config.gamma is None and mu > 0:
+        return math.sqrt(1.0 + 2.0 * config.alpha * mu)
+    return config.gamma
 
 
 def validate_config(config: AlgorithmConfig, problem: Problem) -> None:
     """Reject configurations outside the admissible range for the problem."""
     name = config.algorithm
-    if name not in ALGORITHMS:
+    if name not in _RULES:
         raise ConfigError(f"unknown algorithm {name!r}")
     if not (config.alpha > 0 and math.isfinite(config.alpha)):
         raise ConfigError("alpha must be a positive finite real")
@@ -213,9 +209,7 @@ def validate_config(config: AlgorithmConfig, problem: Problem) -> None:
         if config.momentum_a <= 2:
             raise ConfigError("AGM momentum parameter must exceed 2")
     if name == "OC_HALPERN":
-        gamma = config.gamma
-        if gamma is None and mu > 0:
-            gamma = math.sqrt(1.0 + 2.0 * config.alpha * mu)
+        gamma = _oc_halpern_gamma(config, mu)
         if gamma is None or gamma <= 1.0:
             raise ConfigError("OC_HALPERN needs gamma > 1 (or a strongly "
                               "monotone problem to derive it from)")
@@ -591,9 +585,7 @@ class _OHM(_Rule):
 class _OCHalpern(_OHM):
     def __init__(self, config, problem, oracle, z0):
         super().__init__(config, problem, oracle, z0)
-        gamma = config.gamma
-        if gamma is None:
-            gamma = math.sqrt(1.0 + 2.0 * config.alpha * problem.mu)
+        gamma = _oc_halpern_gamma(config, problem.mu)
         self.gamma_sq = gamma * gamma
         self.params = {"gamma": gamma}
 
@@ -667,3 +659,6 @@ _RULES = {
     "OHM_DRS": _OHMDRS,
     "APG_STAR": _APGStar,
 }
+
+#: every algorithm name ``run`` accepts
+ALGORITHMS = tuple(_RULES)

@@ -46,13 +46,12 @@ LYAPUNOV_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Paired measured/theoretical sequences with a pass/fail verdict."""
+    """Measured values and their theoretical bound at the indices ``k_values``
+    (a rule leaves out a k where its bound is vacuous), with a verdict."""
 
-    label: str
     k_values: Array
     measured: Array
     bound: Array
-    skipped: str = ""
 
     def __post_init__(self):
         if not (len(self.k_values) == len(self.measured) == len(self.bound)):
@@ -83,7 +82,6 @@ class BoundReport:
 class LyapunovTrace:
     """Values V_k, decrements V_k - V_{k+1}, and certified lower bounds."""
 
-    label: str
     values: Array
     decrements: Array
     certified_lower: Array
@@ -203,8 +201,7 @@ def merging_path(rule: str, trace1, trace2, problem: Problem) -> MergingPath:
                 f"(no theoretical constant)")
     else:
         raise ConfigError(f"unknown merging-path rule {rule!r}")
-    report = BoundReport(label=f"{rule}-merging-path", k_values=k,
-                         measured=measured, bound=bound)
+    report = BoundReport(k_values=k, measured=measured, bound=bound)
     return MergingPath(sq, report, passed, note)
 
 
@@ -232,8 +229,8 @@ def mp_bound_feg_ohm(trace_feg, problem: Problem,
     k = np.arange(len(sq))
     const = float(np.sum((trace_feg.start - z_star) ** 2)
                   / (1.0 - alpha ** 2 * lip ** 2))
-    return BoundReport(label="feg-ohm-merging-path", k_values=k,
-                       measured=k ** 2 * sq, bound=np.full(k.shape, const))
+    return BoundReport(k_values=k, measured=k ** 2 * sq,
+                       bound=np.full(k.shape, const))
 
 
 def feg_summability_report(trace_feg, problem: Problem) -> BoundReport:
@@ -245,17 +242,20 @@ def feg_summability_report(trace_feg, problem: Problem) -> BoundReport:
     if alpha * lip >= 1.0:
         raise ConfigError("bound needs alpha * L < 1")
     z_star = reference_point(trace_feg, problem)
-    op_main = trace_feg.op_evals
-    op_half = trace_feg.auxiliary["op_half"]
-    n = len(op_half)
-    k = np.arange(n)
-    summand = np.sum((k[:, None] * op_main[:n] - (k[:, None] + 1) * op_half) ** 2,
-                     axis=1)
-    partial = np.cumsum(summand)
+    summand = _feg_mismatch(trace_feg)
+    n = len(summand)
     const = float(np.sum((trace_feg.start - z_star) ** 2)
                   / (alpha ** 2 * (1.0 - alpha ** 2 * lip ** 2)))
-    return BoundReport(label="feg-summability", k_values=k,
-                       measured=partial, bound=np.full(n, const))
+    return BoundReport(k_values=np.arange(n), measured=np.cumsum(summand),
+                       bound=np.full(n, const))
+
+
+def _feg_mismatch(trace_feg) -> Array:
+    """||k B z_k - (k+1) B z_{k+1/2}||^2 for each step k of an FEG trace."""
+    op_half = trace_feg.auxiliary["op_half"]
+    k = np.arange(len(op_half), dtype=float)[:, None]
+    return np.sum((k * trace_feg.op_evals[:len(op_half)]
+                   - (k + 1.0) * op_half) ** 2, axis=1)
 
 
 def mp_bound_apg(trace_apg, trace_drs, problem: Problem,
@@ -276,8 +276,7 @@ def mp_bound_apg(trace_apg, trace_drs, problem: Problem,
         bound = c ** 2 / (lip ** 2 * (k + 1.0) ** 2)
     else:
         bound = np.ones(n)  # degenerate smooth part; paths coincide exactly
-    return BoundReport(label="apg-drs-merging-path", k_values=k,
-                       measured=measured, bound=bound)
+    return BoundReport(k_values=k, measured=measured, bound=bound)
 
 
 def apg_path_constant(problem: Problem, xi0, xi_star) -> float:
@@ -305,11 +304,9 @@ def lyapunov_feg(trace, alpha: float, z_star, lipschitz: float) -> LyapunovTrace
     values = (0.5 * alpha * k ** 2 * np.sum(bz[:n + 1] ** 2, axis=1)
               + k * np.sum(bz[:n + 1] * (z[:n + 1] - z0), axis=1)
               + head)
-    kk = np.arange(n, dtype=float)
-    summand = np.sum((kk[:, None] * bz[:n] - (kk[:, None] + 1.0) * bh) ** 2,
-                     axis=1)
-    cert = 0.5 * alpha * (1.0 - alpha ** 2 * lipschitz ** 2) * summand
-    return LyapunovTrace(label="feg-lyapunov", values=values,
+    cert = (0.5 * alpha * (1.0 - alpha ** 2 * lipschitz ** 2)
+            * _feg_mismatch(trace))
+    return LyapunovTrace(values=values,
                          decrements=values[:-1] - values[1:],
                          certified_lower=cert)
 
@@ -355,7 +352,7 @@ def lyapunov_sm_eag(trace, alpha: float, mu: float, lipschitz: float,
     if n > 1:
         scale = q[1:n] / (beta[1:n] * (1.0 - beta[1:n]))
         cert[1:] = lead * scale * mismatch[1:]
-    return LyapunovTrace(label="sm-eag-lyapunov", values=values,
+    return LyapunovTrace(values=values,
                          decrements=values[:-1] - values[1:],
                          certified_lower=cert)
 
@@ -383,7 +380,6 @@ def rate_bound(trace, problem: Problem, rule: str, reference=None) -> BoundRepor
     dist0 = float(np.sum((start - ref) ** 2))
     k = np.arange(len(res))
     measured = res ** 2
-    skipped = ""
     if rule in ("OHM_RATE", "OHM_DRS_RATE"):
         # OHM_DRS residuals already carry the alpha factor
         bound = 4.0 * dist0 / (k + 1.0) ** 2
@@ -395,25 +391,22 @@ def rate_bound(trace, problem: Problem, rule: str, reference=None) -> BoundRepor
         bound = (1.0 + 1.0 / gamma) ** 2 * dist0 / gsum ** 2
     elif rule == "SM_EAG_RATE":
         x = 1.0 + 2.0 * alpha * problem.mu
-        k, measured = k[1:], measured[1:]
+        k, measured = k[1:], measured[1:]  # the anchor sum is empty at k = 0
         root = math.sqrt(x)
         if root > 1.0:
             gsum = (root ** k - 1.0) / (root - 1.0)  # sum_{j<k} x^(j/2)
         else:
             gsum = k.astype(float)  # mu = 0 limit
         bound = (root + 1.0) ** 2 * dist0 / (alpha ** 2 * gsum ** 2)
-        skipped = "k=0 (empty anchor sum)"
     elif rule == "FEG_RATE":
-        k, measured = k[1:], measured[1:]
+        k, measured = k[1:], measured[1:]  # the bound is vacuous at k = 0
         bound = 4.0 * problem.lipschitz ** 2 * dist0 / k.astype(float) ** 2
-        skipped = "k=0 (bound vacuous)"
     else:  # APG_RESIDUAL
         lip = problem.lipschitz
         c = apg_path_constant(problem, start, ref)
         bound = ((3.0 + alpha * lip) ** 2 * c ** 2
                  / (alpha ** 2 * lip ** 2 * (k + 1.0) ** 2))
-    return BoundReport(label=rule.lower().replace("_", "-"), k_values=k,
-                       measured=measured, bound=bound, skipped=skipped)
+    return BoundReport(k_values=k, measured=measured, bound=bound)
 
 
 # ---------------------------------------------------------------------------

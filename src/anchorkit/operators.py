@@ -116,13 +116,21 @@ def vector_norm(v: Array) -> float:
     return math.sqrt(v.dot(v))
 
 
+def max_step_strongly_monotone(lipschitz: float, mu: float) -> float:
+    """Largest admissible step of the strongly monotone anchored
+    extragradient (SM_EAG_PLUS), (sqrt(L^2 + mu^2) + mu) / L^2."""
+    if lipschitz <= 0:
+        return math.inf
+    return (math.hypot(lipschitz, mu) + mu) / lipschitz ** 2
+
+
 def solve_strongly_monotone(fn, mu: float, lipschitz: float, z0: Array,
                             tol: float, max_iterations: int):
     """Drive ``||fn(z)|| <= tol`` for a strongly monotone Lipschitz map.
 
     Runs the anchored extragradient recursion for a ``mu``-strongly monotone,
-    ``lipschitz``-Lipschitz single-valued map with the admissible-maximal step
-    ``(sqrt(L^2 + mu^2) + mu) / L^2``, anchor weights given by inverse
+    ``lipschitz``-Lipschitz single-valued map with the largest admissible
+    step ``max_step_strongly_monotone``, anchor weights given by inverse
     geometric sums, and the matching damped half-step. Converges linearly;
     the caller sets the budget ``max_iterations`` (``iterative_resolvent``
     gives ``10 L log(1/tol)``, at least 20). Each step forms
@@ -135,7 +143,7 @@ def solve_strongly_monotone(fn, mu: float, lipschitz: float, z0: Array,
     """
     if mu <= 0 or lipschitz < mu:
         raise InfeasibleConstants(f"need 0 < mu <= L, got mu={mu}, L={lipschitz}")
-    step = (math.hypot(lipschitz, mu) + mu) / lipschitz ** 2
+    step = max_step_strongly_monotone(lipschitz, mu)
     x = 1.0 + 2.0 * step * mu
     damped = step / x
     anchor = np.array(z0, dtype=float)
@@ -338,6 +346,8 @@ class CallableOperator(_ForwardOnly):
     def __init__(self, fn, dim, lipschitz, mu=0.0, domain=None):
         self.fn = fn
         self.dim = int(dim)
+        if self.dim <= 0:
+            raise DimensionMismatch("dimension must be positive")
         self.lipschitz = float(lipschitz)
         self.mu = float(mu)
         self.domain = domain
@@ -415,12 +425,17 @@ class ScaledOperator(Operator):
 
 
 class SumOperator(_ForwardOnly):
-    """Pointwise sum of forward-evaluable operators."""
+    """Pointwise sum of operators, each with a forward evaluation and a finite
+    Lipschitz constant (else InfeasibleConstants), as its resolvent needs."""
 
     def __init__(self, parts):
         parts = tuple(parts)
         if not parts:
             raise ValueError("need at least one operator")
+        if any(type(p).__call__ is Operator.__call__
+               or not math.isfinite(p.lipschitz) for p in parts):
+            raise InfeasibleConstants("every part needs a forward evaluation "
+                                      "and a finite Lipschitz constant")
         dims = {p.dim for p in parts}
         if len(dims) != 1:
             raise DimensionMismatch(f"mixed dimensions {dims}")

@@ -8,7 +8,7 @@ construction; the rate and bound checks divide by these constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,7 @@ class Problem:
     ``operator`` is the forward-evaluable part B. ``prox_part`` (A) is present
     only for composite problems and is touched exclusively through its
     resolvent. ``solution`` is a point z* with 0 in (A + B)(z*) when known
-    by construction.
+    by construction; ``start``, when set, is the problem's default start.
     """
 
     name: str
@@ -41,7 +41,6 @@ class Problem:
     prox_part: Operator | None = None
     solution: Array | None = None
     start: Array | None = None
-    notes: dict = field(default_factory=dict)
 
     @property
     def dim(self) -> int:
@@ -98,13 +97,7 @@ def make_bilinear(coupling, x_shift=None, y_shift=None, want_solution=True,
                     "pass want_solution=False")
             solution = np.linalg.solve(mat, -shift)
     op = AffineOperator(mat, shift, lipschitz=lip, mu=0.0)
-
-    def saddle_value(z):
-        x, y = z[:m], z[m:]
-        return float(x @ (a @ y) + b @ x - c @ y)
-
-    return Problem(name=name, operator=op, solution=solution,
-                   notes={"x_dim": m, "y_dim": n, "saddle_value": saddle_value})
+    return Problem(name=name, operator=op, solution=solution)
 
 
 def make_random_monotone_affine(seed, d, lipschitz, z_star=None,
@@ -132,7 +125,7 @@ def make_random_monotone_affine(seed, d, lipschitz, z_star=None,
     zs = np.zeros(d) if z_star is None else as_vector(z_star, d)
     op = AffineOperator(mat, -mat @ zs, lipschitz=lipschitz, mu=0.0)
     return Problem(name=name or f"monotone-affine-{seed}", operator=op,
-                   solution=zs, notes={"seed": seed})
+                   solution=zs)
 
 
 def _brent_root(f, a, b, xtol, rtol, maxiter=100):
@@ -262,8 +255,7 @@ def make_random_scsc(seed, d, lipschitz, mu, z_star=None, name=None) -> Problem:
         mat = _scsc_matrix(rng, d, lipschitz, mu)
     zs = np.zeros(d) if z_star is None else as_vector(z_star, d)
     op = AffineOperator(mat, -mat @ zs, lipschitz=lipschitz, mu=mu)
-    return Problem(name=name or f"scsc-{seed}", operator=op, solution=zs,
-                   notes={"seed": seed})
+    return Problem(name=name or f"scsc-{seed}", operator=op, solution=zs)
 
 
 #: caption defaults for the 2-d convex benchmark
@@ -278,8 +270,8 @@ def make_figure1() -> Problem:
     """Convex minimization of f(x1, x2) = 4 x1^2 / x2 on the open domain x2 > 0.
 
     Gradient (8 x1/x2, -4 x1^2/x2^2); minimizers are the ray x1 = 0. Ships
-    the benchmark defaults: start (-2, 3), momentum-method step 0.025 and
-    anchored-method step 0.1 (both overridable by the caller).
+    the benchmark start (-2, 3); the benchmark steps are the module constants
+    ``FIGURE1_AGM_STEP`` (momentum) and ``FIGURE1_ANCHORED_STEP`` (anchored).
     """
 
     def grad(z):
@@ -289,26 +281,23 @@ def make_figure1() -> Problem:
     op = GradientOperator(grad, dim=2, lipschitz=FIGURE1_LIPSCHITZ,
                           domain=lambda z: z[1] > 0.0)
     return Problem(name="figure1", operator=op,
-                   start=np.array(FIGURE1_START),
-                   notes={"agm_step": FIGURE1_AGM_STEP,
-                          "anchored_step": FIGURE1_ANCHORED_STEP})
+                   start=np.array(FIGURE1_START))
 
 
 def make_composite(prox_x, prox_y, smooth: Problem, name=None) -> Problem:
-    """Composite splitting: A acts blockwise as the box proxes (prox_x,
-    prox_y), B is the smooth problem's saddle operator.
+    """Composite splitting: A acts blockwise as the box proxes prox_x, then
+    prox_y, on the stacked vector; B is the smooth problem's operator.
 
-    The x/y widths come from the smooth problem's ``x_dim``/``y_dim`` notes;
-    a smooth problem without them raises DimensionMismatch.
+    The block widths are the boxes' own ``dim``; DimensionMismatch is raised
+    unless they add up to the smooth problem's dimension.
     """
-    if "x_dim" not in smooth.notes:
-        raise DimensionMismatch("smooth problem lacks x/y split")
-    a_part = BlockProxOperator([(prox_x, smooth.notes["x_dim"]),
-                                (prox_y, smooth.notes["y_dim"])])
+    if prox_x.dim + prox_y.dim != smooth.dim:
+        raise DimensionMismatch(f"box widths {prox_x.dim} + {prox_y.dim} != "
+                                f"smooth dimension {smooth.dim}")
+    a_part = BlockProxOperator([(prox_x, prox_x.dim), (prox_y, prox_y.dim)])
     return Problem(name=name or f"composite-{smooth.name}",
                    operator=smooth.operator, prox_part=a_part,
-                   start=smooth.start,
-                   notes=dict(smooth.notes))
+                   start=smooth.start)
 
 
 def make_box_bilinear_composite(seed, box_lower=0.0, box_upper=1.0,
@@ -321,10 +310,8 @@ def make_box_bilinear_composite(seed, box_lower=0.0, box_upper=1.0,
     smooth = make_bilinear(a, b, c, want_solution=False)
     lo = np.full(size, float(box_lower))
     hi = np.full(size, float(box_upper))
-    composite = make_composite(BoxProx(lo, hi), BoxProx(lo, hi), smooth,
-                               name=name or f"box-bilinear-{seed}")
-    composite.notes["seed"] = seed
-    return composite
+    return make_composite(BoxProx(lo, hi), BoxProx(lo, hi), smooth,
+                          name=name or f"box-bilinear-{seed}")
 
 
 PROBLEM_BUILDERS = {

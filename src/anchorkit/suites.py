@@ -1,7 +1,8 @@
 """Named verification suites behind the command-line ``verify`` entry point.
 
 Each suite runs one acceptance experiment end to end and returns a
-SuiteResult with per-check lines; the full registry is in ``SUITES``.
+SuiteResult with per-check lines. A suite's name is its key in ``SUITES``,
+the full registry, and is written nowhere else.
 """
 from __future__ import annotations
 
@@ -45,7 +46,6 @@ SET_LIPSCHITZ = 10.0
 
 @dataclass
 class SuiteResult:
-    name: str
     passed: bool = True
     lines: list = field(default_factory=list)
     details: dict = field(default_factory=dict)
@@ -62,9 +62,9 @@ class SuiteResult:
 # shared problem sets
 
 
-def _affine_set(count=20):
+def _affine_set():
     problems = []
-    for seed in range(count):
+    for seed in range(20):
         prob = make_random_monotone_affine(seed, SET_DIM, SET_LIPSCHITZ)
         z0 = np.random.default_rng(1000 + seed).standard_normal(SET_DIM)
         problems.append((prob, z0))
@@ -95,7 +95,7 @@ def _worst(reports):
 
 
 def ohm_rate_suite() -> SuiteResult:
-    out = SuiteResult("ohm-rate")
+    out = SuiteResult()
     reports = []
     for prob, z0 in _affine_set():
         trace = run(AlgorithmConfig("OHM", alpha=0.1, max_iterations=1000),
@@ -118,7 +118,7 @@ def ohm_rate_suite() -> SuiteResult:
 
 
 def feg_ohm_mp_suite() -> SuiteResult:
-    out = SuiteResult("feg-ohm-mp")
+    out = SuiteResult()
     for ratio_al in (0.25, 0.5, 0.9):
         mps, sums = [], []
         for prob, z0 in _affine_set():
@@ -144,7 +144,7 @@ def feg_ohm_mp_suite() -> SuiteResult:
 
 
 def eag_aps_mp_suite() -> SuiteResult:
-    out = SuiteResult("eag-aps-mp")
+    out = SuiteResult()
     iterations = 2000
     split = analysis.reported_split(iterations + 1)
     sups = {"EAG": 0.0, "APS": 0.0}
@@ -176,7 +176,7 @@ def eag_aps_mp_suite() -> SuiteResult:
 
 
 def sm_eag_rate_suite() -> SuiteResult:
-    out = SuiteResult("sm-eag-rate")
+    out = SuiteResult()
     reports = []
     for prob, z0 in _scsc_set():
         alpha = max_step_strongly_monotone(prob.lipschitz, prob.mu)
@@ -212,7 +212,7 @@ def sm_eag_rate_suite() -> SuiteResult:
 
 
 def sm_oc_halpern_mp_suite() -> SuiteResult:
-    out = SuiteResult("sm-eag-oc-halpern-mp")
+    out = SuiteResult()
     lipschitz, mu = 10.0, 0.1
     alpha = 0.5 * max_step_strongly_monotone(lipschitz, mu)
     weights = analysis.geometric_weights(alpha, mu, 501)
@@ -241,7 +241,7 @@ def sm_oc_halpern_mp_suite() -> SuiteResult:
 
 
 def lyapunov_suite() -> SuiteResult:
-    out = SuiteResult("lyapunov")
+    out = SuiteResult()
     problems = _scsc_set()
     for ratio_al in (0.25, 0.5, 0.9):
         ok = True
@@ -283,7 +283,7 @@ def _apg_setup(iterations):
 
 
 def apg_mp_suite() -> SuiteResult:
-    out = SuiteResult("apg-mp")
+    out = SuiteResult()
     prob, alpha, xi0, apg = _apg_setup(300)
     drs = run(AlgorithmConfig("OHM_DRS", alpha=alpha, max_iterations=300),
               prob, xi0)
@@ -310,7 +310,7 @@ def apg_mp_suite() -> SuiteResult:
 
 
 def apg_oracle_trend_suite() -> SuiteResult:
-    out = SuiteResult("apg-oracle-trend")
+    out = SuiteResult()
     _, _, _, apg = _apg_setup(1000)
     counts = apg.auxiliary["inner_b_evals"]
     ks = np.array([10, 100, 1000])
@@ -334,7 +334,7 @@ def apg_oracle_trend_suite() -> SuiteResult:
 
 
 def point_convergence_suite() -> SuiteResult:
-    out = SuiteResult("point-convergence")
+    out = SuiteResult()
     cases = []
     prob1 = make_bilinear(np.diag([1.0, 0.0]), [0.2, 0.0], [-0.3, 0.0],
                           want_solution=False, name="rank-deficient-1")
@@ -408,7 +408,7 @@ def figure1_summary(runs):
 
 
 def figure1_suite() -> SuiteResult:
-    out = SuiteResult("figure1")
+    out = SuiteResult()
     prob, runs, failures = figure1_trajectories()
     for label, msg in failures.items():
         out.info(f"{label} left the domain: {msg}")
@@ -452,7 +452,7 @@ def speedup_problem() -> Problem:
 
 
 def speedup_suite() -> SuiteResult:
-    out = SuiteResult("speedup")
+    out = SuiteResult()
     tol = 1e-6
     prob = speedup_problem()
     z0 = np.array([1.0, 0.7, -0.7])
@@ -491,7 +491,7 @@ def _sample_pairs(rng, dim, count):
 
 
 def operator_property_suite() -> SuiteResult:
-    out = SuiteResult("operator-properties")
+    out = SuiteResult()
     pairs = 1000
     rng = np.random.default_rng(99)
     slack = 1e-9
@@ -574,8 +574,15 @@ def operator_property_suite() -> SuiteResult:
     out.check(resid_ok, f"||u - J(u)|| <= a/(1-aL) ||B u|| on {pairs} points")
 
     # saddle map agrees with central differences of the scalar function
-    bil = make_bilinear([[1.0, -0.4], [0.6, 0.2]], [0.3, -0.1], [0.2, 0.5])
-    value = bil.notes["saddle_value"]
+    # L(x, y) = x'Ay + b'x - c'y
+    a = np.array([[1.0, -0.4], [0.6, 0.2]])
+    b, c = np.array([0.3, -0.1]), np.array([0.2, 0.5])
+    bil = make_bilinear(a, b, c)
+
+    def value(z):
+        x, y = z[:2], z[2:]
+        return float(x @ (a @ y) + b @ x - c @ y)
+
     step = 1e-6
     fd_ok = True
     for z in rng.standard_normal((100, 4)):

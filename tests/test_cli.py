@@ -308,7 +308,7 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     from anchorkit import suites as suites_mod
 
     def failing():
-        r = suites_mod.SuiteResult("stub")
+        r = suites_mod.SuiteResult()
         r.check(False, "forced failure")
         return r
 
@@ -316,6 +316,24 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     assert main(["verify", "stub"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
+
+
+def test_verify_all_prints_one_header_per_suite(monkeypatch, capsys):
+    # a suite's name is its SUITES key, and verify prints that key
+    from anchorkit import suites as suites_mod
+
+    def stub():
+        r = suites_mod.SuiteResult()
+        r.info("stub")
+        return r
+
+    for name in suites_mod.SUITES:
+        monkeypatch.setitem(suites_mod.SUITES, name, stub)
+    assert main(["verify", "all"]) == 0
+    headers = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("==")]
+    assert headers == [f"== suite {name}: PASS"
+                       for name in sorted(suites_mod.SUITES)]
 
 
 def test_run_uses_problem_default_start(tmp_path, capsys):

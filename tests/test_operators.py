@@ -20,6 +20,7 @@ from anchorkit.operators import (
     BoxProx,
     CallableOperator,
     GradientOperator,
+    Operator,
     ScaledOperator,
     ShiftedIdentityPlus,
     SumOperator,
@@ -211,6 +212,33 @@ def test_constants_must_be_finite(build, error):
         warnings.simplefilter("error")
         with pytest.raises(error, match="finite"):
             build()
+
+
+@pytest.mark.parametrize("cls", [CallableOperator, GradientOperator])
+@pytest.mark.parametrize("dim", [0, -3])
+def test_callable_dimension_must_be_positive(cls, dim):
+    with pytest.raises(DimensionMismatch):
+        cls(_identity, dim, 1.0)
+
+
+class _ResolventOnly(Operator):
+    """A finite-constant operator with no forward map."""
+
+    dim, lipschitz, mu = 2, 1.0, 0.0
+
+
+def _box_block():
+    return BlockProxOperator([(BoxProx([0, 0], [1, 1]), 2)])
+
+
+@pytest.mark.parametrize("part", [
+    _box_block, lambda: ScaledOperator(0.5, _box_block()), _ResolventOnly,
+], ids=["block-prox", "scaled-block-prox", "no-forward-map"])
+def test_sum_refuses_a_part_without_a_finite_forward_map(part):
+    # refused at construction, before a resolvent could compute an
+    # infinite inner budget
+    with pytest.raises(InfeasibleConstants):
+        SumOperator([AffineOperator(np.eye(2)), part()])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -62,8 +62,14 @@ def test_bilinear_singular_raises():
 
 
 def test_bilinear_saddle_value_consistent():
-    prob = make_bilinear([[1.0, -0.5], [0.3, 0.2]], [0.1, 0.0], [0.0, -0.2])
-    value = prob.notes["saddle_value"]
+    a = np.array([[1.0, -0.5], [0.3, 0.2]])
+    b, c = np.array([0.1, 0.0]), np.array([0.0, -0.2])
+    prob = make_bilinear(a, b, c)
+
+    def value(z):  # L(x, y) = x'Ay + b'x - c'y
+        x, y = z[:2], z[2:]
+        return x @ (a @ y) + b @ x - c @ y
+
     # finite differences of the scalar saddle reproduce the operator
     rng = np.random.default_rng(0)
     for z in rng.standard_normal((20, 4)):
@@ -210,8 +216,8 @@ def test_figure1_values_and_gradient():
     assert np.allclose(op(z), [-16.0 / 3.0, -16.0 / 9.0])
     assert np.allclose(op(np.array([0.0, 2.5])), [0.0, 0.0])
     assert np.array_equal(prob.start, [-2.0, 3.0])
-    assert prob.notes["agm_step"] == 0.025
-    assert prob.notes["anchored_step"] == 0.1
+    assert problems.FIGURE1_AGM_STEP == 0.025
+    assert problems.FIGURE1_ANCHORED_STEP == 0.1
     with pytest.raises(DomainViolation):
         op(np.array([1.0, -0.1]))
 
@@ -260,8 +266,7 @@ def test_composite_box_active_bound_solution():
     # [0, inf), and at y = 0.7
     target = np.array([2.0, 0.7])
     smooth = Problem(name="shifted-identity",
-                     operator=AffineOperator(np.eye(2), -target),
-                     notes={"x_dim": 1, "y_dim": 1})
+                     operator=AffineOperator(np.eye(2), -target))
     comp = make_composite(BoxProx([0.0], [1.0]), BoxProx([-np.inf], [np.inf]),
                           smooth)
     g = forward_backward_residual(comp.prox_part, comp.operator, 0.4,
@@ -270,9 +275,12 @@ def test_composite_box_active_bound_solution():
     g = forward_backward_residual(comp.prox_part, comp.operator, 0.4,
                                   np.array([0.9, 0.7]))
     assert np.linalg.norm(g) > 1e-2
-    with pytest.raises(DimensionMismatch):
-        make_composite(BoxProx([0.0], [1.0]), BoxProx([0.0], [1.0]),
-                       make_random_monotone_affine(0, 2, 1.0))
+    # the blocks are the boxes' own widths, which must add up to the
+    # smooth dimension
+    for widths in ((1, 2), (2, 1), (2, 2)):
+        boxes = [BoxProx(np.zeros(w), np.ones(w)) for w in widths]
+        with pytest.raises(DimensionMismatch, match="smooth dimension"):
+            make_composite(*boxes, smooth)
 
 
 def test_box_bilinear_composite_deterministic():

@@ -5,7 +5,7 @@ from anchorkit import analysis, suites
 
 
 def test_eag_aps_mp_summary_fails_with_any_problem(monkeypatch):
-    few = suites._affine_set(count=2)
+    few = suites._affine_set()[:2]
     monkeypatch.setattr(suites, "_affine_set", lambda: few)
     merging_path = analysis.merging_path
 
