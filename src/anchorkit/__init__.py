@@ -16,7 +16,6 @@ from .analysis import (
 )
 from .operators import (
     AffineOperator,
-    BlockProxOperator,
     BoxProx,
     CallableOperator,
     GradientOperator,
@@ -46,7 +45,6 @@ __all__ = [
     "ALGORITHMS",
     "AffineOperator",
     "AlgorithmConfig",
-    "BlockProxOperator",
     "BoundReport",
     "BoxProx",
     "CallableOperator",

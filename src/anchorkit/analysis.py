@@ -30,7 +30,6 @@ from .errors import (
 from .operators import (
     AffineOperator,
     Array,
-    BlockProxOperator,
     BoxProx,
     drs_map,
     vector_norm,
@@ -449,10 +448,10 @@ def fixed_point_reference(problem: Problem, alpha: float, start,
     OHM_DRS run refuses it with ConfigError.
 
     For a composite whose B is an ``AffineOperator`` and whose prox part is
-    made of ``BoxProx`` blocks, with at most ``MAX_BOX_FACES`` faces, the
-    zero of A + B is solved exactly face by face. When it is unique, so is
-    the fixed point u* = z* + alpha B z*, which is then the limit of the
-    anchored run from any start; it is returned if it passes the
+    a ``BoxProx`` with at most ``MAX_BOX_FACES`` faces, the zero of A + B
+    is solved exactly face by face. When it is unique, so is the fixed
+    point u* = z* + alpha B z*, which is then the limit of the anchored run
+    from any start; it is returned if it passes the
     certificate ||drs_map(u*) - u*|| <= ``REFERENCE_CERTIFICATE``. When
     every face was checked, no free block was singular and consistent, and
     no zero was found, A + B has no zero and the map no fixed point, so
@@ -472,8 +471,9 @@ def fixed_point_reference(problem: Problem, alpha: float, start,
 
 
 def _box_composite_fixed_point(problem: Problem, alpha: float):
-    """The exact splitting fixed point of a box composite with affine B, or
-    None when this solver does not apply or cannot certify a unique one;
+    """The exact splitting fixed point of a composite whose B is an
+    ``AffineOperator`` and whose prox part is a ``BoxProx``, or None when
+    this solver does not apply or cannot certify a unique one;
     MissingReferencePoint when it proves that there is none.
 
     z is a zero of N_box + M z + t exactly when, with F the coordinates
@@ -488,12 +488,9 @@ def _box_composite_fixed_point(problem: Problem, alpha: float):
     found, and finding none proves that there is none.
     """
     op, a_part = problem.operator, problem.prox_part
-    if not (isinstance(op, AffineOperator)
-            and isinstance(a_part, BlockProxOperator)
-            and all(isinstance(spec, BoxProx) for spec, _ in a_part.blocks)):
+    if not (isinstance(op, AffineOperator) and isinstance(a_part, BoxProx)):
         return None
-    lower = np.concatenate([spec.lower for spec, _ in a_part.blocks])
-    upper = np.concatenate([spec.upper for spec, _ in a_part.blocks])
+    lower, upper = a_part.lower, a_part.upper
     # per coordinate: free (side 0), or fixed at a finite lower (-1) or
     # upper (+1) bound
     options = [[(0, 0.0)] + [(side, b) for side, b in ((-1, lo), (1, hi))

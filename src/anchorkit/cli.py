@@ -76,7 +76,8 @@ def _parse_experiment(cfg):
     _finite_numbers("problem.params", problem_cfg.get("params"))
     try:
         problem = build_problem(pname, problem_cfg.get("params"))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, MemoryError) as exc:
+        # MemoryError: a size whose arrays cannot be allocated at all
         raise ConfigError(f"problem {pname}: {exc}") from None
     iterations = _number("iterations", cfg.get("iterations", 1000),
                          integer=True)

@@ -1,5 +1,5 @@
-"""Monotone operators on R^d: forward evaluation, resolvents, the box prox
-and the block prox operator built from it.
+"""Monotone operators on R^d: forward evaluation, resolvents, and the box
+indicator, whose resolvent is the clamp onto the box.
 
 Every operator carries exact regularity metadata (Lipschitz constant and
 strong-monotonicity modulus) supplied at construction; nothing is estimated
@@ -15,7 +15,6 @@ from __future__ import annotations
 import importlib.util
 import math
 import os
-from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES
 from typing import NoReturn
 
@@ -247,8 +246,9 @@ class AffineOperator(Operator):
 
     If ``lipschitz``/``mu`` are omitted they are computed from the matrix
     (2-norm and smallest eigenvalue of the symmetric part); if supplied they
-    are verified against the spectrum at construction. The matrix must be
-    monotone: min eig of (M + M^T)/2 >= -1e-9.
+    must be finite and nonnegative, and are verified against the spectrum at
+    construction. The matrix must be monotone: min eig of (M + M^T)/2 >=
+    -1e-9.
 
     Forward evaluation is ``matrix.dot(z) + offset``: ``ndarray.dot`` gives
     the bits of ``matrix @ z`` without the ``matmul`` ufunc's dispatch. The
@@ -264,6 +264,10 @@ class AffineOperator(Operator):
         m = np.asarray(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
             raise DimensionMismatch(f"expected a square matrix, got {m.shape}")
+        if not all(c is None or 0.0 <= c < math.inf for c in (lipschitz, mu)):
+            raise InfeasibleConstants(f"declared constants must be finite and "
+                                      f"nonnegative, got L={lipschitz}, "
+                                      f"mu={mu}")
         self.dim = m.shape[0]
         self.matrix = m.copy()
         self.offset = (np.zeros(self.dim) if offset is None
@@ -455,63 +459,32 @@ class SumOperator(_ForwardOnly):
 # proximal maps
 
 
-@dataclass(frozen=True)
-class BoxProx:
-    """Indicator of a coordinatewise box; prox is the clamp, for any alpha.
+class BoxProx(Operator):
+    """Indicator of a coordinatewise box; its resolvent is the clamp onto
+    the box, for any alpha. No forward evaluation exists (the normal cone
+    is set-valued). A product of boxes, one per block, is one box on the
+    stacked vector.
 
     A bound may be infinite (``lower = 0``, ``upper = inf`` is an orthant),
     but no bound is NaN, no lower bound is +inf and no upper bound is -inf,
-    so the box is never empty. The clamp is numpy's ``clip`` ufunc, which
-    ``np.clip`` calls after its Python wrapper frames; the bits are those of
-    ``np.clip``, signed zeros, infinite bounds and NaN included.
+    so the box is never empty. The bounds are copies of the caller's. The
+    clamp is one call of numpy's ``clip`` ufunc, which ``np.clip`` calls
+    after its Python wrapper frames; the bits are those of ``np.clip``,
+    signed zeros, infinite bounds and NaN included, and so those of
+    clamping each block on its own.
     """
 
-    lower: Array
-    upper: Array
-
-    def __post_init__(self):
-        lo = as_vector(self.lower, finite=False)
-        hi = as_vector(self.upper, lo.size, finite=False)
+    def __init__(self, lower, upper):
+        lo = as_vector(lower, finite=False).copy()
+        hi = as_vector(upper, lo.size, finite=False).copy()
         if np.any(lo > hi):
             raise ValueError("box needs lower <= upper coordinatewise")
         if np.any(lo == np.inf) or np.any(hi == -np.inf):
             raise ValueError("box needs lower < +inf and upper > -inf")
         lo.setflags(write=False)
         hi.setflags(write=False)
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
-
-    @property
-    def dim(self):
-        return self.lower.size
-
-    def apply(self, alpha, x):
-        return _clip(x, self.lower, self.upper)
-
-
-class BlockProxOperator(Operator):
-    """Saddle subdifferential represented only through blockwise prox maps.
-
-    ``blocks`` is a sequence of (``BoxProx``, width) pairs covering the
-    stacked vector; the resolvent applies each prox to its slice. No forward
-    evaluation exists (the underlying operator is set-valued).
-    """
-
-    def __init__(self, blocks):
-        blocks = tuple(blocks)
-        if not blocks:
-            raise ValueError("need at least one block")
-        widths = []
-        for spec, width in blocks:
-            width = int(width)
-            if width <= 0:
-                raise DimensionMismatch("block widths must be positive")
-            if spec.dim != width:
-                raise DimensionMismatch(
-                    f"spec dimension {spec.dim} != block width {width}")
-            widths.append(width)
-        self.blocks = blocks
-        self.dim = sum(widths)
+        self.lower, self.upper = lo, hi
+        self.dim = lo.size
         self.lipschitz = math.inf
         self.mu = 0.0
 
@@ -524,12 +497,7 @@ class BlockProxOperator(Operator):
             self._dim_mismatch(z)
         if not 0.0 < alpha < math.inf:
             raise ValueError(f"alpha must be positive and finite, got {alpha}")
-        out = np.empty(self.dim)
-        at = 0
-        for spec, width in self.blocks:
-            out[at:at + width] = spec.apply(alpha, z[at:at + width])
-            at += width
-        return out
+        return _clip(z, self.lower, self.upper)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from .errors import DimensionMismatch, InfeasibleConstants, SingularSystem
 from .operators import (
     AffineOperator,
     Array,
-    BlockProxOperator,
     BoxProx,
     GradientOperator,
     Operator,
@@ -284,19 +283,19 @@ def make_figure1() -> Problem:
                    start=np.array(FIGURE1_START))
 
 
-def make_composite(prox_x, prox_y, smooth: Problem, name=None) -> Problem:
-    """Composite splitting: A acts blockwise as the box proxes prox_x, then
-    prox_y, on the stacked vector; B is the smooth problem's operator.
+def make_composite(box: BoxProx, smooth: Problem, name=None) -> Problem:
+    """Composite splitting: A is the indicator of ``box`` (a product of
+    boxes, such as one per player, is one box on the stacked vector); B is
+    the smooth problem's operator.
 
-    The block widths are the boxes' own ``dim``; DimensionMismatch is raised
-    unless they add up to the smooth problem's dimension.
+    DimensionMismatch is raised unless the box has the smooth problem's
+    dimension.
     """
-    if prox_x.dim + prox_y.dim != smooth.dim:
-        raise DimensionMismatch(f"box widths {prox_x.dim} + {prox_y.dim} != "
+    if box.dim != smooth.dim:
+        raise DimensionMismatch(f"box dimension {box.dim} != "
                                 f"smooth dimension {smooth.dim}")
-    a_part = BlockProxOperator([(prox_x, prox_x.dim), (prox_y, prox_y.dim)])
     return Problem(name=name or f"composite-{smooth.name}",
-                   operator=smooth.operator, prox_part=a_part,
+                   operator=smooth.operator, prox_part=box,
                    start=smooth.start)
 
 
@@ -308,10 +307,9 @@ def make_box_bilinear_composite(seed, box_lower=0.0, box_upper=1.0,
     b = shift_scale * rng.standard_normal(size)
     c = shift_scale * rng.standard_normal(size)
     smooth = make_bilinear(a, b, c, want_solution=False)
-    lo = np.full(size, float(box_lower))
-    hi = np.full(size, float(box_upper))
-    return make_composite(BoxProx(lo, hi), BoxProx(lo, hi), smooth,
-                          name=name or f"box-bilinear-{seed}")
+    box = BoxProx(np.full(2 * size, float(box_lower)),
+                  np.full(2 * size, float(box_upper)))
+    return make_composite(box, smooth, name=name or f"box-bilinear-{seed}")
 
 
 PROBLEM_BUILDERS = {

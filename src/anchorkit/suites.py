@@ -535,13 +535,13 @@ def operator_property_suite() -> SuiteResult:
         out.check(nonexp_ok, f"{name}: resolvent nonexpansive on {pairs} pairs")
         out.check(ident_ok, f"{name}: z - J(z) = alpha B(J(z)) on {pairs} pairs")
 
-    # blockwise prox maps are exact resolvents too
-    blockprox = make_box_bilinear_composite(seed=21).prox_part
-    zs, ws = _sample_pairs(rng, blockprox.dim, pairs)
+    # the box prox (one box per player, stacked) is an exact resolvent too
+    box = make_box_bilinear_composite(seed=21).prox_part
+    zs, ws = _sample_pairs(rng, box.dim, pairs)
     nonexp_ok = True
     for z, w in zip(zs, ws):
-        jz = blockprox.resolvent(0.3, z)
-        jw = blockprox.resolvent(0.3, w)
+        jz = box.resolvent(0.3, z)
+        jw = box.resolvent(0.3, w)
         if np.linalg.norm(jz - jw) > np.linalg.norm(z - w) + slack:
             nonexp_ok = False
     out.check(nonexp_ok, f"blockwise prox: resolvent nonexpansive on "

@@ -13,7 +13,6 @@ from anchorkit.algorithms import (
 from anchorkit.errors import ConfigError, StepSizeCollapse
 from anchorkit.operators import (
     AffineOperator,
-    BlockProxOperator,
     BoxProx,
     ZeroOperator,
     as_vector,
@@ -303,8 +302,9 @@ def test_ohm_drs_hand_recursion():
 
 def test_ohm_drs_zero_prox_reduces_to_halpern_on_smooth():
     smooth = make_bilinear([[1.0]])
-    whole = BoxProx([-np.inf], [np.inf])  # the zero function's indicator
-    comp = make_composite(whole, whole, smooth)
+    # the zero function's indicator
+    whole = BoxProx([-np.inf] * 2, [np.inf] * 2)
+    comp = make_composite(whole, smooth)
     z0 = np.array([1.0, -0.5])
     t = run(cfg("OHM_DRS", 0.4, 50), comp, z0)
     u = ohm_u_form(smooth, 0.4, 50, z0)
@@ -314,7 +314,7 @@ def test_ohm_drs_zero_prox_reduces_to_halpern_on_smooth():
 def test_ohm_drs_zero_smooth_reduces_to_halpern_on_prox():
     box = BoxProx([-0.5, -0.5], [0.5, 0.5])
     comp = Problem(name="boxes", operator=ZeroOperator(2),
-                   prox_part=BlockProxOperator([(box, 2)]))
+                   prox_part=box)
     z0 = np.array([2.0, -3.0])
     t = run(cfg("OHM_DRS", 1.0, 30), comp, z0)
     u = z0.copy()
@@ -444,7 +444,7 @@ def test_anchored_steps_match_written_out_recursions_bitwise():
 def test_apg_star_zero_smooth_exits_inner_immediately():
     box = BoxProx([0.0, 0.0], [1.0, 1.0])
     comp = Problem(name="boxes", operator=ZeroOperator(2),
-                   prox_part=BlockProxOperator([(box, 2)]))
+                   prox_part=box)
     z0 = np.array([2.0, -1.0])
     t = run(cfg("APG_STAR", 0.5, 20), comp, z0)
     assert np.all(t.auxiliary["inner_b_evals"] == 1)  # one check, no steps
@@ -556,7 +556,7 @@ def test_anchor_dominates_first_half_step():
 def test_ohm_on_prox_only_problem():
     # no forward map: no op_evals, one billed resolvent per iteration
     box = BoxProx([-0.5, -0.5, -0.5], [0.5, 0.5, 0.5])
-    prob = Problem(name="box", operator=BlockProxOperator([(box, 3)]))
+    prob = Problem(name="box", operator=box)
     t = run(cfg("OHM", 1.0, 20), prob, np.array([2.0, -3.0, 0.25]))
     assert t.op_evals is None
     assert np.array_equal(t.resolvent_per_iter, np.ones(20, dtype=int))
@@ -669,7 +669,7 @@ def test_slim_recording_memory_independent_of_iterations(name):
     if name in ("OHM_DRS", "APG_STAR"):
         box = BoxProx(-np.ones(d), np.ones(d))
         prob = Problem(name="box-affine", operator=smooth.operator,
-                       prox_part=BlockProxOperator([(box, d)]))
+                       prox_part=box)
     else:
         prob = smooth
     extra = {"theta": 1.0} if name == "APS_V" else {}
@@ -733,8 +733,7 @@ def test_varying_step_methods_converge():
 def test_apg_star_first_tolerance_value():
     # with ||B xi_0|| = L the first inner tolerance is (1 + 1)/(1 * 2) = 1
     comp = Problem(name="ident-box", operator=AffineOperator(np.eye(2)),
-                   prox_part=BlockProxOperator(
-                       [(BoxProx([-9.0, -9.0], [9.0, 9.0]), 2)]))
+                   prox_part=BoxProx([-9.0, -9.0], [9.0, 9.0]))
     xi0 = np.array([1.0, 0.0])  # ||B xi0|| = 1 = L
     t = run(cfg("APG_STAR", 0.5, 3), comp, xi0)
     m = t.params["m_constant"]

@@ -13,7 +13,6 @@ from anchorkit.errors import (
 )
 from anchorkit.operators import (
     AffineOperator,
-    BlockProxOperator,
     BoxProx,
     CallableOperator,
     ZeroOperator,
@@ -276,18 +275,18 @@ def test_no_zero_composite_has_no_reference_point(seed):
 
 def _fallback_cases():
     """Composites the exact solver must leave to the splitting run."""
-    unit = BoxProx(np.zeros(1), np.ones(1))
+    unit = BoxProx(np.zeros(2), np.ones(2))
     # every point of the box is a zero of 0 * z + 0
-    continuum = make_composite(unit, unit,
+    continuum = make_composite(unit,
                                make_bilinear([[0.0]], want_solution=False))
     affine = make_bilinear([[1.0]], [0.3], [-0.2], want_solution=False)
-    # A = the identity: the prox of ||z||^2 / 2, not a block of boxes
+    # A = the identity: the prox of ||z||^2 / 2, not a box
     affine_prox = Problem(name="affine-prox", operator=affine.operator,
                           prox_part=AffineOperator(np.eye(2)))
     m, t = affine.operator.matrix, affine.operator.offset
     forward_only = Problem(
         name="forward-only",
-        prox_part=BlockProxOperator([(unit, 1), (unit, 1)]),
+        prox_part=unit,
         operator=CallableOperator(lambda z: m @ z + t, 2, affine.lipschitz))
     return {"continuum": continuum,
             "affine-prox": affine_prox,
@@ -335,10 +334,8 @@ def test_rate_bound_missing_reference():
 
 
 def test_mp_bound_apg_zero_smooth_collapses():
-    from anchorkit.operators import BlockProxOperator, BoxProx
     comp = Problem(name="boxes", operator=ZeroOperator(2),
-                   prox_part=BlockProxOperator(
-                       [(BoxProx([0.0, 0.0], [1.0, 1.0]), 2)]))
+                   prox_part=BoxProx([0.0, 0.0], [1.0, 1.0]))
     z0 = np.array([2.0, -1.0])
     apg = run(cfg("APG_STAR", 0.5, 40), comp, z0)
     drs = run(cfg("OHM_DRS", 0.5, 40), comp, z0)
@@ -453,7 +450,7 @@ def test_fixed_point_reference_hits_solution():
     # fixed point z* + alpha B z* is z* itself; one step of the fallback run
     # would be far from it
     box = BoxProx(np.full(5, -2.0), np.full(5, 2.0))
-    comp = replace(prob, prox_part=BlockProxOperator([(box, 5)]))
+    comp = replace(prob, prox_part=box)
     ref = analysis.fixed_point_reference(comp, 0.25, iterations=1,
                                          start=np.zeros(5))
     assert np.linalg.norm(ref - prob.solution) < 1e-12

@@ -191,11 +191,19 @@ VALID_RUN = {
                  "params": {"seed": 0, "box_upper": float("inf")}},
      "start": DROP,
      "algorithms": [{"algorithm": "OHM_DRS", "alpha": 0.1}]},
+    # a 10^7 x 10^7 matrix (728 TiB) exceeds any 64-bit user address space,
+    # so numpy refuses it at once, without touching memory
+    {"problem": {"name": "box_bilinear_composite",
+                 "params": {"seed": 0, "size": 10 ** 7}}},
+    {"problem": {"name": "random_scsc",
+                 "params": {"seed": 0, "d": 10 ** 7, "lipschitz": 10.0,
+                            "mu": 1.0}}},
 ], ids=["alpha-string", "stop-residual-string", "nan-start", "json-array",
         "fractional-iterations", "unknown-problem-parameter", "negative-seed",
         "zero-resolvent-tolerance", "resolvent-tolerance",
         "ignored-momentum-a", "ignored-gamma", "ignored-theta",
-        "infinite-problem-parameter"])
+        "infinite-problem-parameter", "unallocatable-box-bilinear",
+        "unallocatable-scsc"])
 def test_bad_config_fails_closed(change, tmp_path, capsys):
     out = tmp_path / "out"
     doc = {**VALID_RUN, "outputs": {"directory": str(out)}}

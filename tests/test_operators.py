@@ -16,7 +16,6 @@ from anchorkit.errors import (
 )
 from anchorkit.operators import (
     AffineOperator,
-    BlockProxOperator,
     BoxProx,
     CallableOperator,
     GradientOperator,
@@ -77,8 +76,7 @@ def test_affine_eval_bits_match_matmul(d):
 
 def test_wrong_shape_raises_dimension_mismatch():
     affine = AffineOperator(ROT, [0.5, -0.5])
-    block = BlockProxOperator([(BoxProx([0.0], [1.0]), 1),
-                               (BoxProx([-1.0], [1.0]), 1)])
+    block = BoxProx([0.0, -1.0], [1.0, 1.0])
     zero = ZeroOperator(2)
     calls = (affine, lambda z: affine.resolvent(0.5, z),
              lambda z: block.resolvent(0.5, z),
@@ -170,7 +168,7 @@ def _shifted_site(alpha):
 
 def _block_prox_site(alpha):
     box = BoxProx(np.zeros(3), np.ones(3))
-    BlockProxOperator([(box, 3)]).resolvent(alpha, np.ones(3))
+    box.resolvent(alpha, np.ones(3))
 
 
 def _zero_site(alpha):
@@ -203,9 +201,14 @@ def _identity(z):
     (lambda: GradientOperator(_identity, 2, np.nan), InfeasibleConstants),
     (lambda: GradientOperator(_identity, 2, np.inf, mu=np.inf),
      InfeasibleConstants),
+    (lambda: AffineOperator(ROT, lipschitz=np.nan), InfeasibleConstants),
+    (lambda: AffineOperator(ROT, lipschitz=np.inf), InfeasibleConstants),
+    (lambda: AffineOperator(ROT, mu=np.nan), InfeasibleConstants),
+    (lambda: AffineOperator(ROT, mu=-0.5), InfeasibleConstants),
 ], ids=["scaled-nan", "scaled-inf-zero", "scaled-minus-inf", "callable-L-nan",
         "callable-L-inf", "callable-mu-nan", "gradient-L-nan",
-        "gradient-inf"])
+        "gradient-inf", "affine-L-nan", "affine-L-inf", "affine-mu-nan",
+        "affine-mu-negative"])
 def test_constants_must_be_finite(build, error):
     # refused at construction, so no operator carries a NaN or infinite L
     with warnings.catch_warnings():
@@ -228,7 +231,7 @@ class _ResolventOnly(Operator):
 
 
 def _box_block():
-    return BlockProxOperator([(BoxProx([0, 0], [1, 1]), 2)])
+    return BoxProx([0, 0], [1, 1])
 
 
 @pytest.mark.parametrize("part", [
@@ -374,7 +377,8 @@ def test_scaled_and_sum():
 
 def test_box_prox_clamp():
     spec = BoxProx([0.0, 0.0], [1.0, 1.0])
-    assert np.allclose(spec.apply(0.3, np.array([2.0, -0.5])), [1.0, 0.0])
+    assert np.allclose(spec.resolvent(0.3, np.array([2.0, -0.5])),
+                       [1.0, 0.0])
     with pytest.raises(ValueError):
         BoxProx([1.0], [0.0])
 
@@ -385,15 +389,14 @@ def test_box_prox_bits_match_np_clip():
     lower = np.array([0.0, -0.0, -1.0, -0.0, 0.0, -2.5])
     upper = np.array([1.0, 0.0, -1.0, -0.0, 0.0, 3.0])
     spec = BoxProx(lower, upper)
-    block = BlockProxOperator([(spec, 6)])
     for value in (0.0, -0.0, 1.0, -1.0, -2.5, 3.0, 0.5, np.nan, np.inf,
                   -np.inf):
         x = np.full(6, value)
         expected = np.clip(x, lower, upper)
-        assert spec.apply(0.3, x).tobytes() == expected.tobytes()
-        assert block.resolvent(0.3, x).tobytes() == expected.tobytes()
+        assert spec.resolvent(0.3, x).tobytes() == expected.tobytes()
     x = np.array([-0.0, 0.0, -1.0, 0.0, -0.0, np.nan])
-    assert spec.apply(0.3, x).tobytes() == np.clip(x, lower, upper).tobytes()
+    assert (spec.resolvent(0.3, x).tobytes()
+            == np.clip(x, lower, upper).tobytes())
 
 
 def test_half_infinite_box():
@@ -405,10 +408,10 @@ def test_half_infinite_box():
     x = np.array([-3.0, 5.0, -0.0])
     for value in (x, -x, np.full(3, np.inf), np.full(3, -np.inf),
                   np.full(3, np.nan), np.full(3, -0.0)):
-        assert spec.apply(0.3, value).tobytes() == np.clip(
+        assert spec.resolvent(0.3, value).tobytes() == np.clip(
             value, lower, upper).tobytes()
-    assert np.array_equal(spec.apply(1.0, x), [0.0, 2.0, -0.0])
-    assert BoxProx([-np.inf], [np.inf]).apply(1.0, x[:1]) == x[:1]
+    assert np.array_equal(spec.resolvent(1.0, x), [0.0, 2.0, -0.0])
+    assert BoxProx([-np.inf], [np.inf]).resolvent(1.0, x[:1]) == x[:1]
     # still refused: NaN bounds, lower > upper, and bounds that empty a
     # coordinate
     for lo, hi in (([np.nan], [1.0]), ([0.0], [np.nan]), ([1.0], [0.0]),
@@ -421,28 +424,56 @@ def test_half_infinite_box():
 def test_zero_prox_identity():
     # the box over all of R^d is the indicator of the whole space, the zero
     # function: its prox returns every input bit for bit, and so does the
-    # block operator and the zero operator's resolvent
+    # zero operator's resolvent
     whole = BoxProx(np.full(6, -np.inf), np.full(6, np.inf))
-    block = BlockProxOperator([(whole, 6)])
     x = np.array([0.3, -0.7, -0.0, np.nan, np.inf, -np.inf])
     for alpha in (0.3, 2.0):
-        assert whole.apply(alpha, x).tobytes() == x.tobytes()
-        assert block.resolvent(alpha, x).tobytes() == x.tobytes()
+        assert whole.resolvent(alpha, x).tobytes() == x.tobytes()
         assert (ZeroOperator(6).resolvent(alpha, x).tobytes()
                 == x.tobytes())
 
 
 def test_block_prox_operator():
-    op = BlockProxOperator([(BoxProx([0.0], [1.0]), 1),
-                            (BoxProx([-1.0, 0.0], [2.5, 1.0]), 2)])
+    # a box per block, stacked, is one box: its resolvent clamps each block
+    op = BoxProx([0.0, -1.0, 0.0], [1.0, 2.5, 1.0])
+    assert op.dim == 3 and op.resolvent_kind == "prox"
+    assert op.lipschitz == math.inf and op.mu == 0.0
     z = np.array([2.0, 3.0, -0.5])
     out = op.resolvent(0.5, z)
     assert np.allclose(out, [1.0, 2.5, 0.0])
     with pytest.raises(NoForwardEvaluation):
         op(z)
-    # every block's box must span its width
-    with pytest.raises(DimensionMismatch):
-        BlockProxOperator([(BoxProx([0.0], [1.0]), 2)])
+
+
+def test_stacked_box_clamps_each_block_bitwise():
+    # one clip over the stacked bounds gives the bits of clipping each
+    # block's slice with that block's bounds into a preallocated vector
+    blocks = [(np.array([0.0, -0.0]), np.array([1.0, 0.0])),
+              (np.array([-np.inf, -1.0, -0.0]), np.array([2.0, np.inf, -0.0])),
+              (np.array([-np.inf]), np.array([np.inf]))]
+    box = BoxProx(np.concatenate([lo for lo, _ in blocks]),
+                  np.concatenate([hi for _, hi in blocks]))
+    x = np.array([-0.0, 0.0, np.nan, -3.0, 0.0, -np.inf])
+    for z in (x, -x, np.full(6, np.nan), np.full(6, np.inf),
+              np.full(6, -np.inf), np.full(6, -0.0), np.full(6, 0.0)):
+        per_block = np.empty(6)
+        at = 0
+        for lo, hi in blocks:
+            per_block[at:at + lo.size] = np.clip(z[at:at + lo.size], lo, hi)
+            at += lo.size
+        for alpha in (0.3, 2.0):
+            assert box.resolvent(alpha, z).tobytes() == per_block.tobytes()
+
+
+def test_box_prox_copies_its_bounds():
+    lower, upper = np.zeros(2), np.ones(2)
+    box = BoxProx(lower, upper)
+    assert lower.flags.writeable and upper.flags.writeable
+    lower[:] = 5.0
+    upper[:] = 9.0
+    assert np.array_equal(box.lower, [0.0, 0.0])
+    assert np.array_equal(box.upper, [1.0, 1.0])
+    assert np.array_equal(box.resolvent(1.0, np.full(2, 3.0)), [1.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +487,7 @@ def test_forward_backward_residual_collapses():
     g = forward_backward_residual(ZeroOperator(2), b, 0.7, z)
     assert np.allclose(g, b(z), atol=1e-14)
     # B = 0 and z inside the box: fixed point of the projection
-    box = BlockProxOperator([(BoxProx([0.0, -1.0], [1.0, 1.0]), 2)])
+    box = BoxProx([0.0, -1.0], [1.0, 1.0])
     g = forward_backward_residual(box, ZeroOperator(2), 0.7,
                                   np.array([0.5, 0.0]))
     assert np.allclose(g, 0.0)
@@ -464,7 +495,7 @@ def test_forward_backward_residual_collapses():
 
 def test_forward_backward_residual_hand_value():
     # 1-d: box [0,1], B = identity, alpha = 0.5, z = 0.4 -> G = 0.4
-    box = BlockProxOperator([(BoxProx([0.0], [1.0]), 1)])
+    box = BoxProx([0.0], [1.0])
     g = forward_backward_residual(box, AffineOperator([[1.0]]), 0.5,
                                   np.array([0.4]))
     assert np.allclose(g, [0.4])

@@ -241,10 +241,10 @@ def test_figure1_gradient_matches_finite_differences():
 
 
 def test_composite_zero_prox_reduces_to_smooth():
-    # the box over the whole line is the zero function's indicator
+    # the box over the whole plane is the zero function's indicator
     smooth = make_bilinear([[1.0]])
-    whole = BoxProx([-np.inf], [np.inf])
-    comp = make_composite(whole, whole, smooth)
+    whole = BoxProx([-np.inf] * 2, [np.inf] * 2)
+    comp = make_composite(whole, smooth)
     z = np.array([0.3, -0.8])
     assert np.array_equal(comp.prox_part.resolvent(0.5, z), z)
     assert comp.is_composite and comp.lipschitz == smooth.lipschitz
@@ -253,8 +253,7 @@ def test_composite_zero_prox_reduces_to_smooth():
 def test_composite_box_solution_kkt():
     # box contains the unconstrained saddle (0, 0): residual vanishes there
     smooth = make_bilinear([[1.0]])
-    comp = make_composite(BoxProx([-1.0], [1.0]), BoxProx([-1.0], [1.0]),
-                          smooth)
+    comp = make_composite(BoxProx([-1.0, -1.0], [1.0, 1.0]), smooth)
     g = forward_backward_residual(comp.prox_part, comp.operator, 0.5,
                                   np.zeros(2))
     assert np.linalg.norm(g) <= 1e-9
@@ -267,20 +266,18 @@ def test_composite_box_active_bound_solution():
     target = np.array([2.0, 0.7])
     smooth = Problem(name="shifted-identity",
                      operator=AffineOperator(np.eye(2), -target))
-    comp = make_composite(BoxProx([0.0], [1.0]), BoxProx([-np.inf], [np.inf]),
-                          smooth)
+    comp = make_composite(BoxProx([0.0, -np.inf], [1.0, np.inf]), smooth)
     g = forward_backward_residual(comp.prox_part, comp.operator, 0.4,
                                   np.array([1.0, 0.7]))
     assert np.linalg.norm(g) <= 1e-9
     g = forward_backward_residual(comp.prox_part, comp.operator, 0.4,
                                   np.array([0.9, 0.7]))
     assert np.linalg.norm(g) > 1e-2
-    # the blocks are the boxes' own widths, which must add up to the
-    # smooth dimension
-    for widths in ((1, 2), (2, 1), (2, 2)):
-        boxes = [BoxProx(np.zeros(w), np.ones(w)) for w in widths]
+    # the box must have the smooth dimension
+    for width in (1, 3, 4):
+        box = BoxProx(np.zeros(width), np.ones(width))
         with pytest.raises(DimensionMismatch, match="smooth dimension"):
-            make_composite(*boxes, smooth)
+            make_composite(box, smooth)
 
 
 def test_box_bilinear_composite_deterministic():

@@ -14,7 +14,8 @@ with ``TREE/src`` on the path and BLAS pinned to one thread:
   ``params``, ``stop_reason``, the oracle totals and ``cumulative_counts``;
 - the stdout and exit code of ``anchorkit verify all``;
 - the files, stdout and exit codes of ``run`` (all algorithms), ``compare``
-  (the five declared pairs, a self pair and an undeclared pair) and
+  (the five declared pairs, APG_STAR/OHM_DRS again on a box composite too
+  large for the exact reference, a self pair and an undeclared pair) and
   ``figure1`` at 200 and 60 iterations.
 
 Every difference is printed. The exit code is 1 if there is one, else 0.
@@ -80,6 +81,9 @@ SCSC = {"name": "random_scsc",
 SCSC_WEAK = {"name": "random_scsc",
              "params": {"seed": 0, "d": 6, "lipschitz": 10.0, "mu": 0.1}}
 BOX = {"name": "box_bilinear_composite", "params": {"seed": 3}}
+#: 3^10 faces, more than the exact box solver enumerates: the one CLI case
+#: whose reference point is the end of the long OHM_DRS run
+BOX5 = {"name": "box_bilinear_composite", "params": {"seed": 3, "size": 5}}
 
 
 def _algos(names, alpha):
@@ -105,6 +109,8 @@ CLI_CASES = [
      _algos(("SM_EAG_PLUS", "OC_HALPERN"), 0.05), 200),
     ("compare", "APG_STAR-OHM_DRS", BOX, _algos(("APG_STAR", "OHM_DRS"), 0.1),
      200),
+    ("compare", "APG_STAR-OHM_DRS size 5", BOX5,
+     _algos(("APG_STAR", "OHM_DRS"), 0.1), 200),
     ("compare", "FEG-FEG", AFFINE10, _algos(("FEG", "FEG"), 0.05), 100),
     ("compare", "EG-OHM", AFFINE10, _algos(("EG", "OHM"), 0.05), 100),
 ]
