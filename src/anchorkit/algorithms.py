@@ -4,11 +4,12 @@ Each algorithm is a step rule that keeps only its recursion: ``evaluate(k)``
 computes the natural residual of row k, and ``step(k)`` moves from row k to
 row k + 1. A single loop in ``run`` advances every rule, and it alone owns
 the ``max_iterations``/``stop_residual`` stops, the oracle billing, the
-recording and the construction of the ``IterateTrace``. Anchor schedules
-differ structurally across algorithms (1/(k+1) vs 1/(k+2) vs inverse
-geometric sums), so each rule keeps its own. FEG and SM_EAG_PLUS share one
-rule, which must produce bit-identical iterates when mu = 0, and OHM is
-OC_HALPERN's rule at gamma = 1.
+recording and the construction of the ``IterateTrace``. Each recursion is
+written once, and a special case is its general rule with a parameter fixed
+or a part replaced: EAG_V and APS_V are EAG and APS anchored with 1/(k+2)
+instead of 1/(k+1) inside a step-size schedule; FEG is SM_EAG_PLUS at
+mu = 0, with bit-identical iterates; OHM is OC_HALPERN at gamma = 1; and
+APG_STAR is OHM_DRS from an inner point solved only to a tolerance eps_k.
 
 Oracle accounting: ``b_per_iter``/``resolvent_per_iter`` count the calls a
 rule makes through its counted oracle while evaluating row k and stepping to
@@ -412,10 +413,11 @@ class _AGM(_Rule):
 
 class _EAG(_ForwardResidual):
     step_fields = ("half", "op_half")
+    anchor_offset = 1  # beta_k = 1 / (k + anchor_offset)
 
     def step(self, k):
         alpha = self.alpha
-        beta = 1.0 / (k + 1)
+        beta = 1.0 / (k + self.anchor_offset)
         anchored = beta * self.z0 + (1.0 - beta) * self.z
         half = anchored - alpha * self.bz
         bh = self.b(half)
@@ -465,6 +467,7 @@ class _APS(_Rule):
     z_{k+1} = beta_k z0 + (1-beta_k) z_k - alpha B v_{k+1}."""
 
     row_fields = ("op_evals", "v", "op_v")
+    anchor_offset = 1  # beta_k = 1 / (k + anchor_offset)
 
     def __init__(self, config, problem, oracle, z0):
         super().__init__(config, problem, oracle, z0)
@@ -477,7 +480,7 @@ class _APS(_Rule):
 
     def step(self, k):
         alpha = self.alpha
-        beta = 1.0 / (k + 1)
+        beta = 1.0 / (k + self.anchor_offset)
         anchored = beta * self.z0 + (1.0 - beta) * self.z
         self.v = v = anchored - alpha * self.bv
         self.bv = bv = self.b(v)
@@ -485,33 +488,29 @@ class _APS(_Rule):
         return ()
 
 
-class _EAGV(_ForwardResidual):
-    """Varying steps: alpha_{k+1} = alpha_k (1 - alpha_k^2 L^2 /
-    ((k+1)(k+3)(1 - alpha_k^2 L^2))), beta_k = 1/(k+2)."""
+class _EAGV(_EAG):
+    """EAG with beta_k = 1/(k+2) and varying steps: alpha_{k+1} = alpha_k
+    (1 - alpha_k^2 L^2 / ((k+1)(k+3)(1 - alpha_k^2 L^2)))."""
 
     row_fields = ("op_evals", "alpha")
-    step_fields = ("half", "op_half")
+    anchor_offset = 2
 
     def __init__(self, config, problem, oracle, z0):
         super().__init__(config, problem, oracle, z0)
         self.lip_sq = problem.lipschitz ** 2
 
     def evaluate(self, k):
-        self.bz = bz = self.b(self.z)
-        return math.sqrt(bz.dot(bz)), (bz, self.alpha)
+        residual, row = super().evaluate(k)
+        return residual, row + (self.alpha,)
 
     def step(self, k):
         alpha = self.alpha
         if alpha <= 0 or 1.0 - (alpha_lip_sq := alpha ** 2 * self.lip_sq) <= 0:
             raise StepSizeCollapse(f"alpha_{k} = {alpha:.6g} inadmissible")
-        beta = 1.0 / (k + 2)
-        anchored = beta * self.z0 + (1.0 - beta) * self.z
-        half = anchored - alpha * self.bz
-        bh = self.b(half)
-        self.z = anchored - alpha * bh
+        made = super().step(k)
         ratio = alpha_lip_sq / (1.0 - alpha_lip_sq)
         self.alpha = alpha * (1.0 - ratio / ((k + 1.0) * (k + 3.0)))
-        return half, bh
+        return made
 
 
 class _APSV(_APS):
@@ -519,14 +518,15 @@ class _APSV(_APS):
     2 L^2 (1 + theta) family."""
 
     row_fields = ("op_evals", "v", "op_v", "alpha")
+    anchor_offset = 2
 
     def __init__(self, config, problem, oracle, z0):
         super().__init__(config, problem, oracle, z0)
         self.m_const = 2.0 * problem.lipschitz ** 2 * (1.0 + config.theta)
 
     def evaluate(self, k):
-        bz = self.raw(self.z)
-        return math.sqrt(bz.dot(bz)), (bz, self.v, self.bv, self.alpha)
+        residual, row = super().evaluate(k)
+        return residual, row + (self.alpha,)
 
     def step(self, k):
         alpha = self.alpha
@@ -536,15 +536,11 @@ class _APSV(_APS):
         if 1.0 - m_alpha_sq <= 0:
             raise StepSizeCollapse(
                 f"1 - 2 L^2 (1+theta) alpha_{k}^2 <= 0 at k = {k}")
-        beta = 1.0 / (k + 2)
-        keep = 1.0 - beta
-        anchored = beta * self.z0 + keep * self.z
-        self.v = v = anchored - alpha * self.bv
-        self.bv = bv = self.b(v)
-        self.z = anchored - alpha * bv
-        beta_next = 1.0 / (k + 3)
+        super().step(k)
+        beta = 1.0 / (k + self.anchor_offset)
+        beta_next = 1.0 / (k + 1 + self.anchor_offset)
         self.alpha = (alpha * beta_next * (1.0 - beta ** 2 - m_alpha_sq)
-                      / ((1.0 - m_alpha_sq) * beta * keep))
+                      / ((1.0 - m_alpha_sq) * beta * (1.0 - beta)))
         return ()
 
 
@@ -598,12 +594,17 @@ class _OHMDRS(_Rule):
     final_row_billed = True
 
     def evaluate(self, k):
-        alpha = self.alpha
-        w = self.b.resolvent(alpha, self.z)
-        self.bw = bw = self.b(w)
-        self.v = v = self.b.prox(alpha, w - alpha * bw)
-        gap = w - v  # = alpha G_alpha(w_k)
-        return math.sqrt(gap.dot(gap)), (w, v, bw)
+        w = self.b.resolvent(self.alpha, self.z)
+        gap = self.forward_backward(w)  # = alpha G_alpha(w_k)
+        return math.sqrt(gap.dot(gap)), (w, self.v, self.bw)
+
+    def forward_backward(self, w):
+        """Keep B w and v = J_{alpha A}(w - alpha B w) for the outer step;
+        return w - v."""
+        alpha, b = self.alpha, self.b
+        self.bw = bw = b(w)
+        self.v = v = b.prox(alpha, w - alpha * bw)
+        return w - v
 
     def step(self, k):
         beta = 1.0 / (k + 2)
@@ -611,15 +612,14 @@ class _OHMDRS(_Rule):
         return ()
 
 
-class _APGStar(_Rule):
-    """z_k solves ||z + alpha B z - xi_k|| <= eps_k: the iterative resolvent
-    of B at xi_k, solved to eps_k instead of to the resolvent tolerance, with
-    every inner call of B billed; xi_{k+1} = beta_k xi_0 + (1-beta_k)
-    (J_{alpha A}(z_k - alpha B z_k) + alpha B z_k); beta_k = 1/(k+2)."""
+class _APGStar(_OHMDRS):
+    """OHM_DRS from an inexact inner point: z_k solves ||z + alpha B z -
+    xi_k|| <= eps_k, the iterative resolvent of B at xi_k solved to eps_k
+    instead of to the resolvent tolerance, with every inner call of B
+    billed. The residual is ||G_alpha(z_k)||, without OHM_DRS's alpha."""
 
     row_fields = ("z", "op_z", "inner_b_evals")
     kept_fields = ("inner_b_evals",)
-    final_row_billed = True
 
     def __init__(self, config, problem, oracle, z0):
         super().__init__(config, problem, oracle, z0)
@@ -629,18 +629,11 @@ class _APGStar(_Rule):
         self.params = {"m_constant": self.m_const}
 
     def evaluate(self, k):
-        alpha, b = self.alpha, self.b
+        alpha = self.alpha
         eps_k = self.m_const / ((k + 1.0) ** 2 * (k + 2.0))
-        z, evals = iterative_resolvent(b, alpha, self.z, eps_k)
-        self.bz = bz = b(z)
-        self.v = v = b.prox(alpha, z - alpha * bz)
-        gap = z - v  # = alpha G_alpha(z_k)
-        return math.sqrt(gap.dot(gap)) / alpha, (z, bz, evals)
-
-    def step(self, k):
-        beta = 1.0 / (k + 2)
-        self.z = beta * self.z0 + (1.0 - beta) * (self.v + self.alpha * self.bz)
-        return ()
+        z, evals = iterative_resolvent(self.b, alpha, self.z, eps_k)
+        gap = self.forward_backward(z)
+        return math.sqrt(gap.dot(gap)) / alpha, (z, self.bw, evals)
 
 
 _RULES = {

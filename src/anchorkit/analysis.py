@@ -86,17 +86,11 @@ class LyapunovTrace:
     certified_lower: Array
 
     @property
-    def nonnegative_ok(self) -> bool:
-        return bool(np.all(self.values >= -LYAPUNOV_SLACK))
-
-    @property
-    def decrements_ok(self) -> bool:
-        return bool(np.all(self.decrements
-                           >= self.certified_lower - LYAPUNOV_SLACK))
-
-    @property
     def passed(self) -> bool:
-        return self.nonnegative_ok and self.decrements_ok
+        """V_k >= 0 and every decrement above its certified lower bound."""
+        return bool(np.all(self.values >= -LYAPUNOV_SLACK)
+                    and np.all(self.decrements
+                               >= self.certified_lower - LYAPUNOV_SLACK))
 
 
 # ---------------------------------------------------------------------------
@@ -160,11 +154,13 @@ def merging_path(rule: str, trace1, trace2, problem: Problem) -> MergingPath:
     """Apply a merging-path rule (see ``MP_RULES``) to two traces that start
     from the same point.
 
-    "constant" and "splitting" check the paper's bounds. "reported" weights
-    the squared distances by k^2 and "geometric" by ``geometric_weights``;
-    their bound is the weighted supremum as an empirical envelope, and the
-    verdict asks it to be finite and, for "reported", attained before
-    ``reported_split``. "self" asks for identical paths.
+    "constant" and "splitting" check the paper's bounds; the note of
+    "splitting" gives its reference point's ``reference_note``. "reported"
+    weights the squared distances by k^2 and "geometric" by
+    ``geometric_weights``; their bound is the weighted supremum as an
+    empirical envelope, and the verdict asks it to be finite and, for
+    "reported", attained before ``reported_split``. "self" asks for
+    identical paths.
     """
     sq = mp_distance(trace1, trace2)
     if rule == "constant":
@@ -174,8 +170,9 @@ def merging_path(rule: str, trace1, trace2, problem: Problem) -> MergingPath:
         xi_star = reference_point(trace1, problem)
         report = mp_bound_apg(trace1, trace2, problem, xi_star=xi_star)
         c = apg_path_constant(problem, trace1.start, xi_star)
+        how = reference_note(problem, trace1.params["alpha"], xi_star)
         return MergingPath(sq, report, report.passed,
-                           f"path constant C(xi_0) = {c:.6g}")
+                           f"path constant C(xi_0) = {c:.6g}, {how}")
     k = np.arange(len(sq))
     if rule == "self":
         measured, bound = sq, np.ones(len(sq))
@@ -211,23 +208,31 @@ def run_ohm_partner(problem: Problem, alpha: float, iterations: int, z0):
     return algorithms.run(cfg, problem, z0)
 
 
-def mp_bound_feg_ohm(trace_feg, problem: Problem,
-                     trace_ohm=None) -> BoundReport:
-    """k^2-weighted squared distance of FEG to its anchored proximal partner
-    against the constant ||z0 - z*||^2 / (1 - alpha^2 L^2), k = 0..K, with
-    z* from ``reference_point``."""
+def _feg_bound_inputs(trace_feg, problem: Problem):
+    """alpha, L and ||z0 - z*||^2 of a bound on an FEG trace, with z* from
+    ``reference_point``; ConfigError unless alpha * L < 1."""
     alpha = trace_feg.params["alpha"]
     lip = problem.lipschitz
     if alpha * lip >= 1.0:
         raise ConfigError("bound needs alpha * L < 1")
     z_star = reference_point(trace_feg, problem)
+    return alpha, lip, np.sum((trace_feg.start - z_star) ** 2)
+
+
+def mp_bound_feg_ohm(trace_feg, problem: Problem,
+                     trace_ohm=None) -> BoundReport:
+    """k^2-weighted squared distance of FEG to its anchored proximal partner
+    against the constant ||z0 - z*||^2 / (1 - alpha^2 L^2), k = 0..K, with
+    z* from ``reference_point``. A given partner must share the step size."""
+    alpha, lip, dist0 = _feg_bound_inputs(trace_feg, problem)
     if trace_ohm is None:
         trace_ohm = run_ohm_partner(problem, alpha, trace_feg.iterations,
                                     trace_feg.start)
+    elif trace_ohm.params["alpha"] != alpha:
+        raise MismatchedTraces("traces use different step sizes")
     sq = mp_distance(trace_feg, trace_ohm)
     k = np.arange(len(sq))
-    const = float(np.sum((trace_feg.start - z_star) ** 2)
-                  / (1.0 - alpha ** 2 * lip ** 2))
+    const = float(dist0 / (1.0 - alpha ** 2 * lip ** 2))
     return BoundReport(k_values=k, measured=k ** 2 * sq,
                        bound=np.full(k.shape, const))
 
@@ -236,25 +241,25 @@ def feg_summability_report(trace_feg, problem: Problem) -> BoundReport:
     """Partial sums of ||k B z_k - (k+1) B z_{k+1/2}||^2 against
     ||z0 - z*||^2 / (alpha^2 (1 - alpha^2 L^2)), with z* from
     ``reference_point``."""
-    alpha = trace_feg.params["alpha"]
-    lip = problem.lipschitz
-    if alpha * lip >= 1.0:
-        raise ConfigError("bound needs alpha * L < 1")
-    z_star = reference_point(trace_feg, problem)
-    summand = _feg_mismatch(trace_feg)
-    n = len(summand)
-    const = float(np.sum((trace_feg.start - z_star) ** 2)
-                  / (alpha ** 2 * (1.0 - alpha ** 2 * lip ** 2)))
+    alpha, lip, dist0 = _feg_bound_inputs(trace_feg, problem)
+    bz, bh = _half_steps(trace_feg)
+    n = len(bh)
+    k = np.arange(n, dtype=float)[:, None]
+    summand = np.sum((k * bz[:n] - (k + 1.0) * bh) ** 2, axis=1)
+    const = float(dist0 / (alpha ** 2 * (1.0 - alpha ** 2 * lip ** 2)))
     return BoundReport(k_values=np.arange(n), measured=np.cumsum(summand),
                        bound=np.full(n, const))
 
 
-def _feg_mismatch(trace_feg) -> Array:
-    """||k B z_k - (k+1) B z_{k+1/2}||^2 for each step k of an FEG trace."""
-    op_half = trace_feg.auxiliary["op_half"]
-    k = np.arange(len(op_half), dtype=float)[:, None]
-    return np.sum((k * trace_feg.op_evals[:len(op_half)]
-                   - (k + 1.0) * op_half) ** 2, axis=1)
+def _half_steps(trace):
+    """(B z_k per row, B z_{k+1/2} per step) of an anchored extragradient
+    trace; ConfigError for a trace that did not record them."""
+    op_half = trace.auxiliary.get("op_half")
+    if op_half is None or trace.op_evals is None:
+        raise ConfigError(f"the {trace.algorithm} trace records no half-step "
+                          f"evaluations (an FEG or SM_EAG_PLUS run with "
+                          f"recorded iterates has them)")
+    return trace.op_evals, op_half
 
 
 def mp_bound_apg(trace_apg, trace_drs, problem: Problem,
@@ -290,40 +295,33 @@ def apg_path_constant(problem: Problem, xi0, xi_star) -> float:
 
 
 def lyapunov_feg(trace, alpha: float, z_star, lipschitz: float) -> LyapunovTrace:
-    """V_k = (alpha k^2 / 2) ||B z_k||^2 + k <B z_k, z_k - z0> +
+    """FEG's Lyapunov function: ``lyapunov_sm_eag`` at mu = 0, which reads
+    V_k = (alpha k^2 / 2) ||B z_k||^2 + k <B z_k, z_k - z0> +
     ||z0 - z*||^2 / (2 alpha), with certified decrement
     (alpha (1 - alpha^2 L^2) / 2) ||k B z_k - (k+1) B z_{k+1/2}||^2."""
-    z = trace.main
-    bz = trace.op_evals
-    bh = trace.auxiliary["op_half"]
-    n = len(bh)  # decrements defined for k = 0 .. n-1
-    k = np.arange(n + 1, dtype=float)
-    z0 = z[0]
-    head = float(np.sum((z0 - z_star) ** 2)) / (2.0 * alpha)
-    values = (0.5 * alpha * k ** 2 * np.sum(bz[:n + 1] ** 2, axis=1)
-              + k * np.sum(bz[:n + 1] * (z[:n + 1] - z0), axis=1)
-              + head)
-    cert = (0.5 * alpha * (1.0 - alpha ** 2 * lipschitz ** 2)
-            * _feg_mismatch(trace))
-    return LyapunovTrace(values=values,
-                         decrements=values[:-1] - values[1:],
-                         certified_lower=cert)
+    return lyapunov_sm_eag(trace, alpha, 0.0, lipschitz, z_star)
 
 
 def lyapunov_sm_eag(trace, alpha: float, mu: float, lipschitz: float,
                     z_star) -> LyapunovTrace:
-    """Lyapunov values for the strongly monotone anchored method.
+    """Lyapunov values for the anchored extragradient family of SM_EAG_PLUS,
+    whose mu = 0 member is FEG.
 
-    q_k and p_k follow the inverse-geometric anchor schedule; p_0 = q_0 = 0.
-    The certified decrement is (alpha (1 + 2 alpha mu - alpha^2 L^2) / 2)
-    ||B z_0||^2 at k = 0 and q_k / (beta_k (1 - beta_k)) times the analogous
-    half-step mismatch for k >= 1.
+    q_k and p_k follow the inverse-geometric anchor schedule of
+    x = 1 + 2 alpha mu; p_0 = q_0 = 0, and at mu = 0, q_k = k, the limit of
+    (x - x^{1-k}) / (2 alpha mu). The certified decrement is
+    (alpha (1 + 2 alpha mu - alpha^2 L^2) / 2) ||B z_0||^2 at k = 0 and
+    q_k / (beta_k (1 - beta_k)) times the analogous half-step mismatch for
+    k >= 1. ConfigError for mu < 0 or NaN, for an ``alpha`` other than the
+    trace's, or for a trace without recorded half-steps.
     """
-    if mu <= 0:
-        raise ConfigError("the strongly monotone Lyapunov needs mu > 0")
+    if not mu >= 0:
+        raise ConfigError(f"the Lyapunov function needs mu >= 0, got {mu}")
+    if alpha != trace.params["alpha"]:
+        raise ConfigError(f"alpha = {alpha} differs from the trace's "
+                          f"{trace.params['alpha']}")
+    bz, bh = _half_steps(trace)
     z = trace.main
-    bz = trace.op_evals
-    bh = trace.auxiliary["op_half"]
     n = len(bh)
     x = 1.0 + 2.0 * alpha * mu
     z0 = z[0]
@@ -337,7 +335,10 @@ def lyapunov_sm_eag(trace, alpha: float, mu: float, lipschitz: float,
     eta = (1.0 - beta) / x
     kk = np.arange(n + 1, dtype=float)
     q = np.zeros(n + 1)
-    q[1:] = (x - x ** (1.0 - kk[1:])) / (2.0 * alpha * mu)
+    if mu == 0:
+        q[1:] = kk[1:]
+    else:
+        q[1:] = (x - x ** (1.0 - kk[1:])) / (2.0 * alpha * mu)
     p = np.zeros(n + 1)
     p[1:] = 0.5 * alpha * q[1:] * s[:-1]
     diff = z[:n + 1] - z0
@@ -544,6 +545,16 @@ def splitting_residual(problem: Problem, alpha: float, u) -> float:
                        - u)
 
 
+def reference_note(problem: Problem, alpha: float, xi_star) -> str:
+    """Says whether a splitting reference point passes the certificate
+    ``REFERENCE_CERTIFICATE`` (exact) or not (the fallback run's end), with
+    its splitting-map residual."""
+    res = splitting_residual(problem, alpha, xi_star)
+    how = ("exact and certified" if res <= REFERENCE_CERTIFICATE
+           else "from the fallback splitting run")
+    return f"reference point {how} (splitting-map residual {res:.1e})"
+
+
 def affine_zero_projection(problem: Problem, z0) -> Array:
     """Orthogonal projection of z0 onto the zero set of an affine operator,
     via least squares plus a nullspace correction."""
@@ -634,26 +645,22 @@ def summability_positivity(rule: str, r: float):
     return bad
 
 
-def summability_constant(rule: str, alpha: float, lipschitz: float,
-                         certify: bool = True) -> float:
+def summability_constant(rule: str, alpha: float, lipschitz: float) -> float:
     """Closed-form constant C for the anchored-gap series bound
     sum (k+1)^2 ||summand||^2 <= (C / alpha^2) ||z0 - z*||^2.
 
-    With ``certify`` the step ratio must lie in the range where every factor
-    in the derivation is positive; otherwise StepTooLarge is raised. Pass
-    ``certify=False`` to evaluate the rational function outside that range.
+    The step ratio must lie in the range where every factor in the
+    derivation is positive; otherwise StepTooLarge is raised.
     """
     if rule not in _SUMMABILITY_RULES:
         raise ConfigError(f"unknown summability rule {rule!r}")
     r = alpha * lipschitz
     if not 0.0 < r < 1.0:
         raise StepTooLarge(f"need 0 < alpha * L < 1, got {r:.6g}")
-    if certify:
-        bad = summability_positivity(rule, r)
-        if bad:
-            raise StepTooLarge(
-                f"{rule} constant not certified at alpha*L = {r:.6g}: "
-                f"nonpositive factors {bad}")
+    bad = summability_positivity(rule, r)
+    if bad:
+        raise StepTooLarge(f"{rule} constant not certified at alpha*L = "
+                           f"{r:.6g}: nonpositive factors {bad}")
     num = _shared_numerator(r)
     if rule == "EAG":
         den = r * (1.0 - r) ** 3 * (1.0 + r) ** 2 * (2.0 + r)

@@ -289,11 +289,8 @@ def apg_mp_suite() -> SuiteResult:
               prob, xi0)
     xi_star = analysis.reference_point(apg, prob)
     c = analysis.apg_path_constant(prob, xi0, xi_star)
-    res = analysis.splitting_residual(prob, alpha, xi_star)
-    how = ("exact and certified" if res <= analysis.REFERENCE_CERTIFICATE
-           else "from the fallback splitting run")
-    out.info(f"path constant C(xi_0) = {c:.6g}, reference point {how} "
-             f"(splitting-map residual {res:.1e})")
+    out.info(f"path constant C(xi_0) = {c:.6g}, "
+             f"{analysis.reference_note(prob, alpha, xi_star)}")
     mp = analysis.mp_bound_apg(apg, drs, prob, xi_star=xi_star)
     out.check(mp.passed, f"max(outer, inner) squared distance within "
                          f"C^2/(L^2 (k+1)^2), max ratio {mp.max_ratio:.4f}")

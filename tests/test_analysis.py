@@ -103,6 +103,15 @@ def test_mp_bound_feg_ohm_rotation():
     assert summ.passed
     with pytest.raises(ConfigError):
         analysis.mp_bound_feg_ohm(run(cfg("EAG", 1.5, 5), prob, z0), prob)
+    # a partner at another step size is not FEG's partner
+    with pytest.raises(MismatchedTraces):
+        analysis.mp_bound_feg_ohm(t, prob,
+                                  trace_ohm=run(cfg("OHM", 0.2, 500), prob, z0))
+    # the summability report needs the recorded half-steps
+    for bare in (run(cfg("OHM", 0.5, 5), prob, z0),
+                 run(cfg("FEG", 0.5, 5, record_iterates=False), prob, z0)):
+        with pytest.raises(ConfigError, match="half-step"):
+            analysis.feg_summability_report(bare, prob)
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +145,57 @@ def test_lyapunov_feg_hand_values():
     assert abs(ly.certified_lower[0] - cert0) < 1e-15
     assert ly.decrements[0] >= cert0 - 1e-9
     assert ly.passed
+    with pytest.raises(ConfigError, match="differs"):
+        analysis.lyapunov_feg(t, 0.25, prob.solution, 1.0)
+    for bare in (run(cfg("OHM", alpha, 2), prob, np.array([1.0])),
+                 run(cfg("FEG", alpha, 2, record_iterates=False), prob,
+                     np.array([1.0]))):
+        with pytest.raises(ConfigError, match="half-step"):
+            analysis.lyapunov_feg(bare, alpha, prob.solution, 1.0)
+        with pytest.raises(ConfigError, match="half-step"):
+            analysis.lyapunov_sm_eag(bare, alpha, 0.5, 1.0, prob.solution)
+
+
+def _lyapunov_feg_closed_form(trace, alpha, z_star, lipschitz):
+    """FEG's V_k = (alpha k^2 / 2) ||B z_k||^2 + k <B z_k, z_k - z0> +
+    ||z0 - z*||^2 / (2 alpha) and certified decrements (alpha (1 - alpha^2
+    L^2) / 2) ||k B z_k - (k+1) B z_{k+1/2}||^2, written out directly."""
+    z, bz, bh = trace.main, trace.op_evals, trace.auxiliary["op_half"]
+    n = len(bh)
+    k = np.arange(n + 1, dtype=float)
+    z0 = z[0]
+    values = (0.5 * alpha * k ** 2 * np.sum(bz ** 2, axis=1)
+              + k * np.sum(bz * (z - z0), axis=1)
+              + float(np.sum((z0 - z_star) ** 2)) / (2.0 * alpha))
+    kk = k[:n, None]
+    mismatch = np.sum((kk * bz[:n] - (kk + 1.0) * bh) ** 2, axis=1)
+    cert = 0.5 * alpha * (1.0 - alpha ** 2 * lipschitz ** 2) * mismatch
+    return analysis.LyapunovTrace(values=values,
+                                  decrements=values[:-1] - values[1:],
+                                  certified_lower=cert)
+
+
+def test_lyapunov_feg_matches_its_closed_form():
+    # the lyapunov suite's problems (mu = 1 for seed mod 20 < 10, else 0.1),
+    # over 100 seeds and the suite's three steps
+    for seed in range(100):
+        mu = 1.0 if seed % 20 < 10 else 0.1
+        z_star = 0.5 * np.random.default_rng(2000 + seed).standard_normal(10)
+        prob = make_random_scsc(seed, 10, 10.0, mu, z_star=z_star)
+        z0 = np.random.default_rng(3000 + seed).standard_normal(10)
+        for ratio_al in (0.25, 0.5, 0.9):
+            alpha = ratio_al / prob.lipschitz
+            t = run(cfg("FEG", alpha, 200), prob, z0)
+            ly = analysis.lyapunov_feg(t, alpha, prob.solution,
+                                       prob.lipschitz)
+            ref = _lyapunov_feg_closed_form(t, alpha, prob.solution,
+                                            prob.lipschitz)
+            case = (seed, ratio_al)
+            assert (np.abs(ly.values - ref.values).max()
+                    <= 1e-13 * np.abs(ref.values).max()), case
+            assert (np.abs(ly.certified_lower - ref.certified_lower).max()
+                    <= 1e-13 * np.abs(ref.certified_lower).max()), case
+            assert ly.passed == ref.passed, case
 
 
 def test_lyapunov_sm_eag_head_and_zero_operator():
@@ -164,8 +224,16 @@ def test_lyapunov_sm_eag_hand_values():
     assert ly.values[0] >= ly.values[1] >= 0.0
     cert0 = 0.5 * alpha * (1 + 2 * alpha * mu - alpha ** 2 * lip ** 2)
     assert abs(ly.certified_lower[0] - cert0) < 1e-15
-    with pytest.raises(ConfigError):
-        analysis.lyapunov_sm_eag(t, alpha, 0.0, lip, prob.solution)
+    # FEG's Lyapunov function is the mu = 0 member
+    feg = run(cfg("FEG", 0.5, 2), prob, np.array([1.0]))
+    at_zero = analysis.lyapunov_sm_eag(feg, 0.5, 0.0, lip, prob.solution)
+    of_feg = analysis.lyapunov_feg(feg, 0.5, prob.solution, lip)
+    for name in ("values", "decrements", "certified_lower"):
+        assert (getattr(at_zero, name).tobytes()
+                == getattr(of_feg, name).tobytes())
+    for bad_mu in (-0.1, np.nan):
+        with pytest.raises(ConfigError, match="mu >= 0"):
+            analysis.lyapunov_sm_eag(t, alpha, bad_mu, lip, prob.solution)
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +388,18 @@ def test_splitting_verdicts_on_box_bilinear_seeds():
                                    reference=ref).passed, seed
 
 
+@pytest.mark.parametrize("size, how", [(2, "exact and certified"),
+                                       (5, "from the fallback splitting run")])
+def test_splitting_note_names_its_reference_point(size, how):
+    # 3^4 faces are solved exactly; 3^10 are more than MAX_BOX_FACES
+    comp = make_box_bilinear_composite(seed=3, size=size)
+    xi0 = np.linspace(-1.0, 2.0, comp.dim)
+    apg = run(cfg("APG_STAR", 0.1, 20), comp, xi0)
+    drs = run(cfg("OHM_DRS", 0.1, 20), comp, xi0)
+    note = analysis.merging_path("splitting", apg, drs, comp).note
+    assert f"reference point {how} (splitting-map residual " in note
+
+
 def test_rate_bound_missing_reference():
     prob = make_bilinear(np.diag([1.0, 0.0]), want_solution=False)
     t = run(cfg("OHM", 0.5, 5), prob, np.ones(4))
@@ -389,11 +469,12 @@ def test_summability_constant_cross_check():
 
 
 def test_summability_constant_blowup_scaling():
-    # the constant blows up like Theta(1/r) as r -> 0+
-    vals = [analysis.summability_constant("EAG", r, 1.0, certify=False)
-            for r in (0.2, 0.1, 0.05)]
+    # the constant blows up like Theta(1/r) as r -> 0+ (r C reads 1.0036,
+    # 1.0009 and 1.0002 on this certified range)
+    vals = [analysis.summability_constant("EAG", r, 1.0)
+            for r in (0.05, 0.025, 0.0125)]
     assert vals[0] < vals[1] < vals[2]
-    assert abs(vals[2] * 0.05 - 1.0) < 0.35
+    assert abs(vals[2] * 0.0125 - 1.0) < 0.35
 
 
 def test_summability_constant_refuses_uncertified_steps():

@@ -12,6 +12,9 @@ with ``TREE/src`` on the path and BLAS pinned to one thread:
   with a stop at row 100's residual and for one iteration;
   compared field by field (arrays with their dtype and bits), with
   ``params``, ``stop_reason``, the oracle totals and ``cumulative_counts``;
+- on the full FEG and SM_EAG_PLUS traces, the Lyapunov ``values``,
+  ``decrements`` and ``certified_lower``, and for FEG also the ``measured``
+  and ``bound`` of ``feg_summability_report`` and ``mp_bound_feg_ohm``;
 - the stdout and exit code of ``anchorkit verify all``;
 - the files, stdout and exit codes of ``run`` (all algorithms), ``compare``
   (the five declared pairs, APG_STAR/OHM_DRS again on a box composite too
@@ -137,6 +140,33 @@ def _trace_record(trace) -> dict:
     return record
 
 
+def _analysis_record(name, trace, prob) -> dict:
+    """The Lyapunov arrays of an FEG or SM_EAG_PLUS trace, and FEG's
+    summability and merging-path reports."""
+    from anchorkit import analysis
+
+    def lyapunov():
+        if name == "FEG":
+            ly = analysis.lyapunov_feg(trace, trace.params["alpha"],
+                                       prob.solution, prob.lipschitz)
+        else:
+            ly = analysis.lyapunov_sm_eag(trace, trace.params["alpha"],
+                                          prob.mu, prob.lipschitz,
+                                          prob.solution)
+        return {"values": ly.values, "decrements": ly.decrements,
+                "certified_lower": ly.certified_lower}
+
+    def report(fn):
+        rep = fn(trace, prob)
+        return {"measured": rep.measured, "bound": rep.bound}
+
+    record = {"lyapunov": _outcome(lyapunov)}
+    if name == "FEG":
+        for fn in (analysis.feg_summability_report, analysis.mp_bound_feg_ohm):
+            record[fn.__name__] = _outcome(lambda: report(fn))
+    return record
+
+
 def _outcome(fn):
     """``fn()``, or the error it raised."""
     try:
@@ -166,6 +196,11 @@ def collect_traces(out: str) -> None:
 
         full = run_with(max_iterations=ITERATIONS)
         records[f"{case}/full"] = full
+        if name in ("FEG", "SM_EAG_PLUS"):
+            config = AlgorithmConfig(name, alpha=alpha,
+                                     max_iterations=ITERATIONS)
+            records[f"{case}/analysis"] = _outcome(
+                lambda: _analysis_record(name, run(config, prob, z0), prob))
         records[f"{case}/slim"] = run_with(max_iterations=ITERATIONS,
                                            record_iterates=False)
         if isinstance(full, dict):
