@@ -23,7 +23,6 @@ from .operators import (
     ScaledOperator,
     ShiftedIdentityPlus,
     SumOperator,
-    ZeroOperator,
     as_vector,
     drs_map,
     forward_backward_residual,
@@ -56,7 +55,6 @@ __all__ = [
     "ScaledOperator",
     "ShiftedIdentityPlus",
     "SumOperator",
-    "ZeroOperator",
     "as_vector",
     "build_problem",
     "drs_map",

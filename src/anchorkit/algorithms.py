@@ -5,11 +5,15 @@ computes the natural residual of row k, and ``step(k)`` moves from row k to
 row k + 1. A single loop in ``run`` advances every rule, and it alone owns
 the ``max_iterations``/``stop_residual`` stops, the oracle billing, the
 recording and the construction of the ``IterateTrace``. Each recursion is
-written once, and a special case is its general rule with a parameter fixed
-or a part replaced: EAG_V and APS_V are EAG and APS anchored with 1/(k+2)
-instead of 1/(k+1) inside a step-size schedule; FEG is SM_EAG_PLUS at
-mu = 0, with bit-identical iterates; OHM is OC_HALPERN at gamma = 1; and
+written once here, and a special case is its general rule with a parameter
+fixed or a part replaced: EAG_V and APS_V are EAG and APS anchored with
+1/(k+2) instead of 1/(k+1) inside a step-size schedule; FEG is SM_EAG_PLUS
+at mu = 0, with bit-identical iterates; OHM is OC_HALPERN at gamma = 1; and
 APG_STAR is OHM_DRS from an inner point solved only to a tolerance eps_k.
+The one repeat is ``operators.solve_strongly_monotone``, which writes
+SM_EAG_PLUS's recursion again for the iterative resolvent: ``operators``
+sits below this module, and the benchmark's tracer wraps that solver by
+name.
 
 Oracle accounting: ``b_per_iter``/``resolvent_per_iter`` count the calls a
 rule makes through its counted oracle while evaluating row k and stepping to
@@ -66,8 +70,9 @@ class IterateTrace:
     and final rows when iterates are not recorded.
     ``residual_norms[k]`` is the algorithm's natural residual at row k and
     is always kept. Auxiliary sequences have one entry per row or one per
-    step, as documented per algorithm. ``b_per_iter``/``resolvent_per_iter``
-    hold the billed oracle calls of each step. ``stop_reason`` says why the
+    step, as documented per algorithm, and exist only when iterates are
+    recorded. ``b_per_iter``/``resolvent_per_iter`` hold the billed oracle
+    calls of each step. ``stop_reason`` says why the
     run ended: ``max_iterations``, ``stop_residual``, or ``diverged`` (the
     final row's residual is not finite).
     """
@@ -187,7 +192,7 @@ def validate_config(config: AlgorithmConfig, problem: Problem) -> None:
         raise ConfigError(f"{name} does not handle composite problems")
     if name in ("OHM_DRS", "APG_STAR") and not problem.is_composite:
         raise ConfigError(f"{name} needs a composite problem")
-    if name in ("FEG", "EAG_V") and config.alpha * lip >= 1.0:
+    if name in ("FEG", "EAG_V", "APG_STAR") and config.alpha * lip >= 1.0:
         raise ConfigError(f"{name} needs alpha * L < 1, "
                           f"got {config.alpha * lip:.6g}")
     if name == "SM_EAG_PLUS":
@@ -195,8 +200,6 @@ def validate_config(config: AlgorithmConfig, problem: Problem) -> None:
         if config.alpha > top * (1.0 + 1e-12):
             raise ConfigError(
                 f"SM_EAG_PLUS needs alpha <= (sqrt(L^2+mu^2)+mu)/L^2 = {top:.6g}")
-    if name == "APG_STAR" and config.alpha * lip >= 1.0:
-        raise ConfigError("APG_STAR needs alpha * L < 1")
     if name == "APS_V":
         if config.theta is None or config.theta <= 0:
             raise ConfigError("APS_V needs theta > 0 (no endorsed default)")
@@ -219,10 +222,10 @@ def validate_config(config: AlgorithmConfig, problem: Problem) -> None:
 def run(config: AlgorithmConfig, problem: Problem, z0) -> IterateTrace:
     """Validate, then drive the algorithm's step rule row by row into a trace.
 
-    Without recorded iterates only the start, the rule's current state and
-    the per-row scalars are held, so the memory for iterates stays O(d)
-    whatever the number of iterations. The rule makes the same oracle calls
-    whether or not iterates are recorded. The run stops after
+    Without recorded iterates only the start, the rule's current state, the
+    residuals and the oracle counts are held, so the memory for iterates
+    stays O(d) whatever the number of iterations. The rule makes the same
+    oracle calls whether or not iterates are recorded. The run stops after
     ``max_iterations`` steps, at the first row whose lagged residual is at
     most ``stop_residual``, or at the first row whose residual is not finite
     (``diverged``); the stopping row is kept. Deterministic: identical inputs
@@ -236,8 +239,6 @@ def run(config: AlgorithmConfig, problem: Problem, z0) -> IterateTrace:
     warmup = oracle.b
     last, stop, lag = config.max_iterations, config.stop_residual, rule.stop_lag
     evaluate, step, isfinite = rule.evaluate, rule.step, math.isfinite
-    kept = [i for i, name in enumerate(rule.row_fields)
-            if name in rule.kept_fields]
     # running oracle totals at the start of each row; their differences are
     # the per-step counts
     b_marks, r_marks = [], []
@@ -252,8 +253,6 @@ def run(config: AlgorithmConfig, problem: Problem, z0) -> IterateTrace:
         residuals.append(residual)
         if record:
             rows.extend(row)
-        elif kept:
-            rows.extend([row[i] for i in kept])
         if k == last or not isfinite(residual) or (
                 stop is not None and k >= lag and residuals[k - lag] <= stop):
             break
@@ -275,7 +274,7 @@ def run(config: AlgorithmConfig, problem: Problem, z0) -> IterateTrace:
         auxiliary.update(_columns(rule.step_fields, steps))
     else:
         points.append(rule.z)
-        auxiliary = _columns([rule.row_fields[i] for i in kept], rows)
+        auxiliary = {}
     return IterateTrace(
         algorithm=config.algorithm,
         main=np.array(points),
@@ -318,7 +317,6 @@ class _Rule:
 
     row_fields: tuple = ()
     step_fields: tuple = ()
-    kept_fields: tuple = ()  # row fields recorded even without iterates
     final_row_billed = False  # the final row's evaluation is one more entry
     stop_lag = 0             # the stop test reads the residual of row k - lag
     params: dict = {}        # extra trace parameters
@@ -616,10 +614,11 @@ class _APGStar(_OHMDRS):
     """OHM_DRS from an inexact inner point: z_k solves ||z + alpha B z -
     xi_k|| <= eps_k, the iterative resolvent of B at xi_k solved to eps_k
     instead of to the resolvent tolerance, with every inner call of B
-    billed. The residual is ||G_alpha(z_k)||, without OHM_DRS's alpha."""
+    billed. The residual is ||G_alpha(z_k)||, without OHM_DRS's alpha.
+    Row k bills its inner calls and one call of B at z_k, so
+    ``inner_b_evals`` is ``b_per_iter - 1`` in either recording mode."""
 
     row_fields = ("z", "op_z", "inner_b_evals")
-    kept_fields = ("inner_b_evals",)
 
     def __init__(self, config, problem, oracle, z0):
         super().__init__(config, problem, oracle, z0)

@@ -150,18 +150,21 @@ class MergingPath:
     note: str
 
 
-def merging_path(rule: str, trace1, trace2, problem: Problem) -> MergingPath:
-    """Apply a merging-path rule (see ``MP_RULES``) to two traces that start
-    from the same point.
+def merging_path(trace1, trace2, problem: Problem) -> MergingPath:
+    """Apply the pair's merging-path rule, ``mp_rule(trace1.algorithm,
+    trace2.algorithm)`` (see ``MP_RULES``), to two traces that start from
+    the same point.
 
     "constant" and "splitting" check the paper's bounds; the note of
-    "splitting" gives its reference point's ``reference_note``. "reported"
-    weights the squared distances by k^2 and "geometric" by
-    ``geometric_weights``; their bound is the weighted supremum as an
-    empirical envelope, and the verdict asks it to be finite and, for
-    "reported", attained before ``reported_split``. "self" asks for
-    identical paths.
+    "splitting" says whether its reference point passes the certificate
+    ``REFERENCE_CERTIFICATE`` (exact) or not (the fallback run's end), with
+    its splitting-map residual. "reported" weights the squared distances by
+    k^2 and "geometric" by ``geometric_weights``; their bound is the
+    weighted supremum as an empirical envelope, and the verdict asks it to
+    be finite and, for "reported", attained before ``reported_split``.
+    "self" asks for identical paths.
     """
+    rule = mp_rule(trace1.algorithm, trace2.algorithm)
     sq = mp_distance(trace1, trace2)
     if rule == "constant":
         report = mp_bound_feg_ohm(trace1, problem, trace_ohm=trace2)
@@ -170,9 +173,12 @@ def merging_path(rule: str, trace1, trace2, problem: Problem) -> MergingPath:
         xi_star = reference_point(trace1, problem)
         report = mp_bound_apg(trace1, trace2, problem, xi_star=xi_star)
         c = apg_path_constant(problem, trace1.start, xi_star)
-        how = reference_note(problem, trace1.params["alpha"], xi_star)
+        res = splitting_residual(problem, trace1.params["alpha"], xi_star)
+        how = ("exact and certified" if res <= REFERENCE_CERTIFICATE
+               else "from the fallback splitting run")
         return MergingPath(sq, report, report.passed,
-                           f"path constant C(xi_0) = {c:.6g}, {how}")
+                           f"path constant C(xi_0) = {c:.6g}, reference "
+                           f"point {how} (splitting-map residual {res:.1e})")
     k = np.arange(len(sq))
     if rule == "self":
         measured, bound = sq, np.ones(len(sq))
@@ -185,7 +191,7 @@ def merging_path(rule: str, trace1, trace2, problem: Problem) -> MergingPath:
         measured, bound = sq, np.maximum(sup / np.maximum(growth, 1.0), ATOL)
         note = (f"empirical geometric envelope, constant {sup:.6g} "
                 f"(reported, not asserted)")
-    elif rule == "reported":
+    else:  # "reported"
         measured = k ** 2 * sq
         finite = bool(np.all(np.isfinite(measured)))
         split = reported_split(len(sq))
@@ -195,8 +201,6 @@ def merging_path(rule: str, trace1, trace2, problem: Problem) -> MergingPath:
         bound = np.full(len(sq), max(sup, ATOL))
         note = (f"empirical envelope sup k^2 dist^2 = {sup:.6g} "
                 f"(no theoretical constant)")
-    else:
-        raise ConfigError(f"unknown merging-path rule {rule!r}")
     report = BoundReport(k_values=k, measured=measured, bound=bound)
     return MergingPath(sq, report, passed, note)
 
@@ -208,9 +212,19 @@ def run_ohm_partner(problem: Problem, alpha: float, iterations: int, z0):
     return algorithms.run(cfg, problem, z0)
 
 
+def _expect(trace, *algorithms) -> None:
+    """ConfigError unless ``trace`` is a run of one of ``algorithms``, the
+    methods that a bound holds for."""
+    if trace.algorithm not in algorithms:
+        raise ConfigError(f"this bound holds for {' or '.join(algorithms)} "
+                          f"traces, got a trace of {trace.algorithm}")
+
+
 def _feg_bound_inputs(trace_feg, problem: Problem):
     """alpha, L and ||z0 - z*||^2 of a bound on an FEG trace, with z* from
-    ``reference_point``; ConfigError unless alpha * L < 1."""
+    ``reference_point``; ConfigError for another algorithm's trace or
+    unless alpha * L < 1."""
+    _expect(trace_feg, "FEG")
     alpha = trace_feg.params["alpha"]
     lip = problem.lipschitz
     if alpha * lip >= 1.0:
@@ -223,12 +237,15 @@ def mp_bound_feg_ohm(trace_feg, problem: Problem,
                      trace_ohm=None) -> BoundReport:
     """k^2-weighted squared distance of FEG to its anchored proximal partner
     against the constant ||z0 - z*||^2 / (1 - alpha^2 L^2), k = 0..K, with
-    z* from ``reference_point``. A given partner must share the step size."""
+    z* from ``reference_point``. A given partner must be an OHM run at the
+    same step size."""
     alpha, lip, dist0 = _feg_bound_inputs(trace_feg, problem)
     if trace_ohm is None:
         trace_ohm = run_ohm_partner(problem, alpha, trace_feg.iterations,
                                     trace_feg.start)
-    elif trace_ohm.params["alpha"] != alpha:
+    else:
+        _expect(trace_ohm, "OHM")
+    if trace_ohm.params["alpha"] != alpha:
         raise MismatchedTraces("traces use different step sizes")
     sq = mp_distance(trace_feg, trace_ohm)
     k = np.arange(len(sq))
@@ -238,8 +255,8 @@ def mp_bound_feg_ohm(trace_feg, problem: Problem,
 
 
 def feg_summability_report(trace_feg, problem: Problem) -> BoundReport:
-    """Partial sums of ||k B z_k - (k+1) B z_{k+1/2}||^2 against
-    ||z0 - z*||^2 / (alpha^2 (1 - alpha^2 L^2)), with z* from
+    """Partial sums of ||k B z_k - (k+1) B z_{k+1/2}||^2 of an FEG trace
+    against ||z0 - z*||^2 / (alpha^2 (1 - alpha^2 L^2)), with z* from
     ``reference_point``."""
     alpha, lip, dist0 = _feg_bound_inputs(trace_feg, problem)
     bz, bh = _half_steps(trace_feg)
@@ -257,14 +274,17 @@ def _half_steps(trace):
     op_half = trace.auxiliary.get("op_half")
     if op_half is None or trace.op_evals is None:
         raise ConfigError(f"the {trace.algorithm} trace records no half-step "
-                          f"evaluations (an FEG or SM_EAG_PLUS run with "
-                          f"recorded iterates has them)")
+                          f"evaluations (a run with recorded iterates has "
+                          f"them)")
     return trace.op_evals, op_half
 
 
 def mp_bound_apg(trace_apg, trace_drs, problem: Problem,
                  xi_star=None) -> BoundReport:
-    """max(||xi_k - u_k||^2, ||z_k - w_k||^2) against C(xi_0)^2 / (L^2 (k+1)^2)."""
+    """max(||xi_k - u_k||^2, ||z_k - w_k||^2) against C(xi_0)^2 / (L^2 (k+1)^2)
+    for an APG_STAR trace and its OHM_DRS partner at the same step size."""
+    _expect(trace_apg, "APG_STAR")
+    _expect(trace_drs, "OHM_DRS")
     if trace_apg.params["alpha"] != trace_drs.params["alpha"]:
         raise MismatchedTraces("traces use different step sizes")
     sq_outer = mp_distance(trace_apg, trace_drs)
@@ -298,7 +318,9 @@ def lyapunov_feg(trace, alpha: float, z_star, lipschitz: float) -> LyapunovTrace
     """FEG's Lyapunov function: ``lyapunov_sm_eag`` at mu = 0, which reads
     V_k = (alpha k^2 / 2) ||B z_k||^2 + k <B z_k, z_k - z0> +
     ||z0 - z*||^2 / (2 alpha), with certified decrement
-    (alpha (1 - alpha^2 L^2) / 2) ||k B z_k - (k+1) B z_{k+1/2}||^2."""
+    (alpha (1 - alpha^2 L^2) / 2) ||k B z_k - (k+1) B z_{k+1/2}||^2.
+    ConfigError for a trace of another algorithm."""
+    _expect(trace, "FEG")
     return lyapunov_sm_eag(trace, alpha, 0.0, lipschitz, z_star)
 
 
@@ -312,9 +334,11 @@ def lyapunov_sm_eag(trace, alpha: float, mu: float, lipschitz: float,
     (x - x^{1-k}) / (2 alpha mu). The certified decrement is
     (alpha (1 + 2 alpha mu - alpha^2 L^2) / 2) ||B z_0||^2 at k = 0 and
     q_k / (beta_k (1 - beta_k)) times the analogous half-step mismatch for
-    k >= 1. ConfigError for mu < 0 or NaN, for an ``alpha`` other than the
-    trace's, or for a trace without recorded half-steps.
+    k >= 1. ConfigError for a trace of neither method, for mu < 0 or NaN,
+    for an ``alpha`` other than the trace's, or for a trace without recorded
+    half-steps.
     """
+    _expect(trace, "FEG", "SM_EAG_PLUS")
     if not mu >= 0:
         raise ConfigError(f"the Lyapunov function needs mu >= 0, got {mu}")
     if alpha != trace.params["alpha"]:
@@ -543,16 +567,6 @@ def splitting_residual(problem: Problem, alpha: float, u) -> float:
     u = np.asarray(u, dtype=float)
     return vector_norm(drs_map(problem.prox_part, problem.operator, alpha, u)
                        - u)
-
-
-def reference_note(problem: Problem, alpha: float, xi_star) -> str:
-    """Says whether a splitting reference point passes the certificate
-    ``REFERENCE_CERTIFICATE`` (exact) or not (the fallback run's end), with
-    its splitting-map residual."""
-    res = splitting_residual(problem, alpha, xi_star)
-    how = ("exact and certified" if res <= REFERENCE_CERTIFICATE
-           else "from the fallback splitting run")
-    return f"reference point {how} (splitting-map residual {res:.1e})"
 
 
 def affine_zero_projection(problem: Problem, z0) -> Array:

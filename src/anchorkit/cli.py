@@ -177,7 +177,7 @@ def cmd_compare(config_path: str) -> int:
     if configs[0].alpha != configs[1].alpha:
         raise ConfigError("compare needs both algorithms at the same alpha")
     traces = [run(c, problem, z0) for c in configs]
-    mp = analysis.merging_path(rule, *traces, problem)
+    mp = analysis.merging_path(*traces, problem)
     out_dir.mkdir(parents=True, exist_ok=True)
     k, sq = mp.report.k_values, mp.sq_distance  # k = 0, 1, ..., K
     _write_csv(out_dir / "mp.csv",

@@ -214,33 +214,6 @@ class Operator:
             f"operator on R^{self.dim} evaluated at shape {z.shape}")
 
 
-class ZeroOperator(Operator):
-    """The zero map; its resolvent is the identity."""
-
-    def __init__(self, dim: int):
-        if dim <= 0:
-            raise DimensionMismatch("dimension must be positive")
-        self.dim = int(dim)
-        self.lipschitz = 0.0
-        self.mu = 0.0
-
-    def __call__(self, z):
-        if z.shape != (self.dim,):
-            self._dim_mismatch(z)
-        return np.zeros(self.dim)
-
-    @property
-    def resolvent_kind(self):
-        return "affine"
-
-    def resolvent(self, alpha, z):
-        if z.shape != (self.dim,):
-            self._dim_mismatch(z)
-        if not 0.0 < alpha < math.inf:
-            raise ValueError(f"alpha must be positive and finite, got {alpha}")
-        return np.array(z, dtype=float)
-
-
 class AffineOperator(Operator):
     """z -> M z + b with exact spectral metadata.
 

@@ -19,7 +19,6 @@ from .operators import (
     ScaledOperator,
     ShiftedIdentityPlus,
     SumOperator,
-    ZeroOperator,
     forward_backward_residual,
 )
 from .problems import (
@@ -125,7 +124,8 @@ def feg_ohm_mp_suite() -> SuiteResult:
             alpha = ratio_al / prob.lipschitz
             trace = run(AlgorithmConfig("FEG", alpha=alpha,
                                         max_iterations=1000), prob, z0)
-            mps.append(analysis.mp_bound_feg_ohm(trace, prob))
+            partner = analysis.run_ohm_partner(prob, alpha, 1000, z0)
+            mps.append(analysis.merging_path(trace, partner, prob).report)
             sums.append(analysis.feg_summability_report(trace, prob))
         worst_mp, worst_sum = _worst(mps), _worst(sums)
         out.check(worst_mp.passed,
@@ -155,7 +155,7 @@ def eag_aps_mp_suite() -> SuiteResult:
         for name in ("EAG", "APS"):
             trace = run(AlgorithmConfig(name, alpha=alpha,
                                         max_iterations=iterations), prob, z0)
-            mp = analysis.merging_path("reported", trace, partner, prob)
+            mp = analysis.merging_path(trace, partner, prob)
             if not mp.passed:
                 held[name] = False
                 out.check(False, f"{name} on {prob.name}: k^2 dist^2 not "
@@ -224,10 +224,11 @@ def sm_oc_halpern_mp_suite() -> SuiteResult:
                                  max_iterations=500), prob, z0)
         oc = run(AlgorithmConfig("OC_HALPERN", alpha=alpha,
                                  max_iterations=500), prob, z0)
-        weighted = analysis.mp_distance(sm, oc) * weights
-        ok = bool(np.all(np.isfinite(weighted)))
-        out.check(ok, f"seed {seed}: weighted distances finite, "
-                      f"sup {weighted.max():.4e} at k={weighted.argmax()}")
+        mp = analysis.merging_path(sm, oc, prob)
+        weighted = mp.sq_distance * weights
+        out.check(mp.passed, f"seed {seed}: weighted distances finite, "
+                             f"sup {weighted.max():.4e} at "
+                             f"k={weighted.argmax()}")
         sup_all = max(sup_all, float(weighted.max()))
     out.details["implied_constant"] = sup_all
     out.info(f"implied merging constant {sup_all:.4e} "
@@ -287,13 +288,13 @@ def apg_mp_suite() -> SuiteResult:
     prob, alpha, xi0, apg = _apg_setup(300)
     drs = run(AlgorithmConfig("OHM_DRS", alpha=alpha, max_iterations=300),
               prob, xi0)
+    mp = analysis.merging_path(apg, drs, prob)
+    out.info(mp.note)
+    out.check(mp.passed, f"max(outer, inner) squared distance within "
+                         f"C^2/(L^2 (k+1)^2), max ratio "
+                         f"{mp.report.max_ratio:.4f}")
     xi_star = analysis.reference_point(apg, prob)
     c = analysis.apg_path_constant(prob, xi0, xi_star)
-    out.info(f"path constant C(xi_0) = {c:.6g}, "
-             f"{analysis.reference_note(prob, alpha, xi_star)}")
-    mp = analysis.mp_bound_apg(apg, drs, prob, xi_star=xi_star)
-    out.check(mp.passed, f"max(outer, inner) squared distance within "
-                         f"C^2/(L^2 (k+1)^2), max ratio {mp.max_ratio:.4f}")
     rate = analysis.rate_bound(apg, prob, "APG_RESIDUAL", reference=xi_star)
     out.check(rate.passed, f"||G(z_k)||^2 within (3+aL)^2 C^2/(a^2 L^2 (k+1)^2), "
                            f"max ratio {rate.max_ratio:.4f}")
@@ -301,7 +302,8 @@ def apg_mp_suite() -> SuiteResult:
                                    reference=xi_star)
     out.check(drs_rate.passed, f"splitting partner residual rate, "
                                f"max ratio {drs_rate.max_ratio:.4f}")
-    out.details.update(mp_ratio=mp.max_ratio, rate_ratio=rate.max_ratio,
+    out.details.update(mp_ratio=mp.report.max_ratio,
+                       rate_ratio=rate.max_ratio,
                        drs_ratio=drs_rate.max_ratio, path_constant=c)
     return out
 
@@ -496,11 +498,12 @@ def operator_property_suite() -> SuiteResult:
     scsc = make_random_scsc(11, 5, 3.0, 0.5)
     skew = make_random_monotone_affine(12, 6, 2.0)
     candidates = [
-        ("zero", ZeroOperator(4)),
+        ("zero", AffineOperator(np.zeros((4, 4)))),
         ("strongly-monotone-affine", scsc.operator),
         ("skew-affine", skew.operator),
         ("scaled", ScaledOperator(0.7, scsc.operator)),
-        ("sum", SumOperator([scsc.operator, ZeroOperator(5)])),
+        ("sum", SumOperator([scsc.operator,
+                             AffineOperator(np.zeros((5, 5)))])),
         ("shifted-identity", ShiftedIdentityPlus(scsc.operator, 0.2,
                                                  np.zeros(5))),
     ]

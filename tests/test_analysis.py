@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from anchorkit import analysis
-from anchorkit.algorithms import AlgorithmConfig, run
+from anchorkit.algorithms import (
+    AlgorithmConfig,
+    max_step_strongly_monotone,
+    run,
+)
 from anchorkit.errors import (
     ConfigError,
     MismatchedTraces,
@@ -15,7 +19,6 @@ from anchorkit.operators import (
     AffineOperator,
     BoxProx,
     CallableOperator,
-    ZeroOperator,
 )
 from anchorkit.problems import (
     Problem,
@@ -30,6 +33,11 @@ from anchorkit.problems import (
 def cfg(name, alpha, iters, **kw):
     return AlgorithmConfig(algorithm=name, alpha=alpha, max_iterations=iters,
                            **kw)
+
+
+def zero_map(d):
+    """The zero map on R^d, an affine operator."""
+    return AffineOperator(np.zeros((d, d)))
 
 
 def one_d_identity():
@@ -86,7 +94,7 @@ def test_mp_feg_ohm_one_step_hand_value():
 
 
 def test_mp_bound_feg_ohm_zero_operator_trivial():
-    prob = Problem(name="zero", operator=ZeroOperator(2),
+    prob = Problem(name="zero", operator=zero_map(2),
                    solution=np.zeros(2))
     t = run(cfg("FEG", 0.5, 20), prob, np.array([1.0, 2.0]))
     rep = analysis.mp_bound_feg_ohm(t, prob)
@@ -107,11 +115,41 @@ def test_mp_bound_feg_ohm_rotation():
     with pytest.raises(MismatchedTraces):
         analysis.mp_bound_feg_ohm(t, prob,
                                   trace_ohm=run(cfg("OHM", 0.2, 500), prob, z0))
-    # the summability report needs the recorded half-steps
-    for bare in (run(cfg("OHM", 0.5, 5), prob, z0),
-                 run(cfg("FEG", 0.5, 5, record_iterates=False), prob, z0)):
-        with pytest.raises(ConfigError, match="half-step"):
+    # the summability report needs an FEG trace with recorded half-steps
+    for bare, why in ((run(cfg("OHM", 0.5, 5), prob, z0),
+                       "holds for FEG traces"),
+                      (run(cfg("FEG", 0.5, 5, record_iterates=False), prob,
+                           z0), "half-step")):
+        with pytest.raises(ConfigError, match=why):
             analysis.feg_summability_report(bare, prob)
+
+
+def test_bounds_refuse_traces_of_other_algorithms():
+    # each gave a verdict (or, for the splitting bound, a KeyError) on a
+    # trace that its theorem does not cover
+    prob = make_random_scsc(0, 10, 10.0, 1.0)
+    z0 = np.random.default_rng(0).standard_normal(10)
+    feg, eag, sm = (run(cfg(name, 0.05, 200), prob, z0)
+                    for name in ("FEG", "EAG", "SM_EAG_PLUS"))
+    refused = [
+        ("FEG", lambda: analysis.feg_summability_report(eag, prob)),
+        ("FEG", lambda: analysis.mp_bound_feg_ohm(eag, prob)),
+        ("OHM", lambda: analysis.mp_bound_feg_ohm(feg, prob, trace_ohm=eag)),
+        ("FEG", lambda: analysis.lyapunov_feg(sm, 0.05, prob.solution,
+                                              prob.lipschitz)),
+        ("FEG or SM_EAG_PLUS",
+         lambda: analysis.lyapunov_sm_eag(eag, 0.05, prob.mu, prob.lipschitz,
+                                          prob.solution)),
+    ]
+    comp, alpha, xi0 = _box_bilinear_case(3)
+    apg = run(cfg("APG_STAR", alpha, 20), comp, xi0)
+    drs = run(cfg("OHM_DRS", alpha, 20), comp, xi0)
+    refused += [("APG_STAR", lambda: analysis.mp_bound_apg(drs, drs, comp)),
+                ("OHM_DRS", lambda: analysis.mp_bound_apg(apg, apg, comp))]
+    for expected, call in refused:
+        with pytest.raises(ConfigError,
+                           match=f"holds for {expected} traces"):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +157,7 @@ def test_mp_bound_feg_ohm_rotation():
 
 
 def test_lyapunov_feg_zero_operator():
-    prob = Problem(name="zero", operator=ZeroOperator(2),
+    prob = Problem(name="zero", operator=zero_map(2),
                    solution=np.zeros(2))
     z0 = np.array([1.0, 1.0])
     t = run(cfg("FEG", 0.5, 10), prob, z0)
@@ -147,12 +185,13 @@ def test_lyapunov_feg_hand_values():
     assert ly.passed
     with pytest.raises(ConfigError, match="differs"):
         analysis.lyapunov_feg(t, 0.25, prob.solution, 1.0)
-    for bare in (run(cfg("OHM", alpha, 2), prob, np.array([1.0])),
-                 run(cfg("FEG", alpha, 2, record_iterates=False), prob,
-                     np.array([1.0]))):
-        with pytest.raises(ConfigError, match="half-step"):
+    for bare, why in ((run(cfg("OHM", alpha, 2), prob, np.array([1.0])),
+                       "holds for FEG"),
+                      (run(cfg("FEG", alpha, 2, record_iterates=False), prob,
+                           np.array([1.0])), "half-step")):
+        with pytest.raises(ConfigError, match=why):
             analysis.lyapunov_feg(bare, alpha, prob.solution, 1.0)
-        with pytest.raises(ConfigError, match="half-step"):
+        with pytest.raises(ConfigError, match=why):
             analysis.lyapunov_sm_eag(bare, alpha, 0.5, 1.0, prob.solution)
 
 
@@ -175,14 +214,19 @@ def _lyapunov_feg_closed_form(trace, alpha, z_star, lipschitz):
                                   certified_lower=cert)
 
 
+def _scsc_case(seed):
+    """Problem and start of the 20-seed strongly monotone suites' recipe at
+    any seed: mu = 1 for seed mod 20 < 10, else 0.1."""
+    mu = 1.0 if seed % 20 < 10 else 0.1
+    z_star = 0.5 * np.random.default_rng(2000 + seed).standard_normal(10)
+    prob = make_random_scsc(seed, 10, 10.0, mu, z_star=z_star)
+    return prob, np.random.default_rng(3000 + seed).standard_normal(10)
+
+
 def test_lyapunov_feg_matches_its_closed_form():
-    # the lyapunov suite's problems (mu = 1 for seed mod 20 < 10, else 0.1),
-    # over 100 seeds and the suite's three steps
+    # the lyapunov suite's problems over 100 seeds and its three steps
     for seed in range(100):
-        mu = 1.0 if seed % 20 < 10 else 0.1
-        z_star = 0.5 * np.random.default_rng(2000 + seed).standard_normal(10)
-        prob = make_random_scsc(seed, 10, 10.0, mu, z_star=z_star)
-        z0 = np.random.default_rng(3000 + seed).standard_normal(10)
+        prob, z0 = _scsc_case(seed)
         for ratio_al in (0.25, 0.5, 0.9):
             alpha = ratio_al / prob.lipschitz
             t = run(cfg("FEG", alpha, 200), prob, z0)
@@ -198,9 +242,31 @@ def test_lyapunov_feg_matches_its_closed_form():
             assert ly.passed == ref.passed, case
 
 
+def test_sm_rate_and_lyapunov_descent_beyond_the_suite_seeds():
+    # the checks of the sm-eag-rate and lyapunov suites, which run seeds
+    # 0-19, on seeds 20-99 of the same recipe
+    for seed in range(20, 100):
+        prob, z0 = _scsc_case(seed)
+        top = max_step_strongly_monotone(prob.lipschitz, prob.mu)
+        sm = run(cfg("SM_EAG_PLUS", top, 500), prob, z0)
+        assert analysis.rate_bound(sm, prob, "SM_EAG_RATE").passed, seed
+        for ratio_al in (0.25, 0.5, 0.9):
+            alpha = ratio_al / prob.lipschitz
+            t = run(cfg("FEG", alpha, 200), prob, z0)
+            ly = analysis.lyapunov_feg(t, alpha, prob.solution,
+                                       prob.lipschitz)
+            assert ly.passed, (seed, ratio_al)
+        for factor in (0.5, 1.0):
+            alpha = factor * top
+            t = run(cfg("SM_EAG_PLUS", alpha, 200), prob, z0)
+            ly = analysis.lyapunov_sm_eag(t, alpha, prob.mu, prob.lipschitz,
+                                          prob.solution)
+            assert ly.passed, (seed, factor)
+
+
 def test_lyapunov_sm_eag_head_and_zero_operator():
     alpha, mu = 0.2, 0.5
-    prob = Problem(name="zero-mu", operator=ZeroOperator(2),
+    prob = Problem(name="zero-mu", operator=zero_map(2),
                    solution=np.zeros(2))
     # declared strongly monotone metadata with a zero map is fine here: the
     # analysis only reads the trace
@@ -241,7 +307,7 @@ def test_lyapunov_sm_eag_hand_values():
 
 
 def test_rate_bound_ohm_trivial_and_hand():
-    prob = Problem(name="zero", operator=ZeroOperator(2),
+    prob = Problem(name="zero", operator=zero_map(2),
                    solution=np.zeros(2))
     t = run(cfg("OHM", 1.0, 10), prob, np.array([1.0, 0.0]))
     rep = analysis.rate_bound(t, prob, "OHM_RATE")
@@ -396,7 +462,7 @@ def test_splitting_note_names_its_reference_point(size, how):
     xi0 = np.linspace(-1.0, 2.0, comp.dim)
     apg = run(cfg("APG_STAR", 0.1, 20), comp, xi0)
     drs = run(cfg("OHM_DRS", 0.1, 20), comp, xi0)
-    note = analysis.merging_path("splitting", apg, drs, comp).note
+    note = analysis.merging_path(apg, drs, comp).note
     assert f"reference point {how} (splitting-map residual " in note
 
 
@@ -414,7 +480,7 @@ def test_rate_bound_missing_reference():
 
 
 def test_mp_bound_apg_zero_smooth_collapses():
-    comp = Problem(name="boxes", operator=ZeroOperator(2),
+    comp = Problem(name="boxes", operator=zero_map(2),
                    prox_part=BoxProx([0.0, 0.0], [1.0, 1.0]))
     z0 = np.array([2.0, -1.0])
     apg = run(cfg("APG_STAR", 0.5, 40), comp, z0)
@@ -561,7 +627,6 @@ def test_sm_eag_weighted_summability_bound():
     # for alpha strictly inside the admissible range, x = 1 + 2 alpha mu
     lip, mu = 10.0, 1.0
     prob = make_random_scsc(8, 6, lip, mu)
-    from anchorkit.algorithms import max_step_strongly_monotone
     alpha = 0.5 * max_step_strongly_monotone(lip, mu)
     z0 = np.random.default_rng(21).standard_normal(6)
     t = run(cfg("SM_EAG_PLUS", alpha, 300), prob, z0)
@@ -583,7 +648,6 @@ def test_sm_eag_weighted_summability_bound():
 def test_geometric_mp_within_proof_constant():
     lip, mu, eps = 10.0, 0.1, 0.1
     prob = make_random_scsc(2, 8, lip, mu)
-    from anchorkit.algorithms import max_step_strongly_monotone
     alpha = 0.5 * max_step_strongly_monotone(lip, mu)
     z0 = np.random.default_rng(5).standard_normal(8)
     sm = run(cfg("SM_EAG_PLUS", alpha, 400), prob, z0)

@@ -23,7 +23,6 @@ from anchorkit.operators import (
     ScaledOperator,
     ShiftedIdentityPlus,
     SumOperator,
-    ZeroOperator,
     _load_flapack,
     _lu_factor,
     as_vector,
@@ -34,6 +33,11 @@ from anchorkit.operators import (
 )
 
 ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+def zero_map(d):
+    """The zero map on R^d, an affine operator."""
+    return AffineOperator(np.zeros((d, d)))
 
 
 def test_as_vector_validation():
@@ -48,8 +52,11 @@ def test_as_vector_validation():
 
 
 def test_zero_operator():
-    op = ZeroOperator(2)
-    assert np.array_equal(op(np.array([3.0, -1.0])), np.zeros(2))
+    op = zero_map(2)
+    assert op.lipschitz == 0.0 and op.mu == 0.0
+    # +0.0 in every entry, whatever the signs of the point
+    assert (op(np.array([3.0, -0.0])).tobytes()
+            == np.zeros(2).tobytes())
     z = np.array([0.7, -0.2])
     assert np.array_equal(op.resolvent(0.3, z), z)
 
@@ -77,7 +84,7 @@ def test_affine_eval_bits_match_matmul(d):
 def test_wrong_shape_raises_dimension_mismatch():
     affine = AffineOperator(ROT, [0.5, -0.5])
     block = BoxProx([0.0, -1.0], [1.0, 1.0])
-    zero = ZeroOperator(2)
+    zero = zero_map(2)
     calls = (affine, lambda z: affine.resolvent(0.5, z),
              lambda z: block.resolvent(0.5, z),
              ShiftedIdentityPlus(affine, 0.5, [1.0, 2.0]),
@@ -172,7 +179,7 @@ def _block_prox_site(alpha):
 
 
 def _zero_site(alpha):
-    ZeroOperator(3).resolvent(alpha, np.ones(3))
+    zero_map(3).resolvent(alpha, np.ones(3))
 
 
 @pytest.mark.parametrize("alpha", [np.nan, np.inf, 0.0, -1.0])
@@ -192,8 +199,8 @@ def _identity(z):
 
 @pytest.mark.parametrize("build, error", [
     (lambda: ScaledOperator(np.nan, AffineOperator(ROT)), ValueError),
-    (lambda: ScaledOperator(np.inf, ZeroOperator(2)), ValueError),
-    (lambda: ScaledOperator(-np.inf, ZeroOperator(2)), ValueError),
+    (lambda: ScaledOperator(np.inf, zero_map(2)), ValueError),
+    (lambda: ScaledOperator(-np.inf, zero_map(2)), ValueError),
     (lambda: CallableOperator(_identity, 2, np.nan), InfeasibleConstants),
     (lambda: CallableOperator(_identity, 2, np.inf), InfeasibleConstants),
     (lambda: CallableOperator(_identity, 2, 1.0, mu=np.nan),
@@ -323,7 +330,7 @@ def test_iterative_resolvent_rejects_nan_at_once():
 
     op = CallableOperator(fn, 2, lipschitz=1.0)
     shifted = ShiftedIdentityPlus(op, 0.5, np.zeros(2))
-    sums = SumOperator([op, ZeroOperator(2)])
+    sums = SumOperator([op, zero_map(2)])
     for target in (op, shifted, sums):
         with pytest.raises(ValueError):
             target.resolvent(0.5, np.array([np.nan, 1.0]))
@@ -363,7 +370,7 @@ def test_scaled_and_sum():
     base = AffineOperator(np.eye(2))
     z = np.array([2.0, -4.0])
     assert np.allclose(ScaledOperator(0.5, base)(z), 0.5 * z)
-    s = SumOperator([base, ZeroOperator(2)])
+    s = SumOperator([base, zero_map(2)])
     assert np.allclose(s(z), z)
     assert s.lipschitz == 1.0 and s.mu == 1.0
     # resolvent of the scaled operator delegates to the base at c * alpha
@@ -423,14 +430,17 @@ def test_half_infinite_box():
 
 def test_zero_prox_identity():
     # the box over all of R^d is the indicator of the whole space, the zero
-    # function: its prox returns every input bit for bit, and so does the
-    # zero operator's resolvent
+    # function: its prox returns every input bit for bit; the zero map's
+    # resolvent returns the same values (a zero may lose its sign) and, as
+    # every affine resolvent, refuses non-finite input
     whole = BoxProx(np.full(6, -np.inf), np.full(6, np.inf))
     x = np.array([0.3, -0.7, -0.0, np.nan, np.inf, -np.inf])
+    finite = np.array([0.3, -0.7, -0.0, 1e-300, 1e150, 0.0])
     for alpha in (0.3, 2.0):
         assert whole.resolvent(alpha, x).tobytes() == x.tobytes()
-        assert (ZeroOperator(6).resolvent(alpha, x).tobytes()
-                == x.tobytes())
+        assert np.array_equal(zero_map(6).resolvent(alpha, finite), finite)
+        with pytest.raises(ValueError):
+            zero_map(6).resolvent(alpha, x)
 
 
 def test_block_prox_operator():
@@ -484,11 +494,11 @@ def test_forward_backward_residual_collapses():
     b = AffineOperator(ROT, np.array([0.5, 0.0]))
     z = np.array([0.2, -0.4])
     # A = 0 makes the backward step the identity
-    g = forward_backward_residual(ZeroOperator(2), b, 0.7, z)
+    g = forward_backward_residual(zero_map(2), b, 0.7, z)
     assert np.allclose(g, b(z), atol=1e-14)
     # B = 0 and z inside the box: fixed point of the projection
     box = BoxProx([0.0, -1.0], [1.0, 1.0])
-    g = forward_backward_residual(box, ZeroOperator(2), 0.7,
+    g = forward_backward_residual(box, zero_map(2), 0.7,
                                   np.array([0.5, 0.0]))
     assert np.allclose(g, 0.0)
 
@@ -503,7 +513,7 @@ def test_forward_backward_residual_hand_value():
 
 def test_drs_map_collapses_and_hand_value():
     ident = AffineOperator([[1.0]])
-    zero = ZeroOperator(1)
+    zero = zero_map(1)
     u = np.array([1.0])
     # A = 0: map reduces to J_B
     assert np.allclose(drs_map(zero, ident, 1.0, u),

@@ -9,8 +9,8 @@ def test_eag_aps_mp_summary_fails_with_any_problem(monkeypatch):
     monkeypatch.setattr(suites, "_affine_set", lambda: few)
     merging_path = analysis.merging_path
 
-    def failing_eag_on_first(rule, trace1, trace2, problem):
-        mp = merging_path(rule, trace1, trace2, problem)
+    def failing_eag_on_first(trace1, trace2, problem):
+        mp = merging_path(trace1, trace2, problem)
         if trace1.algorithm == "EAG" and problem is few[0][0]:
             return dataclasses.replace(mp, passed=False)
         return mp

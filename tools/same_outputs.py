@@ -15,6 +15,9 @@ with ``TREE/src`` on the path and BLAS pinned to one thread:
 - on the full FEG and SM_EAG_PLUS traces, the Lyapunov ``values``,
   ``decrements`` and ``certified_lower``, and for FEG also the ``measured``
   and ``bound`` of ``feg_summability_report`` and ``mp_bound_feg_ohm``;
+- every verification suite's ``passed``, ``lines`` and ``details``, run in
+  the same process as the traces, so ``details`` compare at full
+  precision where the printed lines round;
 - the stdout and exit code of ``anchorkit verify all``;
 - the files, stdout and exit codes of ``run`` (all algorithms), ``compare``
   (the five declared pairs, APG_STAR/OHM_DRS again on a box composite too
@@ -175,9 +178,15 @@ def _outcome(fn):
         return ("raised", type(exc).__name__, str(exc))
 
 
-def collect_traces(out: str) -> None:
-    """Run the trace matrix with the ``anchorkit`` on the path and pickle
-    one record per run to ``out``."""
+def _suite_record(result) -> dict:
+    return {"passed": result.passed, "lines": result.lines,
+            "details": result.details}
+
+
+def collect_in_process(out: str) -> None:
+    """Run the trace matrix and every suite with the ``anchorkit`` on the
+    path and pickle one record per trace case and per suite to ``out``."""
+    from anchorkit import suites
     from anchorkit.algorithms import AlgorithmConfig, run
     from anchorkit.problems import build_problem
 
@@ -208,6 +217,10 @@ def collect_traces(out: str) -> None:
             records[f"{case}/stop"] = run_with(max_iterations=ITERATIONS,
                                                stop_residual=stop)
         records[f"{case}/one"] = run_with(max_iterations=1)
+    records = {f"trace {key}": record for key, record in records.items()}
+    for name in suites.SUITES:
+        records[f"suite {name}"] = _outcome(
+            lambda: _suite_record(suites.run_suite(name)))
     Path(out).write_bytes(pickle.dumps(records))
 
 
@@ -228,15 +241,15 @@ def _files(directory: Path) -> dict:
 def collect(tree: Path, work: Path) -> dict:
     """Every output of the matrix for one source tree, keyed by name."""
     outputs = {}
-    pickled = work / "traces.pickle"
+    pickled = work / "in-process.pickle"
     proc = subprocess.run([sys.executable, str(Path(__file__).resolve()),
-                           "--traces", str(pickled)],
+                           "--in-process", str(pickled)],
                           env=_env(tree), capture_output=True, text=True)
     if proc.returncode != 0:
-        outputs["traces"] = {"exit": proc.returncode, "stderr": proc.stderr}
+        outputs["in-process"] = {"exit": proc.returncode,
+                                 "stderr": proc.stderr}
     else:
-        for key, record in pickle.loads(pickled.read_bytes()).items():
-            outputs[f"trace {key}"] = record
+        outputs.update(pickle.loads(pickled.read_bytes()))
     outputs["verify all"] = _cli(tree, work, ["verify", "all"])
     for command, label, problem, algorithms, iterations in CLI_CASES:
         directory = f"{command}-{label}"
@@ -299,8 +312,8 @@ def _short(value, width: int = 120) -> str:
 
 
 def main(argv) -> int:
-    if len(argv) == 2 and argv[0] == "--traces":
-        collect_traces(argv[1])
+    if len(argv) == 2 and argv[0] == "--in-process":
+        collect_in_process(argv[1])
         return 0
     if len(argv) != 2:
         print("usage: python tools/same_outputs.py TREE_A TREE_B",
