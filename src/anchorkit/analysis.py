@@ -111,7 +111,10 @@ GEOMETRIC_EPSILON = 0.1
 
 
 def mp_distance(trace1, trace2) -> Array:
-    """Squared distances ||z_k^(1) - z_k^(2)||^2 between two main sequences."""
+    """Squared distances ||z_k^(1) - z_k^(2)||^2 between the main sequences
+    of two runs from the same start at the same step size."""
+    if trace1.params["alpha"] != trace2.params["alpha"]:
+        raise MismatchedTraces("traces use different step sizes")
     a, b = trace1.main, trace2.main
     if a.shape != b.shape:
         raise MismatchedTraces(f"shapes {a.shape} vs {b.shape}")
@@ -153,7 +156,7 @@ class MergingPath:
 def merging_path(trace1, trace2, problem: Problem) -> MergingPath:
     """Apply the pair's merging-path rule, ``mp_rule(trace1.algorithm,
     trace2.algorithm)`` (see ``MP_RULES``), to two traces that start from
-    the same point.
+    the same point at the same step size (else MismatchedTraces).
 
     "constant" and "splitting" check the paper's bounds; the note of
     "splitting" says whether its reference point passes the certificate
@@ -245,8 +248,6 @@ def mp_bound_feg_ohm(trace_feg, problem: Problem,
                                     trace_feg.start)
     else:
         _expect(trace_ohm, "OHM")
-    if trace_ohm.params["alpha"] != alpha:
-        raise MismatchedTraces("traces use different step sizes")
     sq = mp_distance(trace_feg, trace_ohm)
     k = np.arange(len(sq))
     const = float(dist0 / (1.0 - alpha ** 2 * lip ** 2))
@@ -285,8 +286,6 @@ def mp_bound_apg(trace_apg, trace_drs, problem: Problem,
     for an APG_STAR trace and its OHM_DRS partner at the same step size."""
     _expect(trace_apg, "APG_STAR")
     _expect(trace_drs, "OHM_DRS")
-    if trace_apg.params["alpha"] != trace_drs.params["alpha"]:
-        raise MismatchedTraces("traces use different step sizes")
     sq_outer = mp_distance(trace_apg, trace_drs)
     z, w = trace_apg.auxiliary["z"], trace_drs.auxiliary["w"]
     n = min(len(z), len(w), len(sq_outer))

@@ -38,9 +38,13 @@ AGM_MOMENTUM_CHOICES = (3.0, 5.0, 9.0)
 #: the row of the figure-1 trajectories that the summary compares
 FIGURE1_SUMMARY_K = 50
 
-#: dimension and Lipschitz constant of the 20-seed problem sets
+#: seeds, dimension and Lipschitz constant of the seeded problem sets
+SUITE_SEEDS = range(20)
 SET_DIM = 10
 SET_LIPSCHITZ = 10.0
+
+#: the steps alpha * L of the anchored-extragradient checks
+FEG_STEP_RATIOS = (0.25, 0.5, 0.9)
 
 
 @dataclass
@@ -58,34 +62,37 @@ class SuiteResult:
 
 
 # ---------------------------------------------------------------------------
-# shared problem sets
+# seeded problem sets (tier-1 runs the per-problem checks on seeds 20-99)
 
 
-def _affine_set():
-    problems = []
-    for seed in range(20):
-        prob = make_random_monotone_affine(seed, SET_DIM, SET_LIPSCHITZ)
-        z0 = np.random.default_rng(1000 + seed).standard_normal(SET_DIM)
-        problems.append((prob, z0))
-    return problems
+def affine_case(seed):
+    """Monotone affine problem and start of the affine set at ``seed``."""
+    prob = make_random_monotone_affine(seed, SET_DIM, SET_LIPSCHITZ)
+    z0 = np.random.default_rng(1000 + seed).standard_normal(SET_DIM)
+    return prob, z0
 
 
-def _scsc_set():
-    """20 strongly monotone problems, condition numbers 10 and 100."""
-    problems = []
-    for seed in range(20):
-        mu = 1.0 if seed < 10 else 0.1
-        z_star = (0.5 * np.random.default_rng(2000 + seed)
-                  .standard_normal(SET_DIM))
-        prob = make_random_scsc(seed, SET_DIM, SET_LIPSCHITZ, mu,
-                                z_star=z_star)
-        z0 = np.random.default_rng(3000 + seed).standard_normal(SET_DIM)
-        problems.append((prob, z0))
-    return problems
+def scsc_case(seed):
+    """Strongly monotone problem and start of the SCSC set at ``seed``:
+    condition number 10 for seed mod 20 < 10, else 100."""
+    mu = 1.0 if seed % 20 < 10 else 0.1
+    z_star = 0.5 * np.random.default_rng(2000 + seed).standard_normal(SET_DIM)
+    prob = make_random_scsc(seed, SET_DIM, SET_LIPSCHITZ, mu, z_star=z_star)
+    z0 = np.random.default_rng(3000 + seed).standard_normal(SET_DIM)
+    return prob, z0
 
 
-def _worst(reports):
-    """The report with the largest ``max_ratio`` (the first of equals)."""
+def _worst(out, case, check):
+    """The largest-ratio report (the first of equals) of ``check`` on the
+    cases of SUITE_SEEDS, after a FAIL line for each failing problem."""
+    reports = []
+    for seed in SUITE_SEEDS:
+        prob, z0 = case(seed)
+        report = check(prob, z0)
+        reports.append(report)
+        if not report.passed:
+            k, ratio = report.worst()
+            out.check(False, f"{prob.name}: ratio {ratio:.3e} at k={k}")
     return max(reports, key=lambda report: report.max_ratio)
 
 
@@ -93,18 +100,16 @@ def _worst(reports):
 # 1. fixed-point residual rate of the anchored proximal method
 
 
+def ohm_rate_check(prob, z0):
+    """OHM at alpha = 0.1 for 1000 steps against its residual rate."""
+    trace = run(AlgorithmConfig("OHM", alpha=0.1, max_iterations=1000),
+                prob, z0)
+    return analysis.rate_bound(trace, prob, "OHM_RATE")
+
+
 def ohm_rate_suite() -> SuiteResult:
     out = SuiteResult()
-    reports = []
-    for prob, z0 in _affine_set():
-        trace = run(AlgorithmConfig("OHM", alpha=0.1, max_iterations=1000),
-                    prob, z0)
-        report = analysis.rate_bound(trace, prob, "OHM_RATE")
-        reports.append(report)
-        if not report.passed:
-            k, ratio = report.worst()
-            out.check(False, f"{prob.name}: ratio {ratio:.3e} at k={k}")
-    worst = _worst(reports)
+    worst = _worst(out, affine_case, ohm_rate_check)
     out.check(worst.passed,
               f"residual^2 <= 4 d0^2/(k+1)^2 on 20 problems, "
               f"max ratio {worst.max_ratio:.4f}")
@@ -116,18 +121,25 @@ def ohm_rate_suite() -> SuiteResult:
 # 2. merging-path bound and summability for the fully anchored extragradient
 
 
+def feg_ohm_mp_check(prob, z0, ratio_al):
+    """FEG at alpha = ratio_al / L for 1000 steps: its merging-path report
+    against the OHM partner and its summability report."""
+    alpha = ratio_al / prob.lipschitz
+    trace = run(AlgorithmConfig("FEG", alpha=alpha, max_iterations=1000),
+                prob, z0)
+    partner = analysis.run_ohm_partner(prob, alpha, 1000, z0)
+    return (analysis.merging_path(trace, partner, prob).report,
+            analysis.feg_summability_report(trace, prob))
+
+
 def feg_ohm_mp_suite() -> SuiteResult:
     out = SuiteResult()
-    for ratio_al in (0.25, 0.5, 0.9):
-        mps, sums = [], []
-        for prob, z0 in _affine_set():
-            alpha = ratio_al / prob.lipschitz
-            trace = run(AlgorithmConfig("FEG", alpha=alpha,
-                                        max_iterations=1000), prob, z0)
-            partner = analysis.run_ohm_partner(prob, alpha, 1000, z0)
-            mps.append(analysis.merging_path(trace, partner, prob).report)
-            sums.append(analysis.feg_summability_report(trace, prob))
-        worst_mp, worst_sum = _worst(mps), _worst(sums)
+    cases = [affine_case(seed) for seed in SUITE_SEEDS]
+    for ratio_al in FEG_STEP_RATIOS:
+        mps, sums = zip(*(feg_ohm_mp_check(prob, z0, ratio_al)
+                          for prob, z0 in cases))
+        worst_mp = max(mps, key=lambda report: report.max_ratio)
+        worst_sum = max(sums, key=lambda report: report.max_ratio)
         out.check(worst_mp.passed,
                   f"alpha*L={ratio_al}: max k^2 dist^2 / bound = "
                   f"{worst_mp.max_ratio:.4f}")
@@ -149,7 +161,8 @@ def eag_aps_mp_suite() -> SuiteResult:
     split = analysis.reported_split(iterations + 1)
     sups = {"EAG": 0.0, "APS": 0.0}
     held = {"EAG": True, "APS": True}
-    for prob, z0 in _affine_set():
+    for seed in SUITE_SEEDS:
+        prob, z0 = affine_case(seed)
         alpha = 0.125 / prob.lipschitz
         partner = analysis.run_ohm_partner(prob, alpha, iterations, z0)
         for name in ("EAG", "APS"):
@@ -175,19 +188,17 @@ def eag_aps_mp_suite() -> SuiteResult:
 # 4. strongly monotone anchored rate, plus the mu = 0 coincidence
 
 
+def sm_eag_rate_check(prob, z0):
+    """SM_EAG_PLUS at its largest step for 500 steps against its rate."""
+    alpha = max_step_strongly_monotone(prob.lipschitz, prob.mu)
+    trace = run(AlgorithmConfig("SM_EAG_PLUS", alpha=alpha,
+                                max_iterations=500), prob, z0)
+    return analysis.rate_bound(trace, prob, "SM_EAG_RATE")
+
+
 def sm_eag_rate_suite() -> SuiteResult:
     out = SuiteResult()
-    reports = []
-    for prob, z0 in _scsc_set():
-        alpha = max_step_strongly_monotone(prob.lipschitz, prob.mu)
-        trace = run(AlgorithmConfig("SM_EAG_PLUS", alpha=alpha,
-                                    max_iterations=500), prob, z0)
-        report = analysis.rate_bound(trace, prob, "SM_EAG_RATE")
-        reports.append(report)
-        if not report.passed:
-            k, ratio = report.worst()
-            out.check(False, f"{prob.name}: ratio {ratio:.3e} at k={k}")
-    worst = _worst(reports)
+    worst = _worst(out, scsc_case, sm_eag_rate_check)
     out.check(worst.passed,
               f"||B z_k||^2 within the geometric-anchor bound on 20 problems, "
               f"max ratio {worst.max_ratio:.4f}")
@@ -241,32 +252,34 @@ def sm_oc_halpern_mp_suite() -> SuiteResult:
 # 6. Lyapunov descent suites
 
 
+def lyapunov_check(prob, z0):
+    """Lyapunov traces of 200-step runs of FEG at FEG_STEP_RATIOS and of
+    SM_EAG_PLUS at 0.5 and 1 times its largest step, keyed by what each
+    checks."""
+    lyapunov = {}
+    for ratio_al in FEG_STEP_RATIOS:
+        alpha = ratio_al / prob.lipschitz
+        trace = run(AlgorithmConfig("FEG", alpha=alpha, max_iterations=200),
+                    prob, z0)
+        lyapunov[f"anchored-extragradient Lyapunov descent at "
+                 f"alpha*L = {ratio_al}"] = analysis.lyapunov_feg(
+            trace, alpha, prob.solution, prob.lipschitz)
+    for factor in (0.5, 1.0):
+        alpha = factor * max_step_strongly_monotone(prob.lipschitz, prob.mu)
+        trace = run(AlgorithmConfig("SM_EAG_PLUS", alpha=alpha,
+                                    max_iterations=200), prob, z0)
+        lyapunov[f"strongly monotone Lyapunov descent at "
+                 f"{factor:.1f} x max step"] = analysis.lyapunov_sm_eag(
+            trace, alpha, prob.mu, prob.lipschitz, prob.solution)
+    return lyapunov
+
+
 def lyapunov_suite() -> SuiteResult:
     out = SuiteResult()
-    problems = _scsc_set()
-    for ratio_al in (0.25, 0.5, 0.9):
-        ok = True
-        for prob, z0 in problems:
-            alpha = ratio_al / prob.lipschitz
-            trace = run(AlgorithmConfig("FEG", alpha=alpha,
-                                        max_iterations=200), prob, z0)
-            ly = analysis.lyapunov_feg(trace, alpha, prob.solution,
-                                       prob.lipschitz)
-            ok = ok and ly.passed
-        out.check(ok, f"anchored-extragradient Lyapunov descent at "
-                      f"alpha*L = {ratio_al} on 20 problems")
-    for factor in (0.5, 1.0):
-        ok = True
-        for prob, z0 in problems:
-            alpha = factor * max_step_strongly_monotone(prob.lipschitz,
-                                                        prob.mu)
-            trace = run(AlgorithmConfig("SM_EAG_PLUS", alpha=alpha,
-                                        max_iterations=200), prob, z0)
-            ly = analysis.lyapunov_sm_eag(trace, alpha, prob.mu,
-                                         prob.lipschitz, prob.solution)
-            ok = ok and ly.passed
-        out.check(ok, f"strongly monotone Lyapunov descent at "
-                      f"{factor:.1f} x max step on 20 problems")
+    checks = [lyapunov_check(*scsc_case(seed)) for seed in SUITE_SEEDS]
+    for text in checks[0]:
+        out.check(all(ly[text].passed for ly in checks),
+                  f"{text} on 20 problems")
     return out
 
 
@@ -274,32 +287,36 @@ def lyapunov_suite() -> SuiteResult:
 # 7/8. composite splitting: merging path, residual rate, inner-oracle trend
 
 
-def _apg_setup(iterations):
+def _apg_case():
+    """The box-bilinear composite and start of apg-mp and apg-oracle-trend."""
     prob = make_box_bilinear_composite(seed=5)
+    return prob, 2.0 * np.random.default_rng(77).standard_normal(prob.dim)
+
+
+def apg_mp_check(prob, xi0):
+    """APG_STAR and OHM_DRS at alpha = 0.5 / L for 300 steps: their merging
+    path, both residual rates and the path constant C(xi_0)."""
     alpha = 0.5 / prob.lipschitz
-    xi0 = 2.0 * np.random.default_rng(77).standard_normal(prob.dim)
-    apg = run(AlgorithmConfig("APG_STAR", alpha=alpha,
-                              max_iterations=iterations), prob, xi0)
-    return prob, alpha, xi0, apg
+    apg = run(AlgorithmConfig("APG_STAR", alpha=alpha, max_iterations=300),
+              prob, xi0)
+    drs = run(AlgorithmConfig("OHM_DRS", alpha=alpha, max_iterations=300),
+              prob, xi0)
+    xi_star = analysis.reference_point(apg, prob)
+    return (analysis.merging_path(apg, drs, prob),
+            analysis.rate_bound(apg, prob, "APG_RESIDUAL", reference=xi_star),
+            analysis.rate_bound(drs, prob, "OHM_DRS_RATE", reference=xi_star),
+            analysis.apg_path_constant(prob, xi0, xi_star))
 
 
 def apg_mp_suite() -> SuiteResult:
     out = SuiteResult()
-    prob, alpha, xi0, apg = _apg_setup(300)
-    drs = run(AlgorithmConfig("OHM_DRS", alpha=alpha, max_iterations=300),
-              prob, xi0)
-    mp = analysis.merging_path(apg, drs, prob)
+    mp, rate, drs_rate, c = apg_mp_check(*_apg_case())
     out.info(mp.note)
     out.check(mp.passed, f"max(outer, inner) squared distance within "
                          f"C^2/(L^2 (k+1)^2), max ratio "
                          f"{mp.report.max_ratio:.4f}")
-    xi_star = analysis.reference_point(apg, prob)
-    c = analysis.apg_path_constant(prob, xi0, xi_star)
-    rate = analysis.rate_bound(apg, prob, "APG_RESIDUAL", reference=xi_star)
     out.check(rate.passed, f"||G(z_k)||^2 within (3+aL)^2 C^2/(a^2 L^2 (k+1)^2), "
                            f"max ratio {rate.max_ratio:.4f}")
-    drs_rate = analysis.rate_bound(drs, prob, "OHM_DRS_RATE",
-                                   reference=xi_star)
     out.check(drs_rate.passed, f"splitting partner residual rate, "
                                f"max ratio {drs_rate.max_ratio:.4f}")
     out.details.update(mp_ratio=mp.report.max_ratio,
@@ -310,7 +327,9 @@ def apg_mp_suite() -> SuiteResult:
 
 def apg_oracle_trend_suite() -> SuiteResult:
     out = SuiteResult()
-    _, _, _, apg = _apg_setup(1000)
+    prob, xi0 = _apg_case()
+    apg = run(AlgorithmConfig("APG_STAR", alpha=0.5 / prob.lipschitz,
+                              max_iterations=1000), prob, xi0)
     counts = apg.auxiliary["inner_b_evals"]
     ks = np.array([10, 100, 1000])
     obs = counts[ks].astype(float)
@@ -484,9 +503,13 @@ def speedup_suite() -> SuiteResult:
 # 12. operator-core property sampling
 
 
-def _sample_pairs(rng, dim, count):
-    return (2.0 * rng.standard_normal((count, dim)),
-            2.0 * rng.standard_normal((count, dim)))
+def _holds(rng, shape, *conditions, points=2, scale=2.0):
+    """Whether each condition holds on all ``shape[0]`` samples of ``points``
+    vectors, drawn as ``points`` blocks of ``scale`` N(0, 1) of ``shape``."""
+    blocks = [scale * rng.standard_normal(shape) for _ in range(points)]
+    samples = list(zip(*blocks))
+    return [all(condition(*sample) for sample in samples)
+            for condition in conditions]
 
 
 def operator_property_suite() -> SuiteResult:
@@ -494,6 +517,11 @@ def operator_property_suite() -> SuiteResult:
     pairs = 1000
     rng = np.random.default_rng(99)
     slack = 1e-9
+
+    def nonexpansive(op, alpha):
+        return lambda z, w: (np.linalg.norm(op.resolvent(alpha, z)
+                                            - op.resolvent(alpha, w))
+                             <= np.linalg.norm(z - w) + slack)
 
     scsc = make_random_scsc(11, 5, 3.0, 0.5)
     skew = make_random_monotone_affine(12, 6, 2.0)
@@ -508,15 +536,12 @@ def operator_property_suite() -> SuiteResult:
                                                  np.zeros(5))),
     ]
     for name, op in candidates:
-        zs, ws = _sample_pairs(rng, op.dim, pairs)
-        mono_ok = lip_ok = True
-        for z, w in zip(zs, ws):
-            dv = op(z) - op(w)
-            dz = z - w
-            if np.dot(dv, dz) < op.mu * np.dot(dz, dz) - slack:
-                mono_ok = False
-            if np.linalg.norm(dv) > op.lipschitz * np.linalg.norm(dz) + slack:
-                lip_ok = False
+        mono_ok, lip_ok = _holds(
+            rng, (pairs, op.dim),
+            lambda z, w: (np.dot(op(z) - op(w), z - w)
+                          >= op.mu * np.dot(z - w, z - w) - slack),
+            lambda z, w: (np.linalg.norm(op(z) - op(w))
+                          <= op.lipschitz * np.linalg.norm(z - w) + slack))
         out.check(mono_ok, f"{name}: monotonicity modulus >= mu on "
                            f"{pairs} pairs")
         out.check(lip_ok, f"{name}: Lipschitz bound on {pairs} pairs")
@@ -524,53 +549,42 @@ def operator_property_suite() -> SuiteResult:
     # resolvent nonexpansiveness and residual identity (exact resolvents)
     for name, op, alpha in (("strongly-monotone-affine", scsc.operator, 0.3),
                             ("skew-affine", skew.operator, 0.2)):
-        zs, ws = _sample_pairs(rng, op.dim, pairs)
-        nonexp_ok = ident_ok = True
-        for z, w in zip(zs, ws):
-            jz, jw = op.resolvent(alpha, z), op.resolvent(alpha, w)
-            if np.linalg.norm(jz - jw) > np.linalg.norm(z - w) + slack:
-                nonexp_ok = False
-            if np.linalg.norm(z - jz - alpha * op(jz)) > slack:
-                ident_ok = False
+        nonexp_ok, ident_ok = _holds(
+            rng, (pairs, op.dim), nonexpansive(op, alpha),
+            lambda z, _: np.linalg.norm(z - op.resolvent(alpha, z) - alpha
+                                        * op(op.resolvent(alpha, z))) <= slack)
         out.check(nonexp_ok, f"{name}: resolvent nonexpansive on {pairs} pairs")
         out.check(ident_ok, f"{name}: z - J(z) = alpha B(J(z)) on {pairs} pairs")
 
     # the box prox (one box per player, stacked) is an exact resolvent too
-    box = make_box_bilinear_composite(seed=21).prox_part
-    zs, ws = _sample_pairs(rng, box.dim, pairs)
-    nonexp_ok = True
-    for z, w in zip(zs, ws):
-        jz = box.resolvent(0.3, z)
-        jw = box.resolvent(0.3, w)
-        if np.linalg.norm(jz - jw) > np.linalg.norm(z - w) + slack:
-            nonexp_ok = False
+    comp = make_box_bilinear_composite(seed=21)
+    [nonexp_ok] = _holds(rng, (pairs, comp.dim),
+                         nonexpansive(comp.prox_part, 0.3))
     out.check(nonexp_ok, f"blockwise prox: resolvent nonexpansive on "
                          f"{pairs} pairs")
 
     # forward-backward residual inequality on a composite pair
-    comp = make_box_bilinear_composite(seed=21)
     alpha = 0.4 / comp.lipschitz
-    vs, ws = _sample_pairs(rng, comp.dim, pairs)
-    coco_ok = True
-    for v, w in zip(vs, ws):
+
+    def cocoercive(v, w):
         gv = forward_backward_residual(comp.prox_part, comp.operator, alpha, v)
         gw = forward_backward_residual(comp.prox_part, comp.operator, alpha, w)
         lhs = np.dot(gv - gw, (v + alpha * comp.operator(v))
                      - (w + alpha * comp.operator(w)))
-        if lhs < alpha * np.dot(gv - gw, gv - gw) - slack:
-            coco_ok = False
+        return lhs >= alpha * np.dot(gv - gw, gv - gw) - slack
+
+    [coco_ok] = _holds(rng, (pairs, comp.dim), cocoercive)
     out.check(coco_ok, f"forward-backward residual inequality on {pairs} pairs")
 
     # residual-versus-operator bound for alpha * L < 1
     op = scsc.operator
     alpha = 0.2 / op.lipschitz
-    us = 2.0 * rng.standard_normal((pairs, op.dim))
-    resid_ok = True
     factor = alpha / (1.0 - alpha * op.lipschitz)
-    for u in us:
-        if (np.linalg.norm(u - op.resolvent(alpha, u))
-                > factor * np.linalg.norm(op(u)) + slack):
-            resid_ok = False
+    [resid_ok] = _holds(
+        rng, (pairs, op.dim),
+        lambda u: (np.linalg.norm(u - op.resolvent(alpha, u))
+                   <= factor * np.linalg.norm(op(u)) + slack),
+        points=1)
     out.check(resid_ok, f"||u - J(u)|| <= a/(1-aL) ||B u|| on {pairs} points")
 
     # saddle map agrees with central differences of the scalar function
@@ -583,9 +597,7 @@ def operator_property_suite() -> SuiteResult:
         x, y = z[:2], z[2:]
         return float(x @ (a @ y) + b @ x - c @ y)
 
-    step = 1e-6
-    fd_ok = True
-    for z in rng.standard_normal((100, 4)):
+    def matches_differences(z, step=1e-6):
         fd = np.empty(4)
         for i in range(4):
             e = np.zeros(4)
@@ -593,8 +605,9 @@ def operator_property_suite() -> SuiteResult:
             fd[i] = (value(z + e) - value(z - e)) / (2.0 * step)
         fd[2:] = -fd[2:]
         got = bil.operator(z)
-        if np.linalg.norm(got - fd) > 1e-5 * max(1.0, np.linalg.norm(got)):
-            fd_ok = False
+        return np.linalg.norm(got - fd) <= 1e-5 * max(1.0, np.linalg.norm(got))
+
+    [fd_ok] = _holds(rng, (100, 4), matches_differences, points=1, scale=1.0)
     out.check(fd_ok, "saddle map matches central finite differences "
                      "(rel err <= 1e-5 at step 1e-6)")
     return out

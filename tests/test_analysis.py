@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from anchorkit import analysis
+from anchorkit import analysis, suites
 from anchorkit.algorithms import (
     AlgorithmConfig,
     max_step_strongly_monotone,
@@ -79,6 +79,14 @@ def test_mp_distance_mismatches():
     c = run(cfg("FEG", 0.05, 10), prob, 2 * np.ones(4))
     with pytest.raises(MismatchedTraces):
         analysis.mp_distance(a, c)
+    # mp_distance refuses unequal step sizes, so every merging-path rule
+    # does; "geometric" and "reported" once gave a verdict on these pairs
+    scsc = make_random_scsc(0, 6, 10.0, 0.1)
+    for first, second in (("SM_EAG_PLUS", "OC_HALPERN"), ("EAG", "OHM")):
+        d = run(cfg(first, 0.05, 50), scsc, np.ones(6))
+        e = run(cfg(second, 0.01, 50), scsc, np.ones(6))
+        with pytest.raises(MismatchedTraces, match="different step sizes"):
+            analysis.merging_path(d, e, scsc)
 
 
 def test_mp_feg_ohm_one_step_hand_value():
@@ -214,20 +222,11 @@ def _lyapunov_feg_closed_form(trace, alpha, z_star, lipschitz):
                                   certified_lower=cert)
 
 
-def _scsc_case(seed):
-    """Problem and start of the 20-seed strongly monotone suites' recipe at
-    any seed: mu = 1 for seed mod 20 < 10, else 0.1."""
-    mu = 1.0 if seed % 20 < 10 else 0.1
-    z_star = 0.5 * np.random.default_rng(2000 + seed).standard_normal(10)
-    prob = make_random_scsc(seed, 10, 10.0, mu, z_star=z_star)
-    return prob, np.random.default_rng(3000 + seed).standard_normal(10)
-
-
 def test_lyapunov_feg_matches_its_closed_form():
     # the lyapunov suite's problems over 100 seeds and its three steps
     for seed in range(100):
-        prob, z0 = _scsc_case(seed)
-        for ratio_al in (0.25, 0.5, 0.9):
+        prob, z0 = suites.scsc_case(seed)
+        for ratio_al in suites.FEG_STEP_RATIOS:
             alpha = ratio_al / prob.lipschitz
             t = run(cfg("FEG", alpha, 200), prob, z0)
             ly = analysis.lyapunov_feg(t, alpha, prob.solution,
@@ -240,28 +239,6 @@ def test_lyapunov_feg_matches_its_closed_form():
             assert (np.abs(ly.certified_lower - ref.certified_lower).max()
                     <= 1e-13 * np.abs(ref.certified_lower).max()), case
             assert ly.passed == ref.passed, case
-
-
-def test_sm_rate_and_lyapunov_descent_beyond_the_suite_seeds():
-    # the checks of the sm-eag-rate and lyapunov suites, which run seeds
-    # 0-19, on seeds 20-99 of the same recipe
-    for seed in range(20, 100):
-        prob, z0 = _scsc_case(seed)
-        top = max_step_strongly_monotone(prob.lipschitz, prob.mu)
-        sm = run(cfg("SM_EAG_PLUS", top, 500), prob, z0)
-        assert analysis.rate_bound(sm, prob, "SM_EAG_RATE").passed, seed
-        for ratio_al in (0.25, 0.5, 0.9):
-            alpha = ratio_al / prob.lipschitz
-            t = run(cfg("FEG", alpha, 200), prob, z0)
-            ly = analysis.lyapunov_feg(t, alpha, prob.solution,
-                                       prob.lipschitz)
-            assert ly.passed, (seed, ratio_al)
-        for factor in (0.5, 1.0):
-            alpha = factor * top
-            t = run(cfg("SM_EAG_PLUS", alpha, 200), prob, z0)
-            ly = analysis.lyapunov_sm_eag(t, alpha, prob.mu, prob.lipschitz,
-                                          prob.solution)
-            assert ly.passed, (seed, factor)
 
 
 def test_lyapunov_sm_eag_head_and_zero_operator():
@@ -441,17 +418,10 @@ def test_splitting_verdicts_on_box_bilinear_seeds():
     # point that passes the certificate, which the fallback run would miss
     # by far
     for seed in range(20):
-        comp, alpha, xi0 = _box_bilinear_case(seed)
-        apg = run(cfg("APG_STAR", alpha, 300), comp, xi0)
-        drs = run(cfg("OHM_DRS", alpha, 300), comp, xi0)
-        ref = analysis.reference_point(apg, comp)
-        assert (analysis.splitting_residual(comp, alpha, ref)
-                <= analysis.REFERENCE_CERTIFICATE), seed
-        assert analysis.mp_bound_apg(apg, drs, comp, xi_star=ref).passed, seed
-        assert analysis.rate_bound(apg, comp, "APG_RESIDUAL",
-                                   reference=ref).passed, seed
-        assert analysis.rate_bound(drs, comp, "OHM_DRS_RATE",
-                                   reference=ref).passed, seed
+        comp, _, xi0 = _box_bilinear_case(seed)
+        mp, rate, drs_rate, _ = suites.apg_mp_check(comp, xi0)
+        assert "reference point exact and certified" in mp.note, seed
+        assert mp.passed and rate.passed and drs_rate.passed, seed
 
 
 @pytest.mark.parametrize("size, how", [(2, "exact and certified"),
@@ -501,9 +471,8 @@ def test_apg_epsilon_series_telescopes():
 
 
 def test_apg_iterate_boundedness():
-    comp = make_box_bilinear_composite(seed=5)
+    comp, xi0 = suites._apg_case()
     alpha = 0.5 / comp.lipschitz
-    xi0 = 2.0 * np.random.default_rng(77).standard_normal(comp.dim)
     apg = run(cfg("APG_STAR", alpha, 200), comp, xi0)
     xi_star = analysis.fixed_point_reference(comp, alpha, iterations=50_000,
                                              start=xi0)

@@ -180,7 +180,8 @@ def test_brent_root_matches_scipy_brentq_on_generic_functions():
 
 
 def test_suite_scsc_problems_reach_brentq_scale(monkeypatch):
-    calls = _scsc_roots(monkeypatch, suites._scsc_set)
+    calls = _scsc_roots(monkeypatch, lambda: [
+        suites.scsc_case(seed) for seed in suites.SUITE_SEEDS])
     assert len(calls) == 20
     for f, a, b, xtol, rtol in calls:
         want = brentq(f, a, b, xtol=xtol, rtol=rtol)
