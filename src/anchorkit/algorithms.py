@@ -25,6 +25,7 @@ billed. Calls made before row 0 (a warm start) are billed as ``warmup_b``.
 from __future__ import annotations
 
 import math
+import numbers
 from array import array
 from dataclasses import dataclass, field
 
@@ -46,9 +47,13 @@ from .problems import Problem
 class AlgorithmConfig:
     """Algorithm identifier plus every scalar/schedule parameter.
 
-    ``momentum_a``, ``gamma`` and ``theta`` belong to one algorithm each;
-    ``validate_config`` refuses them set for any other. Iterative resolvents
-    are solved to ``operators.RESOLVENT_TOL``, which is not configurable.
+    The constructor refuses with ``ConfigError`` every field that is wrong
+    whatever the problem (an unknown name with code ``UNKNOWN_ALGORITHM``);
+    ``validate_config`` adds the checks that need the problem. Numbers are
+    finite reals, not bools; ``gamma``, ``theta`` and ``stop_residual`` may
+    be None. ``momentum_a``, ``gamma`` and ``theta`` belong to one algorithm
+    each and are refused set for any other. Iterative resolvents are solved
+    to ``operators.RESOLVENT_TOL``, which is not configurable.
     """
 
     algorithm: str
@@ -56,9 +61,59 @@ class AlgorithmConfig:
     max_iterations: int = 10_000
     momentum_a: float = 3.0          # AGM only, must exceed 2
     gamma: float | None = None       # OC_HALPERN contraction parameter (> 1)
-    theta: float | None = None       # APS_V only
+    theta: float | None = None       # APS_V only, must be positive
     stop_residual: float | None = None
     record_iterates: bool = True
+
+    def __post_init__(self):
+        name = self.algorithm
+        if not isinstance(name, str) or name not in _RULES:
+            raise ConfigError(f"unknown algorithm {name!r}",
+                              code="UNKNOWN_ALGORITHM")
+        if self.alpha is None:
+            raise ConfigError(f"{name}: alpha is required")
+        for key in ("alpha", "momentum_a", "gamma", "theta", "stop_residual"):
+            value = getattr(self, key)
+            nullable = key in ("gamma", "theta", "stop_residual")
+            if not (value is None and nullable or _finite(value)):
+                raise ConfigError(f"{name}: {key} must be a finite number, "
+                                  f"got {value!r}")
+        n = self.max_iterations
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+            raise ConfigError(f"{name}: max_iterations must be an integer, "
+                              f"got {n!r}")
+        if self.alpha <= 0:
+            raise ConfigError("alpha must be a positive finite real")
+        if n < 1:
+            raise ConfigError("max_iterations must be at least 1")
+        if self.stop_residual is not None and self.stop_residual < 0:
+            raise ConfigError(f"{name}: stop_residual must be non-negative, "
+                              f"got {self.stop_residual!r}")
+        if not isinstance(self.record_iterates, bool):
+            raise ConfigError(f"{name}: record_iterates must be a bool, got "
+                              f"{self.record_iterates!r}")
+        for key, owner, unset in (("momentum_a", "AGM",
+                                   AlgorithmConfig.momentum_a),
+                                  ("gamma", "OC_HALPERN", None),
+                                  ("theta", "APS_V", None)):
+            if name != owner and getattr(self, key) != unset:
+                raise ConfigError(f"{name} ignores {key}; only {owner} "
+                                  f"takes it")
+        if name == "AGM" and self.momentum_a <= 2:
+            raise ConfigError("AGM momentum parameter must exceed 2")
+        if name == "APS_V" and (self.theta is None or self.theta <= 0):
+            raise ConfigError("APS_V needs theta > 0 (no endorsed default)")
+
+
+def _finite(value) -> bool:
+    """Whether ``value`` is a real number, not a bool, with a finite float
+    value; an int beyond the float range is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -172,21 +227,9 @@ def _oc_halpern_gamma(config: AlgorithmConfig, mu: float) -> float | None:
 
 
 def validate_config(config: AlgorithmConfig, problem: Problem) -> None:
-    """Reject configurations outside the admissible range for the problem."""
+    """Reject configurations outside the admissible range for the problem;
+    ``AlgorithmConfig`` has already refused what is wrong for any problem."""
     name = config.algorithm
-    if name not in _RULES:
-        raise ConfigError(f"unknown algorithm {name!r}")
-    if not (config.alpha > 0 and math.isfinite(config.alpha)):
-        raise ConfigError("alpha must be a positive finite real")
-    if config.max_iterations < 1:
-        raise ConfigError("max_iterations must be at least 1")
-    for field_name, owner, unset in (
-            ("momentum_a", "AGM", AlgorithmConfig.momentum_a),
-            ("gamma", "OC_HALPERN", None),
-            ("theta", "APS_V", None)):
-        if name != owner and getattr(config, field_name) != unset:
-            raise ConfigError(f"{name} ignores {field_name}; only {owner} "
-                              f"takes it")
     lip, mu = problem.lipschitz, problem.mu
     if problem.is_composite and name not in ("OHM_DRS", "APG_STAR"):
         raise ConfigError(f"{name} does not handle composite problems")
@@ -201,17 +244,12 @@ def validate_config(config: AlgorithmConfig, problem: Problem) -> None:
             raise ConfigError(
                 f"SM_EAG_PLUS needs alpha <= (sqrt(L^2+mu^2)+mu)/L^2 = {top:.6g}")
     if name == "APS_V":
-        if config.theta is None or config.theta <= 0:
-            raise ConfigError("APS_V needs theta > 0 (no endorsed default)")
         m = 2.0 * lip ** 2 * (1.0 + config.theta)
         if 1.0 - m * config.alpha ** 2 <= 0:
             raise ConfigError("APS_V needs 1 - 2 L^2 (1+theta) alpha^2 > 0 "
                               "at the initial step")
-    if name == "AGM":
-        if not isinstance(problem.operator, GradientOperator):
-            raise ConfigError("AGM needs a gradient-field problem")
-        if config.momentum_a <= 2:
-            raise ConfigError("AGM momentum parameter must exceed 2")
+    if name == "AGM" and not isinstance(problem.operator, GradientOperator):
+        raise ConfigError("AGM needs a gradient-field problem")
     if name == "OC_HALPERN":
         gamma = _oc_halpern_gamma(config, mu)
         if gamma is None or gamma <= 1.0:

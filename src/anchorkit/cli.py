@@ -4,8 +4,8 @@ or ``suites``.
 
 Subcommands: ``run <config.json>``, ``compare <config.json>``,
 ``figure1 [--out DIR]``, ``verify <suite>``. Exit codes: 0 success,
-1 verification failure, 2 usage/config error. Config errors print a
-machine-readable JSON object on stdout.
+1 verification failure, 2 usage/config error. Every package error is a
+refusal: ``main`` prints its ``code`` and message as a JSON object on stdout.
 """
 from __future__ import annotations
 
@@ -19,16 +19,15 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, suites
-from .algorithms import ALGORITHMS, AlgorithmConfig, run, validate_config
-from .errors import AnchorkitError, ConfigError, DomainViolation
+from .algorithms import AlgorithmConfig, run, validate_config
+from .errors import AnchorkitError, ConfigError
 from .operators import as_vector
 from .problems import PROBLEM_BUILDERS, build_problem
 
-#: keys an algorithm entry may set besides ``algorithm``, each with whether
-#: it may be null; trace CSVs need recorded iterates, so ``record_iterates``
-#: is not one of them
-_ALGO_FIELDS = {f.name: f.default is None for f in fields(AlgorithmConfig)
-                if f.name not in ("algorithm", "record_iterates")}
+#: keys an algorithm entry may set besides ``algorithm``; trace CSVs need
+#: recorded iterates, so ``record_iterates`` is not one of them
+_ALGO_FIELDS = {f.name for f in fields(AlgorithmConfig)} - {
+    "algorithm", "record_iterates"}
 
 
 def _fail(code: str, detail: str) -> int:
@@ -38,8 +37,24 @@ def _fail(code: str, detail: str) -> int:
 
 
 def _load_config(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8
+        raise ConfigError(f"cannot read config: {exc}",
+                          code="BAD_CONFIG") from None
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # or nested too deeply
+        raise ConfigError(f"config is not valid JSON: {exc}",
+                          code="BAD_CONFIG") from None
+
+
+def _make_dir(directory: Path) -> None:
+    """Create the output directory, refusing a path that a file blocks."""
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory: {exc}") from None
 
 
 def _number(where: str, value, integer: bool = False):
@@ -72,12 +87,13 @@ def _parse_experiment(cfg):
         raise ConfigError("config needs problem: {name, params}")
     pname = problem_cfg["name"]
     if not isinstance(pname, str) or pname not in PROBLEM_BUILDERS:
-        raise KeyError(f"unknown problem {pname!r}")
+        raise ConfigError(f"unknown problem {pname!r}", code="UNKNOWN_PROBLEM")
     _finite_numbers("problem.params", problem_cfg.get("params"))
     try:
         problem = build_problem(pname, problem_cfg.get("params"))
-    except (TypeError, ValueError, MemoryError) as exc:
-        # MemoryError: a size whose arrays cannot be allocated at all
+    except (TypeError, ValueError, OverflowError, MemoryError) as exc:
+        # OverflowError: an integer beyond the float range; MemoryError: a
+        # size whose arrays cannot be allocated at all
         raise ConfigError(f"problem {pname}: {exc}") from None
     iterations = _number("iterations", cfg.get("iterations", 1000),
                          integer=True)
@@ -88,26 +104,20 @@ def _parse_experiment(cfg):
     for entry in algos:
         if not isinstance(entry, dict):
             raise ConfigError("each algorithms entry must be a JSON object")
-        name = entry.get("algorithm")
-        if not isinstance(name, str) or name not in ALGORITHMS:
-            raise ConfigError(f"UNKNOWN_ALGORITHM:{name}")
-        kwargs = {k: v for k, v in entry.items() if k != "algorithm"}
-        unknown = sorted(kwargs.keys() - _ALGO_FIELDS.keys())
+        # the config refuses an unknown algorithm, a missing alpha and a bad
+        # field before the unknown keys are named
+        known = {"max_iterations": iterations, "alpha": None,
+                 **{k: v for k, v in entry.items() if k in _ALGO_FIELDS}}
+        config = AlgorithmConfig(entry.get("algorithm"), **known)
+        unknown = sorted(entry.keys() - _ALGO_FIELDS - {"algorithm"})
         if unknown:
-            raise ConfigError(f"{name}: unknown keys {unknown}")
-        kwargs.setdefault("max_iterations", iterations)
-        if "alpha" not in kwargs:
-            raise ConfigError(f"{name}: alpha is required")
-        for key, value in kwargs.items():
-            if value is not None or not _ALGO_FIELDS[key]:
-                _number(f"{name}: {key}", value,
-                        integer=key == "max_iterations")
-        configs.append(AlgorithmConfig(algorithm=name, **kwargs))
-        validate_config(configs[-1], problem)  # before any file is written
+            raise ConfigError(f"{config.algorithm}: unknown keys {unknown}")
+        validate_config(config, problem)  # before any file is written
+        configs.append(config)
     if "start" in cfg:
         try:
             z0 = as_vector(cfg["start"], problem.dim)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"start: {exc}") from None
     elif problem.start is not None:
         z0 = problem.start
@@ -152,7 +162,7 @@ def _write_trace_csv(path: Path, trace) -> None:
 def cmd_run(config_path: str) -> int:
     cfg = _load_config(config_path)
     problem, configs, z0, out_dir = _parse_experiment(cfg)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(out_dir)
     written, reasons = [], []
     for i, acfg in enumerate(configs):
         trace = run(acfg, problem, z0)
@@ -176,9 +186,9 @@ def cmd_compare(config_path: str) -> int:
     rule = analysis.mp_rule(*pair)
     if configs[0].alpha != configs[1].alpha:
         raise ConfigError("compare needs both algorithms at the same alpha")
+    _make_dir(out_dir)
     traces = [run(c, problem, z0) for c in configs]
     mp = analysis.merging_path(*traces, problem)
-    out_dir.mkdir(parents=True, exist_ok=True)
     k, sq = mp.report.k_values, mp.sq_distance  # k = 0, 1, ..., K
     _write_csv(out_dir / "mp.csv",
                ["k", "sq_distance", "k2_sq_distance", "bound", "ratio"],
@@ -201,7 +211,7 @@ def cmd_figure1(out: str, iterations: int = 200) -> int:
         raise ConfigError(f"figure1 needs --iterations >= "
                           f"{suites.FIGURE1_SUMMARY_K}, the summary's row")
     out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(out_dir)
     prob, runs, failures = suites.figure1_trajectories(iterations)
     for label, trace in runs.items():
         safe = label.replace("(", "_").replace(")", "").replace("=", "")
@@ -222,8 +232,9 @@ def cmd_verify(suite_name: str) -> int:
     failed = False
     for name in names:
         if name not in suites.SUITES:
-            return _fail("UNKNOWN_SUITE", f"no suite named {name!r}; "
-                                          f"known: {sorted(suites.SUITES)}")
+            raise AnchorkitError(f"no suite named {name!r}; known: "
+                                 f"{sorted(suites.SUITES)}",
+                                 code="UNKNOWN_SUITE")
         result = suites.run_suite(name)
         print(f"== suite {name}: {'PASS' if result.passed else 'FAIL'}")
         for line in result.lines:
@@ -256,21 +267,8 @@ def main(argv=None) -> int:
         if args.command == "figure1":
             return cmd_figure1(args.out, args.iterations)
         return cmd_verify(args.suite)
-    except FileNotFoundError as exc:
-        return _fail("BAD_CONFIG", f"cannot read config: {exc}")
-    except json.JSONDecodeError as exc:
-        return _fail("BAD_CONFIG", f"config is not valid JSON: {exc}")
-    except KeyError as exc:
-        return _fail("UNKNOWN_PROBLEM", str(exc))
-    except ConfigError as exc:
-        msg = str(exc)
-        if msg.startswith("UNKNOWN_ALGORITHM:"):
-            return _fail("UNKNOWN_ALGORITHM", msg.split(":", 1)[1])
-        return _fail("CONFIG_ERROR", msg)
-    except DomainViolation as exc:
-        return _fail("DOMAIN_VIOLATION", str(exc))
     except AnchorkitError as exc:
-        return _fail(type(exc).__name__.upper(), str(exc))
+        return _fail(exc.code, str(exc))
 
 
 if __name__ == "__main__":

@@ -2,7 +2,18 @@
 
 
 class AnchorkitError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    ``code`` is the machine-readable name the CLI prints for the error: the
+    one given at the raise, else the class's ``code``, else the class name
+    in capitals.
+    """
+
+    code: str | None = None
+
+    def __init__(self, *args, code: str | None = None):
+        super().__init__(*args)
+        self.code = code or type(self).code or type(self).__name__.upper()
 
 
 class DimensionMismatch(AnchorkitError):
@@ -11,6 +22,8 @@ class DimensionMismatch(AnchorkitError):
 
 class DomainViolation(AnchorkitError):
     """A point left the open domain of a problem."""
+
+    code = "DOMAIN_VIOLATION"
 
 
 class NoResolventCapability(AnchorkitError):
@@ -27,6 +40,8 @@ class InnerLoopBudgetExceeded(AnchorkitError):
 
 class ConfigError(AnchorkitError):
     """Algorithm or experiment configuration is invalid for the problem."""
+
+    code = "CONFIG_ERROR"
 
 
 class StepSizeCollapse(AnchorkitError):

@@ -64,8 +64,49 @@ def ohm_u_form(problem, alpha, iterations, z0):
 
 
 def test_unknown_algorithm_rejected():
-    with pytest.raises(ConfigError):
-        run(cfg("NOPE", 0.1, 10), zero_problem(), np.zeros(2))
+    with pytest.raises(ConfigError) as info:
+        cfg("NOPE", 0.1, 10)
+    assert info.value.code == "UNKNOWN_ALGORITHM"
+
+
+@pytest.mark.parametrize("name,fields", [
+    ("FEG", {"alpha": "0.1"}),
+    ("FEG", {"alpha": True}),
+    ("FEG", {"alpha": None}),
+    ("FEG", {"alpha": 0.0}),
+    ("FEG", {"alpha": 10 ** 400}),
+    ("FEG", {"max_iterations": 2.5}),
+    ("FEG", {"max_iterations": True}),
+    ("FEG", {"max_iterations": 0}),
+    ("FEG", {"stop_residual": math.nan}),
+    ("FEG", {"stop_residual": -1.0}),
+    ("OC_HALPERN", {"gamma": math.inf}),
+    ("APS_V", {"theta": math.nan}),
+    ("APS_V", {"theta": 0.0}),
+    ("APS_V", {}),
+    ("AGM", {"momentum_a": 2.0}),
+    ("AGM", {"momentum_a": "3"}),
+    ("FEG", {"record_iterates": "no"}),
+    ("FEG", {"momentum_a": 5.0}),
+    ("FEG", {"gamma": 1.5}),
+    ("OHM", {"theta": 1.0}),
+], ids=["alpha-string", "alpha-bool", "alpha-missing", "alpha-zero",
+        "alpha-beyond-float", "iterations-fractional", "iterations-bool",
+        "iterations-zero", "stop-residual-nan", "stop-residual-negative",
+        "gamma-inf", "theta-nan", "theta-zero", "theta-missing",
+        "momentum-two", "momentum-string", "record-iterates-string",
+        "ignored-momentum", "ignored-gamma", "ignored-theta"])
+def test_config_refuses_bad_fields(name, fields):
+    with pytest.raises(ConfigError) as info:
+        AlgorithmConfig(name, **{"alpha": 0.1, **fields})
+    assert info.value.code == "CONFIG_ERROR"
+
+
+def test_config_takes_numpy_numbers():
+    config = AlgorithmConfig("FEG", alpha=np.float64(0.25),
+                             max_iterations=np.int64(3))
+    trace = run(config, zero_problem(), np.ones(2))
+    assert trace.iterations == 3
 
 
 def test_step_range_validation():

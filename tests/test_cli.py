@@ -116,7 +116,8 @@ def test_unknown_problem_and_bad_json(tmp_path, capsys):
         "algorithms": [{"algorithm": "FEG", "alpha": 0.5}],
     })
     assert main(["run", cfgp]) == 2
-    assert json.loads(capsys.readouterr().out)["error"] == "UNKNOWN_PROBLEM"
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "UNKNOWN_PROBLEM", "detail": "unknown problem 'nope'"}
     (tmp_path / "broken.json").write_text("{not json")
     assert main(["run", str(tmp_path / "broken.json")]) == 2
     assert json.loads(capsys.readouterr().out)["error"] == "BAD_CONFIG"
@@ -198,12 +199,16 @@ VALID_RUN = {
     {"problem": {"name": "random_scsc",
                  "params": {"seed": 0, "d": 10 ** 7, "lipschitz": 10.0,
                             "mu": 1.0}}},
+    # integers beyond the float range
+    {"problem": {"name": "random_monotone_affine",
+                 "params": {"seed": 0, "d": 2, "lipschitz": 10 ** 400}}},
+    {"start": [10 ** 400, 0.0]},
 ], ids=["alpha-string", "stop-residual-string", "nan-start", "json-array",
         "fractional-iterations", "unknown-problem-parameter", "negative-seed",
         "zero-resolvent-tolerance", "resolvent-tolerance",
         "ignored-momentum-a", "ignored-gamma", "ignored-theta",
         "infinite-problem-parameter", "unallocatable-box-bilinear",
-        "unallocatable-scsc"])
+        "unallocatable-scsc", "huge-problem-parameter", "huge-start"])
 def test_bad_config_fails_closed(change, tmp_path, capsys):
     out = tmp_path / "out"
     doc = {**VALID_RUN, "outputs": {"directory": str(out)}}
@@ -217,6 +222,73 @@ def test_bad_config_fails_closed(change, tmp_path, capsys):
     assert main(["run", str(path)]) == 2
     assert json.loads(capsys.readouterr().out)["error"] == "CONFIG_ERROR"
     assert not out.exists()
+
+
+def test_unreadable_config_refused(tmp_path, capsys):
+    (tmp_path / "latin1.json").write_bytes(b'{"problem": "\xff"}')
+    (tmp_path / "configs").mkdir()
+    (tmp_path / "deep.json").write_text("[" * 10 ** 5 + "]" * 10 ** 5)
+    before = sorted(tmp_path.iterdir())
+    for path, detail in (("configs", "cannot read config: "),
+                         ("latin1.json", "cannot read config: "),
+                         ("deep.json", "config is not valid JSON: ")):
+        assert main(["run", str(tmp_path / path)]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["error"] == "BAD_CONFIG"
+        assert doc["detail"].startswith(detail)
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("below", [False, True],
+                         ids=["file-at-path", "file-on-path"])
+def test_blocked_output_directory_refused_before_any_run(
+        command, below, tmp_path, capsys, monkeypatch):
+    import anchorkit.cli as cli
+
+    def no_run(*args):
+        raise AssertionError("ran before the output directory was made")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep")
+    cfgp = write_config(tmp_path / "cfg.json", {
+        **VALID_RUN,
+        "algorithms": [{"algorithm": "FEG", "alpha": 0.5},
+                       {"algorithm": "OHM", "alpha": 0.5}],
+        "outputs": {"directory": str(blocker / "out" if below else blocker)},
+    })
+    assert main([command, cfgp]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "CONFIG_ERROR"
+    assert doc["detail"].startswith("cannot create output directory: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker",
+                                                          "cfg.json"]
+    assert blocker.read_text() == "keep"
+
+
+def test_figure1_blocked_output_directory(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep")
+    for out in (blocker, blocker / "fig"):
+        assert main(["figure1", "--out", str(out), "--iterations", "50"]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "CONFIG_ERROR"
+    assert [p.name for p in tmp_path.iterdir()] == ["blocker"]
+    assert blocker.read_text() == "keep"
+
+
+def test_error_codes():
+    from anchorkit.errors import (
+        AnchorkitError,
+        ConfigError,
+        DomainViolation,
+        MissingReferencePoint,
+    )
+    assert ConfigError("x").code == "CONFIG_ERROR"
+    assert DomainViolation("x").code == "DOMAIN_VIOLATION"
+    assert MissingReferencePoint("x").code == "MISSINGREFERENCEPOINT"
+    assert ConfigError("x", code="BAD_CONFIG").code == "BAD_CONFIG"
+    assert str(AnchorkitError("x", code="UNKNOWN_SUITE")) == "x"
 
 
 def test_figure1_rejects_too_few_iterations(tmp_path, capsys):

@@ -524,48 +524,3 @@ def test_drs_map_collapses_and_hand_value():
     # A = B = identity, alpha = 1, u = 1 -> 0.5
     assert np.allclose(drs_map(ident, ident, 1.0, u), [0.5])
 
-
-# ---------------------------------------------------------------------------
-# sampled properties (small draws here; the acceptance suite runs 1000)
-
-
-@pytest.fixture(scope="module")
-def sampled_ops():
-    rng = np.random.default_rng(7)
-    h = rng.standard_normal((4, 4))
-    h = h @ h.T
-    k = rng.standard_normal((4, 4))
-    k = k - k.T
-    return [AffineOperator(h + k), AffineOperator(k),
-            ScaledOperator(2.0, AffineOperator(h + k))]
-
-
-def test_monotonicity_and_lipschitz_sampling(sampled_ops):
-    rng = np.random.default_rng(8)
-    for op in sampled_ops:
-        for _ in range(200):
-            z, w = rng.standard_normal((2, op.dim))
-            dv, dz = op(z) - op(w), z - w
-            assert dv @ dz >= op.mu * dz @ dz - 1e-9
-            assert np.linalg.norm(dv) <= op.lipschitz * np.linalg.norm(dz) + 1e-9
-
-
-def test_resolvent_nonexpansive_and_identity(sampled_ops):
-    rng = np.random.default_rng(9)
-    for op in sampled_ops[:2]:
-        for _ in range(100):
-            z, w = rng.standard_normal((2, op.dim))
-            jz, jw = op.resolvent(0.4, z), op.resolvent(0.4, w)
-            assert np.linalg.norm(jz - jw) <= np.linalg.norm(z - w) + 1e-9
-            assert np.linalg.norm(z - jz - 0.4 * op(jz)) < 1e-9
-
-
-def test_residual_versus_operator_bound(sampled_ops):
-    op = sampled_ops[0]
-    alpha = 0.5 / op.lipschitz
-    rng = np.random.default_rng(10)
-    for _ in range(100):
-        u = rng.standard_normal(op.dim)
-        lhs = np.linalg.norm(u - op.resolvent(alpha, u))
-        rhs = alpha / (1 - alpha * op.lipschitz) * np.linalg.norm(op(u))
-        assert lhs <= rhs + 1e-9

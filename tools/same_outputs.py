@@ -22,7 +22,11 @@ with ``TREE/src`` on the path and BLAS pinned to one thread:
 - the files, stdout and exit codes of ``run`` (all algorithms), ``compare``
   (the five declared pairs, APG_STAR/OHM_DRS again on a box composite too
   large for the exact reference, a self pair and an undeclared pair) and
-  ``figure1`` at 200 and 60 iterations.
+  ``figure1`` at 200 and 60 iterations;
+- the stdout, exit code and files of inputs the CLI refuses: bad JSON,
+  bytes that are not UTF-8, a directory as config, an unknown problem, an
+  unknown algorithm, ``"alpha": NaN``, an output directory that a file
+  blocks, and ``verify`` of an unknown suite.
 
 Every difference is printed. The exit code is 1 if there is one, else 0.
 Given the same tree twice, it checks that the outputs are deterministic
@@ -119,6 +123,31 @@ CLI_CASES = [
      _algos(("APG_STAR", "OHM_DRS"), 0.1), 200),
     ("compare", "FEG-FEG", AFFINE10, _algos(("FEG", "FEG"), 0.05), 100),
     ("compare", "EG-OHM", AFFINE10, _algos(("EG", "OHM"), 0.05), 100),
+]
+
+
+def _config(**change) -> bytes:
+    doc = {"problem": AFFINE, "iterations": 10,
+           "algorithms": _algos(("FEG", "OHM"), 0.05),
+           "outputs": {"directory": "out"}, **change}
+    return json.dumps(doc).encode()  # json.dumps writes NaN as NaN
+
+
+# (label, CLI arguments, the bytes of config.json or None for a directory);
+# each case runs in a directory of its own that also holds a file "blocker"
+REFUSAL_CASES = [
+    ("bad JSON", ["run", "config.json"], b"{not json"),
+    ("non-UTF-8", ["run", "config.json"], b'{"problem": "\xff"}'),
+    ("directory as config", ["run", "config.json"], None),
+    ("unknown problem", ["run", "config.json"],
+     _config(problem={"name": "nope"})),
+    ("unknown algorithm", ["run", "config.json"],
+     _config(algorithms=[{"algorithm": "WAT", "alpha": 0.05}])),
+    ("alpha NaN", ["run", "config.json"],
+     _config(algorithms=[{"algorithm": "FEG", "alpha": float("nan")}])),
+    ("blocked output directory", ["compare", "config.json"],
+     _config(outputs={"directory": "blocker/out"})),
+    ("unknown suite", ["verify", "nope"], b"{}"),
 ]
 
 
@@ -233,9 +262,13 @@ def _cli(tree: Path, work: Path, args) -> dict:
 
 
 def _files(directory: Path) -> dict:
+    """The bytes of every file under ``directory`` by relative path; None
+    for a directory."""
     if not directory.is_dir():
         return {}
-    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+    return {str(p.relative_to(directory)):
+            None if p.is_dir() else p.read_bytes()
+            for p in sorted(directory.rglob("*"))}
 
 
 def collect(tree: Path, work: Path) -> dict:
@@ -267,6 +300,18 @@ def collect(tree: Path, work: Path) -> dict:
                                    "--iterations", str(iterations)])
         result["files"] = _files(work / directory)
         outputs[f"figure1 {iterations}"] = result
+    for label, args, config in REFUSAL_CASES:
+        case = work / f"refused-{label.replace(' ', '-')}"
+        case.mkdir()
+        (case / "blocker").write_bytes(b"keep")
+        if config is None:
+            (case / "config.json").mkdir()
+        else:
+            (case / "config.json").write_bytes(config)
+        result = _cli(tree, case, args)
+        del result["stderr"]  # a traceback names the tree's own paths
+        result["files"] = _files(case)
+        outputs[f"refused {label}"] = result
     return outputs
 
 
