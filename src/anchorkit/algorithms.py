@@ -50,17 +50,16 @@ class AlgorithmConfig:
     The constructor refuses with ``ConfigError`` every field that is wrong
     whatever the problem (an unknown name with code ``UNKNOWN_ALGORITHM``);
     ``validate_config`` adds the checks that need the problem. Numbers are
-    finite reals, not bools; ``gamma``, ``theta`` and ``stop_residual`` may
-    be None. ``momentum_a``, ``gamma`` and ``theta`` belong to one algorithm
-    each and are refused set for any other. Iterative resolvents are solved
-    to ``operators.RESOLVENT_TOL``, which is not configurable.
+    finite reals, not bools; ``theta`` and ``stop_residual`` may be None.
+    ``momentum_a`` and ``theta`` belong to one algorithm each and are
+    refused set for any other. Iterative resolvents are solved to
+    ``operators.RESOLVENT_TOL``, which is not configurable.
     """
 
     algorithm: str
     alpha: float
     max_iterations: int = 10_000
     momentum_a: float = 3.0          # AGM only, must exceed 2
-    gamma: float | None = None       # OC_HALPERN contraction parameter (> 1)
     theta: float | None = None       # APS_V only, must be positive
     stop_residual: float | None = None
     record_iterates: bool = True
@@ -72,9 +71,9 @@ class AlgorithmConfig:
                               code="UNKNOWN_ALGORITHM")
         if self.alpha is None:
             raise ConfigError(f"{name}: alpha is required")
-        for key in ("alpha", "momentum_a", "gamma", "theta", "stop_residual"):
+        for key in ("alpha", "momentum_a", "theta", "stop_residual"):
             value = getattr(self, key)
-            nullable = key in ("gamma", "theta", "stop_residual")
+            nullable = key in ("theta", "stop_residual")
             if not (value is None and nullable or _finite(value)):
                 raise ConfigError(f"{name}: {key} must be a finite number, "
                                   f"got {value!r}")
@@ -94,7 +93,6 @@ class AlgorithmConfig:
                               f"{self.record_iterates!r}")
         for key, owner, unset in (("momentum_a", "AGM",
                                    AlgorithmConfig.momentum_a),
-                                  ("gamma", "OC_HALPERN", None),
                                   ("theta", "APS_V", None)):
             if name != owner and getattr(self, key) != unset:
                 raise ConfigError(f"{name} ignores {key}; only {owner} "
@@ -218,14 +216,6 @@ class _Counted:
         return self.prox_part.resolvent(alpha, z)
 
 
-def _oc_halpern_gamma(config: AlgorithmConfig, mu: float) -> float | None:
-    """OC_HALPERN's gamma: ``config.gamma`` when set, else sqrt(1 + 2 alpha mu)
-    on a strongly monotone problem, else None."""
-    if config.gamma is None and mu > 0:
-        return math.sqrt(1.0 + 2.0 * config.alpha * mu)
-    return config.gamma
-
-
 def validate_config(config: AlgorithmConfig, problem: Problem) -> None:
     """Reject configurations outside the admissible range for the problem;
     ``AlgorithmConfig`` has already refused what is wrong for any problem."""
@@ -250,11 +240,9 @@ def validate_config(config: AlgorithmConfig, problem: Problem) -> None:
                               "at the initial step")
     if name == "AGM" and not isinstance(problem.operator, GradientOperator):
         raise ConfigError("AGM needs a gradient-field problem")
-    if name == "OC_HALPERN":
-        gamma = _oc_halpern_gamma(config, mu)
-        if gamma is None or gamma <= 1.0:
-            raise ConfigError("OC_HALPERN needs gamma > 1 (or a strongly "
-                              "monotone problem to derive it from)")
+    if name == "OC_HALPERN" and mu <= 0:
+        raise ConfigError("OC_HALPERN needs a strongly monotone problem: it "
+                          "runs at gamma = sqrt(1 + 2 alpha mu) > 1")
 
 
 def run(config: AlgorithmConfig, problem: Problem, z0) -> IterateTrace:
@@ -587,7 +575,8 @@ class _APSV(_APS):
 class _OHM(_Rule):
     """w_{k+1/2} = beta_k w0 + (1-beta_k) w_k; w_{k+1} = J_{alpha B}(w_{k+1/2}),
     with beta_k the inverse of the sum of gamma^{2j}, j <= k (OHM: gamma = 1,
-    beta_k = 1/(k+1)).
+    beta_k = 1/(k+1); OC_HALPERN: gamma = sqrt(1 + 2 alpha mu), the root of
+    SM_EAG_PLUS's contraction x, as the paper pairs the two).
 
     Row k's residual ||w_{k+1/2} - J(w_{k+1/2})|| yields w_{k+1}, so a run
     stops one row after the row whose residual met ``stop_residual``, and the
@@ -617,7 +606,7 @@ class _OHM(_Rule):
 class _OCHalpern(_OHM):
     def __init__(self, config, problem, oracle, z0):
         super().__init__(config, problem, oracle, z0)
-        gamma = _oc_halpern_gamma(config, problem.mu)
+        gamma = math.sqrt(1.0 + 2.0 * config.alpha * problem.mu)
         self.gamma_sq = gamma * gamma
         self.params = {"gamma": gamma}
 

@@ -383,8 +383,8 @@ def lyapunov_sm_eag(trace, alpha: float, mu: float, lipschitz: float,
 # ---------------------------------------------------------------------------
 # rate bounds
 
-RATE_RULES = ("OHM_RATE", "OC_HALPERN_RATE", "SM_EAG_RATE", "FEG_RATE",
-              "APG_RESIDUAL", "OHM_DRS_RATE")
+RATE_RULES = ("OHM_RATE", "OC_HALPERN_RATE", "SM_EAG_RATE", "APG_RESIDUAL",
+              "OHM_DRS_RATE")
 
 
 def rate_bound(trace, problem: Problem, rule: str, reference=None) -> BoundReport:
@@ -419,11 +419,8 @@ def rate_bound(trace, problem: Problem, rule: str, reference=None) -> BoundRepor
         if root > 1.0:
             gsum = (root ** k - 1.0) / (root - 1.0)  # sum_{j<k} x^(j/2)
         else:
-            gsum = k.astype(float)  # mu = 0 limit
+            gsum = k.astype(float)  # mu = 0: FEG's rate
         bound = (root + 1.0) ** 2 * dist0 / (alpha ** 2 * gsum ** 2)
-    elif rule == "FEG_RATE":
-        k, measured = k[1:], measured[1:]  # the bound is vacuous at k = 0
-        bound = 4.0 * problem.lipschitz ** 2 * dist0 / k.astype(float) ** 2
     else:  # APG_RESIDUAL
         lip = problem.lipschitz
         c = apg_path_constant(problem, start, ref)

@@ -5,7 +5,8 @@ or ``suites``.
 Subcommands: ``run <config.json>``, ``compare <config.json>``,
 ``figure1 [--out DIR]``, ``verify <suite>``. Exit codes: 0 success,
 1 verification failure, 2 usage/config error. Every package error is a
-refusal: ``main`` prints its ``code`` and message as a JSON object on stdout.
+refusal, and so is a usage error of the arguments (code ``USAGE_ERROR``):
+``main`` prints its ``code`` and message as a JSON object on stdout.
 """
 from __future__ import annotations
 
@@ -22,18 +23,16 @@ from . import analysis, suites
 from .algorithms import AlgorithmConfig, run, validate_config
 from .errors import AnchorkitError, ConfigError
 from .operators import as_vector
-from .problems import PROBLEM_BUILDERS, build_problem
+from .problems import build_problem
 
 #: keys an algorithm entry may set besides ``algorithm``; trace CSVs need
 #: recorded iterates, so ``record_iterates`` is not one of them
 _ALGO_FIELDS = {f.name for f in fields(AlgorithmConfig)} - {
     "algorithm", "record_iterates"}
 
-
-def _fail(code: str, detail: str) -> int:
-    """Print the machine-readable error; return the config-error exit code."""
-    print(json.dumps({"error": code, "detail": detail}))
-    return 2
+#: the most values a run may record, (max_iterations + 1) * dim (dim = 2 for
+#: ``figure1``); a larger run is refused before it starts
+MAX_TRACE_VALUES = 10 ** 7
 
 
 def _load_config(path: str) -> dict:
@@ -86,8 +85,6 @@ def _parse_experiment(cfg):
     if not isinstance(problem_cfg, dict) or "name" not in problem_cfg:
         raise ConfigError("config needs problem: {name, params}")
     pname = problem_cfg["name"]
-    if not isinstance(pname, str) or pname not in PROBLEM_BUILDERS:
-        raise ConfigError(f"unknown problem {pname!r}", code="UNKNOWN_PROBLEM")
     _finite_numbers("problem.params", problem_cfg.get("params"))
     try:
         problem = build_problem(pname, problem_cfg.get("params"))
@@ -112,6 +109,8 @@ def _parse_experiment(cfg):
         unknown = sorted(entry.keys() - _ALGO_FIELDS - {"algorithm"})
         if unknown:
             raise ConfigError(f"{config.algorithm}: unknown keys {unknown}")
+        _check_trace_size(config.algorithm, config.max_iterations,
+                          problem.dim)
         validate_config(config, problem)  # before any file is written
         configs.append(config)
     if "start" in cfg:
@@ -132,6 +131,13 @@ def _parse_experiment(cfg):
     if not isinstance(directory, str):
         raise ConfigError("outputs must be {directory: a path string}")
     return problem, configs, z0, Path(directory)
+
+
+def _check_trace_size(what: str, iterations: int, dim: int) -> None:
+    """ConfigError if the run would record more than MAX_TRACE_VALUES."""
+    if (iterations + 1) * dim > MAX_TRACE_VALUES:
+        raise ConfigError(f"{what}: {iterations} iterations at d = {dim} "
+                          f"record more than {MAX_TRACE_VALUES} values")
 
 
 def _write_csv(path: Path, header, *blocks) -> None:
@@ -210,6 +216,7 @@ def cmd_figure1(out: str, iterations: int = 200) -> int:
     if iterations < suites.FIGURE1_SUMMARY_K:
         raise ConfigError(f"figure1 needs --iterations >= "
                           f"{suites.FIGURE1_SUMMARY_K}, the summary's row")
+    _check_trace_size("figure1", iterations, 2)
     out_dir = Path(out)
     _make_dir(out_dir)
     prob, runs, failures = suites.figure1_trajectories(iterations)
@@ -231,10 +238,6 @@ def cmd_verify(suite_name: str) -> int:
     names = sorted(suites.SUITES) if suite_name == "all" else [suite_name]
     failed = False
     for name in names:
-        if name not in suites.SUITES:
-            raise AnchorkitError(f"no suite named {name!r}; known: "
-                                 f"{sorted(suites.SUITES)}",
-                                 code="UNKNOWN_SUITE")
         result = suites.run_suite(name)
         print(f"== suite {name}: {'PASS' if result.passed else 'FAIL'}")
         for line in result.lines:
@@ -243,8 +246,15 @@ def cmd_verify(suite_name: str) -> int:
     return 1 if failed else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors are refusals like any other."""
+
+    def error(self, message):
+        raise AnchorkitError(message, code="USAGE_ERROR")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="anchorkit",
         description="anchored minimax/fixed-point algorithms and their "
                     "verification suites")
@@ -258,8 +268,8 @@ def main(argv=None) -> int:
     p_fig.add_argument("--iterations", type=int, default=200)
     p_ver = sub.add_parser("verify", help="run a named verification suite")
     p_ver.add_argument("suite")
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.command == "run":
             return cmd_run(args.config)
         if args.command == "compare":
@@ -267,8 +277,9 @@ def main(argv=None) -> int:
         if args.command == "figure1":
             return cmd_figure1(args.out, args.iterations)
         return cmd_verify(args.suite)
-    except AnchorkitError as exc:
-        return _fail(exc.code, str(exc))
+    except AnchorkitError as exc:  # a refusal: exit 2 with its code
+        print(json.dumps({"error": exc.code, "detail": str(exc)}))
+        return 2
 
 
 if __name__ == "__main__":

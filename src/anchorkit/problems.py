@@ -12,7 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InfeasibleConstants, SingularSystem
+from .errors import (
+    ConfigError,
+    DimensionMismatch,
+    InfeasibleConstants,
+    SingularSystem,
+)
 from .operators import (
     AffineOperator,
     Array,
@@ -99,14 +104,13 @@ def make_bilinear(coupling, x_shift=None, y_shift=None, want_solution=True,
     return Problem(name=name, operator=op, solution=solution)
 
 
-def make_random_monotone_affine(seed, d, lipschitz, z_star=None,
-                                name=None) -> Problem:
+def make_random_monotone_affine(seed, d, lipschitz) -> Problem:
     """Seeded merely monotone affine operator B(z) = Mz + b with ||M||_2 = L.
 
     M is a random skew-symmetric matrix rescaled so the Lipschitz constant is
     exact; the symmetric part is identically zero, so mu = 0 exactly. ``d``
     must be even for M to be invertible (skew matrices of odd dimension are
-    singular). b is chosen so that z_star is the unique zero.
+    singular). b = -M 0, so the origin is the unique zero.
     """
     if d <= 0 or d % 2:
         raise DimensionMismatch("need a positive even dimension")
@@ -121,10 +125,9 @@ def make_random_monotone_affine(seed, d, lipschitz, z_star=None,
     if sigma.min() <= 1e-9 * sigma.max():
         raise SingularSystem(f"seed {seed} produced a near-singular matrix")
     mat = (lipschitz / sigma.max()) * k
-    zs = np.zeros(d) if z_star is None else as_vector(z_star, d)
+    zs = np.zeros(d)
     op = AffineOperator(mat, -mat @ zs, lipschitz=lipschitz, mu=0.0)
-    return Problem(name=name or f"monotone-affine-{seed}", operator=op,
-                   solution=zs)
+    return Problem(name=f"monotone-affine-{seed}", operator=op, solution=zs)
 
 
 def _brent_root(f, a, b, xtol, rtol, maxiter=100):
@@ -231,7 +234,7 @@ def _scsc_matrix(rng, d, lipschitz, mu):
     return mat
 
 
-def make_random_scsc(seed, d, lipschitz, mu, z_star=None, name=None) -> Problem:
+def make_random_scsc(seed, d, lipschitz, mu, z_star=None) -> Problem:
     """Seeded strongly monotone affine operator with exact constants.
 
     Requires 0 < mu <= lipschitz; the scalar case d = 1 forces mu == lipschitz.
@@ -254,7 +257,7 @@ def make_random_scsc(seed, d, lipschitz, mu, z_star=None, name=None) -> Problem:
         mat = _scsc_matrix(rng, d, lipschitz, mu)
     zs = np.zeros(d) if z_star is None else as_vector(z_star, d)
     op = AffineOperator(mat, -mat @ zs, lipschitz=lipschitz, mu=mu)
-    return Problem(name=name or f"scsc-{seed}", operator=op, solution=zs)
+    return Problem(name=f"scsc-{seed}", operator=op, solution=zs)
 
 
 #: caption defaults for the 2-d convex benchmark
@@ -299,17 +302,16 @@ def make_composite(box: BoxProx, smooth: Problem, name=None) -> Problem:
                    start=smooth.start)
 
 
-def make_box_bilinear_composite(seed, box_lower=0.0, box_upper=1.0,
-                                shift_scale=0.5, size=2, name=None) -> Problem:
-    """Box-constrained bilinear saddle: indicator boxes plus a seeded coupling."""
+def make_box_bilinear_composite(seed, box_upper=1.0, size=2) -> Problem:
+    """Box-constrained bilinear saddle over [0, box_upper]^size per player:
+    seeded standard normal coupling, shifts 0.5 times standard normal."""
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((size, size))
-    b = shift_scale * rng.standard_normal(size)
-    c = shift_scale * rng.standard_normal(size)
+    b = 0.5 * rng.standard_normal(size)
+    c = 0.5 * rng.standard_normal(size)
     smooth = make_bilinear(a, b, c, want_solution=False)
-    box = BoxProx(np.full(2 * size, float(box_lower)),
-                  np.full(2 * size, float(box_upper)))
-    return make_composite(box, smooth, name=name or f"box-bilinear-{seed}")
+    box = BoxProx(np.full(2 * size, 0.0), np.full(2 * size, float(box_upper)))
+    return make_composite(box, smooth, name=f"box-bilinear-{seed}")
 
 
 PROBLEM_BUILDERS = {
@@ -323,7 +325,6 @@ PROBLEM_BUILDERS = {
 
 def build_problem(name: str, params: dict | None = None) -> Problem:
     """Construct a problem by registry name and parameter map (CLI entry)."""
-    if name not in PROBLEM_BUILDERS:
-        raise KeyError(f"unknown problem {name!r}; "
-                       f"known: {sorted(PROBLEM_BUILDERS)}")
+    if not isinstance(name, str) or name not in PROBLEM_BUILDERS:
+        raise ConfigError(f"unknown problem {name!r}", code="UNKNOWN_PROBLEM")
     return PROBLEM_BUILDERS[name](**(params or {}))

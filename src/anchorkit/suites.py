@@ -13,7 +13,7 @@ import numpy as np
 
 from . import analysis
 from .algorithms import AlgorithmConfig, max_step_strongly_monotone, run
-from .errors import DomainViolation
+from .errors import AnchorkitError, DomainViolation
 from .operators import (
     AffineOperator,
     ScaledOperator,
@@ -633,5 +633,6 @@ SUITES = {
 
 def run_suite(name: str) -> SuiteResult:
     if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; known: {sorted(SUITES)}")
+        raise AnchorkitError(f"no suite named {name!r}; known: "
+                             f"{sorted(SUITES)}", code="UNKNOWN_SUITE")
     return SUITES[name]()

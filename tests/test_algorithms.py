@@ -80,7 +80,6 @@ def test_unknown_algorithm_rejected():
     ("FEG", {"max_iterations": 0}),
     ("FEG", {"stop_residual": math.nan}),
     ("FEG", {"stop_residual": -1.0}),
-    ("OC_HALPERN", {"gamma": math.inf}),
     ("APS_V", {"theta": math.nan}),
     ("APS_V", {"theta": 0.0}),
     ("APS_V", {}),
@@ -88,18 +87,25 @@ def test_unknown_algorithm_rejected():
     ("AGM", {"momentum_a": "3"}),
     ("FEG", {"record_iterates": "no"}),
     ("FEG", {"momentum_a": 5.0}),
-    ("FEG", {"gamma": 1.5}),
     ("OHM", {"theta": 1.0}),
 ], ids=["alpha-string", "alpha-bool", "alpha-missing", "alpha-zero",
         "alpha-beyond-float", "iterations-fractional", "iterations-bool",
         "iterations-zero", "stop-residual-nan", "stop-residual-negative",
-        "gamma-inf", "theta-nan", "theta-zero", "theta-missing",
+        "theta-nan", "theta-zero", "theta-missing",
         "momentum-two", "momentum-string", "record-iterates-string",
-        "ignored-momentum", "ignored-gamma", "ignored-theta"])
+        "ignored-momentum", "ignored-theta"])
 def test_config_refuses_bad_fields(name, fields):
     with pytest.raises(ConfigError) as info:
         AlgorithmConfig(name, **{"alpha": 0.1, **fields})
     assert info.value.code == "CONFIG_ERROR"
+
+
+def test_config_has_no_gamma():
+    # OC_HALPERN derives its gamma from the problem, so no config sets one,
+    # for OC_HALPERN or for any other algorithm
+    for name in ("OC_HALPERN", "FEG"):
+        with pytest.raises(TypeError, match="gamma"):
+            AlgorithmConfig(name, alpha=0.1, gamma=1.5)
 
 
 def test_config_takes_numpy_numbers():
@@ -315,20 +321,33 @@ def test_ohm_two_forms_equivalent():
 
 
 def test_oc_halpern_degenerates_to_ohm():
-    prob = make_random_monotone_affine(8, 6, 4.0)
+    # at mu = 1e-13, gamma = sqrt(1 + 2 alpha mu) is 1 + 2e-14
+    prob = make_random_scsc(8, 6, 4.0, 1e-13)
     z0 = np.linspace(-1, 1, 6)
     a = run(cfg("OHM", 0.2, 40), prob, z0)
-    b = run(cfg("OC_HALPERN", 0.2, 40, gamma=1.0 + 1e-14), prob, z0)
+    b = run(cfg("OC_HALPERN", 0.2, 40), prob, z0)
+    assert 1.0 < b.params["gamma"] < 1.0 + 1e-13
     assert np.max(np.abs(a.main - b.main)) < 1e-8
 
 
-def test_oc_halpern_needs_gamma_or_mu():
-    prob = make_random_monotone_affine(8, 6, 4.0)  # mu = 0
-    with pytest.raises(ConfigError):
-        run(cfg("OC_HALPERN", 0.2, 10), prob, np.zeros(6))
+def test_oc_halpern_needs_mu():
+    for prob in (make_random_monotone_affine(8, 6, 4.0), zero_problem(6)):
+        with pytest.raises(ConfigError) as info:
+            run(cfg("OC_HALPERN", 0.2, 10), prob, np.zeros(6))
+        assert info.value.code == "CONFIG_ERROR"
+    # gamma = sqrt(1 + 2 alpha mu) to the bit, and the anchor weights are
+    # the inverse sums of gamma^{2j}
     scsc = make_random_scsc(1, 4, 4.0, 0.5)
-    t = run(cfg("OC_HALPERN", 0.2, 10), scsc, np.ones(4))
-    assert abs(t.params["gamma"] - np.sqrt(1 + 2 * 0.2 * 0.5)) < 1e-15
+    z0 = np.ones(4)
+    t = run(cfg("OC_HALPERN", 0.2, 10), scsc, z0)
+    gamma = math.sqrt(1.0 + 2.0 * 0.2 * 0.5)
+    assert t.params["gamma"] == gamma
+    w, big_s = z0, 1.0
+    for k in range(10):
+        beta = 1.0 / big_s
+        w = scsc.operator.resolvent(0.2, beta * z0 + (1.0 - beta) * w)
+        big_s = 1.0 + gamma * gamma * big_s
+        assert np.array_equal(t.main[k + 1], w)
 
 
 def test_ohm_drs_hand_recursion():
@@ -547,6 +566,7 @@ def test_apg_star_inner_solve_is_the_solver_bitwise():
 
 def test_oracle_accounting():
     prob = make_random_monotone_affine(0, 4, 2.0)
+    scsc = make_random_scsc(0, 4, 2.0, 0.5)
     comp = make_box_bilinear_composite(seed=5)
     # name, problem, billed B and resolvent calls per step, warm-up B calls,
     # and whether the final row's evaluation is billed as one more entry
@@ -555,11 +575,10 @@ def test_oracle_accounting():
             ("EAG", prob, 2, 0, 0, False), ("FEG", prob, 2, 0, 0, False),
             ("EG", prob, 2, 0, 0, False), ("GDA", prob, 1, 0, 0, False),
             ("OG", prob, 1, 0, 1, False), ("APS", prob, 1, 0, 1, False),
-            ("OHM", prob, 0, 1, 0, False), ("OC_HALPERN", prob, 0, 1, 0, False),
+            ("OHM", prob, 0, 1, 0, False), ("OC_HALPERN", scsc, 0, 1, 0, False),
             ("OHM_DRS", comp, 1, 2, 0, True),
             ("APG_STAR", comp, None, 1, 1, True)):
-        extra = {"gamma": 1.5} if name == "OC_HALPERN" else {}
-        t = run(cfg(name, 0.05, 25, **extra), problem, np.ones(problem.dim))
+        t = run(cfg(name, 0.05, 25), problem, np.ones(problem.dim))
         entries = 26 if final else 25
         expected_b = (t.auxiliary["inner_b_evals"] + 1 if per_b is None
                       else np.full(entries, per_b))

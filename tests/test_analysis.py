@@ -298,16 +298,20 @@ def test_rate_bound_ohm_trivial_and_hand():
     assert rep1.passed
 
 
-def test_rate_bound_sm_matches_feg_at_mu_zero():
-    prob = make_bilinear([[1.0]])
-    z0 = np.array([1.0, 0.5])
-    alpha = 1.0 / prob.lipschitz * (1 - 1e-12)
-    t = run(cfg("SM_EAG_PLUS", alpha, 50), prob, z0)
-    sm = analysis.rate_bound(t, prob, "SM_EAG_RATE")
-    feg = analysis.rate_bound(t, prob, "FEG_RATE")
-    # with mu = 0 and alpha = 1/L the two bound formulas coincide
-    assert np.allclose(sm.bound, feg.bound, rtol=1e-9)
-    assert sm.passed and feg.passed
+@pytest.mark.parametrize("ratio_al", [0.05, 0.25, 0.5, 0.9, 0.999])
+def test_rate_bound_sm_eag_holds_on_feg_traces(ratio_al):
+    # FEG is SM_EAG_PLUS at mu = 0, so SM_EAG_RATE at mu = 0 is its rate,
+    # 4 ||z0 - z*||^2 / (alpha k)^2, at every step alpha L < 1
+    for seed in suites.SUITE_SEEDS:
+        prob, z0 = suites.affine_case(seed)
+        alpha = ratio_al / prob.lipschitz
+        t = run(cfg("FEG", alpha, 1000), prob, z0)
+        rep = analysis.rate_bound(t, prob, "SM_EAG_RATE")
+        assert rep.passed, (seed, rep.max_ratio)
+        dist0 = float(np.sum((z0 - prob.solution) ** 2))
+        k = np.arange(1.0, 1001.0)
+        assert np.allclose(rep.bound, 4.0 * dist0 / (alpha * k) ** 2,
+                           rtol=1e-12)
 
 
 def test_rate_bound_oc_halpern():
@@ -320,14 +324,12 @@ def test_rate_bound_oc_halpern():
 
 def test_ohm_trace_refused_by_oc_halpern_rate():
     # OHM runs at gamma = 1 and its trace says so, so the rule for gamma > 1
-    # refuses it; a gamma in OHM's config is refused before the run
+    # refuses it
     prob = make_random_monotone_affine(0, 4, 2.0)
     t = run(cfg("OHM", 0.2, 200), prob, np.ones(4))
     assert t.params["gamma"] == 1.0
     with pytest.raises(ConfigError):
         analysis.rate_bound(t, prob, "OC_HALPERN_RATE")
-    with pytest.raises(ConfigError, match="gamma"):
-        run(cfg("OHM", 0.2, 200, gamma=1.5), prob, np.ones(4))
 
 
 def test_reference_point_order():

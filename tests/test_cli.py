@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from anchorkit.cli import main
+from anchorkit.errors import ConfigError
 
 
 def write_config(path, doc):
@@ -162,6 +163,8 @@ def test_epsilon_schedule_rejected(tmp_path, capsys):
 
 
 DROP = object()  # marks a key the bad config leaves out
+AFFINE4 = {"seed": 0, "d": 4, "lipschitz": 1.0}
+SCSC4 = {"seed": 1, "d": 4, "lipschitz": 4.0, "mu": 0.5}
 
 VALID_RUN = {
     "problem": {"name": "bilinear", "params": {"coupling": [[1.0]]}},
@@ -186,8 +189,26 @@ VALID_RUN = {
     {"algorithms": [{"algorithm": "FEG", "alpha": 0.5,
                      "resolvent_tolerance": 1e-10}]},
     {"algorithms": [{"algorithm": "FEG", "alpha": 0.5, "momentum_a": 9.0}]},
-    {"algorithms": [{"algorithm": "OHM", "alpha": 0.5, "gamma": 1.5}]},
     {"algorithms": [{"algorithm": "FEG", "alpha": 0.5, "theta": 3.0}]},
+    # removed options, each in a config that runs without it
+    {"problem": {"name": "random_scsc", "params": SCSC4}, "start": DROP,
+     "algorithms": [{"algorithm": "OC_HALPERN", "alpha": 0.1, "gamma": 1.5}]},
+    {"problem": {"name": "random_monotone_affine",
+                 "params": {**AFFINE4, "z_star": [1.0, 0.0, 0.0, 0.0]}},
+     "start": DROP},
+    {"problem": {"name": "random_monotone_affine",
+                 "params": {**AFFINE4, "name": "a"}}, "start": DROP},
+    {"problem": {"name": "random_scsc", "params": {**SCSC4, "name": "s"}},
+     "start": DROP, "algorithms": [{"algorithm": "FEG", "alpha": 0.1}]},
+    {"problem": {"name": "box_bilinear_composite",
+                 "params": {"seed": 0, "box_lower": -1.0}},
+     "start": DROP, "algorithms": [{"algorithm": "OHM_DRS", "alpha": 0.1}]},
+    {"problem": {"name": "box_bilinear_composite",
+                 "params": {"seed": 0, "shift_scale": 0.1}},
+     "start": DROP, "algorithms": [{"algorithm": "OHM_DRS", "alpha": 0.1}]},
+    {"problem": {"name": "box_bilinear_composite",
+                 "params": {"seed": 0, "name": "b"}},
+     "start": DROP, "algorithms": [{"algorithm": "OHM_DRS", "alpha": 0.1}]},
     {"problem": {"name": "box_bilinear_composite",
                  "params": {"seed": 0, "box_upper": float("inf")}},
      "start": DROP,
@@ -206,7 +227,9 @@ VALID_RUN = {
 ], ids=["alpha-string", "stop-residual-string", "nan-start", "json-array",
         "fractional-iterations", "unknown-problem-parameter", "negative-seed",
         "zero-resolvent-tolerance", "resolvent-tolerance",
-        "ignored-momentum-a", "ignored-gamma", "ignored-theta",
+        "ignored-momentum-a", "ignored-theta", "removed-gamma",
+        "removed-affine-z-star", "removed-affine-name", "removed-scsc-name",
+        "removed-box-lower", "removed-box-shift-scale", "removed-box-name",
         "infinite-problem-parameter", "unallocatable-box-bilinear",
         "unallocatable-scsc", "huge-problem-parameter", "huge-start"])
 def test_bad_config_fails_closed(change, tmp_path, capsys):
@@ -222,6 +245,63 @@ def test_bad_config_fails_closed(change, tmp_path, capsys):
     assert main(["run", str(path)]) == 2
     assert json.loads(capsys.readouterr().out)["error"] == "CONFIG_ERROR"
     assert not out.exists()
+
+
+def test_unbounded_iterations_refused_before_any_run(
+        tmp_path, capsys, monkeypatch):
+    import anchorkit.cli as cli
+
+    def no_run(*args):
+        raise AssertionError("ran an unbounded trace")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    out = tmp_path / "out"
+    for change in ({"iterations": 10 ** 30},
+                   {"algorithms": [{"algorithm": "FEG", "alpha": 0.5,
+                                    "max_iterations": cli.MAX_TRACE_VALUES}]}):
+        cfgp = write_config(tmp_path / "cfg.json", {
+            **VALID_RUN, **change, "outputs": {"directory": str(out)}})
+        assert main(["run", cfgp]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["error"] == "CONFIG_ERROR"
+        assert str(cli.MAX_TRACE_VALUES) in doc["detail"]
+        assert not out.exists()
+    # the limit itself is allowed: 5 iterations at d = 2 record 12 values
+    monkeypatch.setattr(cli, "MAX_TRACE_VALUES", 12)
+    cli._parse_experiment({**VALID_RUN, "iterations": 5})
+    with pytest.raises(ConfigError):
+        cli._parse_experiment({**VALID_RUN, "iterations": 6})
+
+
+def test_figure1_iterations_bounded(tmp_path, capsys, monkeypatch):
+    import anchorkit.cli as cli
+
+    def no_run(*args):
+        raise AssertionError("ran an unbounded figure1")
+
+    monkeypatch.setattr(cli.suites, "figure1_trajectories", no_run)
+    out = tmp_path / "fig"
+    assert main(["figure1", "--out", str(out),
+                 "--iterations", str(10 ** 30)]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "CONFIG_ERROR"
+    assert str(cli.MAX_TRACE_VALUES) in doc["detail"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["figure1", "--iterations", "x"], [],
+                                  ["run"], ["verify", "ohm-rate", "extra"]],
+                         ids=["bad-int", "no-command", "no-config",
+                              "extra-argument"])
+def test_usage_error_is_a_json_refusal(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    [line] = captured.out.splitlines()
+    doc = json.loads(line)
+    assert doc["error"] == "USAGE_ERROR" and doc["detail"]
+    assert captured.err == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unreadable_config_refused(tmp_path, capsys):
@@ -488,10 +568,8 @@ def test_compare_self_pair_with_different_settings_fails(tmp_path, capsys):
                   {"name": "random_scsc",
                    "params": {"seed": 0, "d": 6, "lipschitz": 10.0,
                               "mu": 0.1}},
-                  [{"algorithm": "OC_HALPERN", "alpha": 0.05,
-                    "gamma": 1.001},
-                   {"algorithm": "OC_HALPERN", "alpha": 0.05,
-                    "gamma": 1.002}], 200,
+                  [{"algorithm": "APS_V", "alpha": 0.02, "theta": 1.0},
+                   {"algorithm": "APS_V", "alpha": 0.02, "theta": 2.0}], 200,
                   start=[0.4, -0.2, 1.0, 0.0, -0.6, 0.3])
     doc = json.loads(capsys.readouterr().out)
     assert rc == 1

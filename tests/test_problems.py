@@ -12,6 +12,7 @@ from scipy.optimize import brentq
 import anchorkit
 from anchorkit import problems, suites
 from anchorkit.errors import (
+    AnchorkitError,
     DimensionMismatch,
     DomainViolation,
     InfeasibleConstants,
@@ -307,5 +308,16 @@ def test_exports_resolve():
 def test_build_problem_registry():
     prob = build_problem("bilinear", {"coupling": [[1.0]]})
     assert prob.dim == 2
-    with pytest.raises(KeyError):
-        build_problem("nope", {})
+    for name in ("nope", ["bilinear"]):
+        with pytest.raises(AnchorkitError) as info:
+            build_problem(name, {})
+        assert info.value.code == "UNKNOWN_PROBLEM"
+        assert str(info.value) == f"unknown problem {name!r}"
+
+
+def test_run_suite_registry():
+    with pytest.raises(AnchorkitError) as info:
+        suites.run_suite("nope")
+    assert info.value.code == "UNKNOWN_SUITE"
+    assert str(info.value) == (f"no suite named 'nope'; known: "
+                               f"{sorted(suites.SUITES)}")

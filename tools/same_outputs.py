@@ -24,9 +24,11 @@ with ``TREE/src`` on the path and BLAS pinned to one thread:
   large for the exact reference, a self pair and an undeclared pair) and
   ``figure1`` at 200 and 60 iterations;
 - the stdout, exit code and files of inputs the CLI refuses: bad JSON,
-  bytes that are not UTF-8, a directory as config, an unknown problem, an
-  unknown algorithm, ``"alpha": NaN``, an output directory that a file
-  blocks, and ``verify`` of an unknown suite.
+  bytes that are not UTF-8, a directory as config, an unknown problem (also
+  with a NaN parameter), an unknown algorithm, ``"alpha": NaN``, an output
+  directory that a file blocks, ``verify`` of an unknown suite, a removed
+  algorithm key (``gamma``) and problem parameter (``z_star``), and two
+  usage errors (``figure1 --iterations x`` and no subcommand).
 
 Every difference is printed. The exit code is 1 if there is one, else 0.
 Given the same tree twice, it checks that the outputs are deterministic
@@ -141,6 +143,8 @@ REFUSAL_CASES = [
     ("directory as config", ["run", "config.json"], None),
     ("unknown problem", ["run", "config.json"],
      _config(problem={"name": "nope"})),
+    ("unknown problem with a NaN parameter", ["run", "config.json"],
+     _config(problem={"name": "nope", "params": {"seed": float("nan")}})),
     ("unknown algorithm", ["run", "config.json"],
      _config(algorithms=[{"algorithm": "WAT", "alpha": 0.05}])),
     ("alpha NaN", ["run", "config.json"],
@@ -148,6 +152,14 @@ REFUSAL_CASES = [
     ("blocked output directory", ["compare", "config.json"],
      _config(outputs={"directory": "blocker/out"})),
     ("unknown suite", ["verify", "nope"], b"{}"),
+    ("removed key gamma", ["run", "config.json"],
+     _config(problem=SCSC, algorithms=[{"algorithm": "OC_HALPERN",
+                                        "alpha": 0.2, "gamma": 1.5}])),
+    ("removed problem parameter", ["run", "config.json"],
+     _config(problem={"name": "random_monotone_affine",
+                      "params": {**AFFINE["params"], "z_star": [1.0] * 6}})),
+    ("bad integer option", ["figure1", "--iterations", "x"], b"{}"),
+    ("no subcommand", [], b"{}"),
 ]
 
 
