@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import numbers
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -52,8 +52,10 @@ class AlgorithmConfig:
     ``validate_config`` adds the checks that need the problem. Numbers are
     finite reals, not bools; ``theta`` and ``stop_residual`` may be None.
     ``momentum_a`` and ``theta`` belong to one algorithm each and are
-    refused set for any other. Iterative resolvents are solved to
-    ``operators.RESOLVENT_TOL``, which is not configurable.
+    refused set for any other. A keyword that is not a field, such as the
+    removed ``gamma``, is refused with ``ConfigError`` too. Iterative
+    resolvents are solved to ``operators.RESOLVENT_TOL``, which is not
+    configurable.
     """
 
     algorithm: str
@@ -63,6 +65,12 @@ class AlgorithmConfig:
     theta: float | None = None       # APS_V only, must be positive
     stop_residual: float | None = None
     record_iterates: bool = True
+
+    def __new__(cls, *args, **kwargs):
+        unknown = sorted(kwargs.keys() - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigError(f"unknown fields {unknown}")
+        return super().__new__(cls)
 
     def __post_init__(self):
         name = self.algorithm

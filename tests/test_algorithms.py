@@ -80,6 +80,7 @@ def test_unknown_algorithm_rejected():
     ("FEG", {"max_iterations": 0}),
     ("FEG", {"stop_residual": math.nan}),
     ("FEG", {"stop_residual": -1.0}),
+    ("OC_HALPERN", {"gamma": math.inf}),
     ("APS_V", {"theta": math.nan}),
     ("APS_V", {"theta": 0.0}),
     ("APS_V", {}),
@@ -87,25 +88,18 @@ def test_unknown_algorithm_rejected():
     ("AGM", {"momentum_a": "3"}),
     ("FEG", {"record_iterates": "no"}),
     ("FEG", {"momentum_a": 5.0}),
+    ("FEG", {"gamma": 1.5}),
     ("OHM", {"theta": 1.0}),
 ], ids=["alpha-string", "alpha-bool", "alpha-missing", "alpha-zero",
         "alpha-beyond-float", "iterations-fractional", "iterations-bool",
         "iterations-zero", "stop-residual-nan", "stop-residual-negative",
-        "theta-nan", "theta-zero", "theta-missing",
+        "gamma-inf", "theta-nan", "theta-zero", "theta-missing",
         "momentum-two", "momentum-string", "record-iterates-string",
-        "ignored-momentum", "ignored-theta"])
+        "ignored-momentum", "ignored-gamma", "ignored-theta"])
 def test_config_refuses_bad_fields(name, fields):
     with pytest.raises(ConfigError) as info:
         AlgorithmConfig(name, **{"alpha": 0.1, **fields})
     assert info.value.code == "CONFIG_ERROR"
-
-
-def test_config_has_no_gamma():
-    # OC_HALPERN derives its gamma from the problem, so no config sets one,
-    # for OC_HALPERN or for any other algorithm
-    for name in ("OC_HALPERN", "FEG"):
-        with pytest.raises(TypeError, match="gamma"):
-            AlgorithmConfig(name, alpha=0.1, gamma=1.5)
 
 
 def test_config_takes_numpy_numbers():
