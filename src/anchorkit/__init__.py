@@ -22,7 +22,6 @@ from .operators import (
     Operator,
     ScaledOperator,
     ShiftedIdentityPlus,
-    SumOperator,
     as_vector,
     drs_map,
     forward_backward_residual,
@@ -54,7 +53,6 @@ __all__ = [
     "Problem",
     "ScaledOperator",
     "ShiftedIdentityPlus",
-    "SumOperator",
     "as_vector",
     "build_problem",
     "drs_map",

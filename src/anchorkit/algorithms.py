@@ -233,7 +233,7 @@ def validate_config(config: AlgorithmConfig, problem: Problem) -> None:
         raise ConfigError(f"{name} does not handle composite problems")
     if name in ("OHM_DRS", "APG_STAR") and not problem.is_composite:
         raise ConfigError(f"{name} needs a composite problem")
-    if name in ("FEG", "EAG_V", "APG_STAR") and config.alpha * lip >= 1.0:
+    if name in ("FEG", "APG_STAR") and config.alpha * lip >= 1.0:
         raise ConfigError(f"{name} needs alpha * L < 1, "
                           f"got {config.alpha * lip:.6g}")
     if name == "SM_EAG_PLUS":
@@ -241,11 +241,11 @@ def validate_config(config: AlgorithmConfig, problem: Problem) -> None:
         if config.alpha > top * (1.0 + 1e-12):
             raise ConfigError(
                 f"SM_EAG_PLUS needs alpha <= (sqrt(L^2+mu^2)+mu)/L^2 = {top:.6g}")
-    if name == "APS_V":
-        m = 2.0 * lip ** 2 * (1.0 + config.theta)
-        if 1.0 - m * config.alpha ** 2 <= 0:
-            raise ConfigError("APS_V needs 1 - 2 L^2 (1+theta) alpha^2 > 0 "
-                              "at the initial step")
+    if name in ("EAG_V", "APS_V"):
+        rule = _RULES[name]
+        if not rule.first_alpha(config, problem) > 0:
+            raise ConfigError(f"{name} needs {rule.step_range} (alpha_1 > 0), "
+                              f"got alpha = {config.alpha:.6g}")
     if name == "AGM" and not isinstance(problem.operator, GradientOperator):
         raise ConfigError("AGM needs a gradient-field problem")
     if name == "OC_HALPERN" and mu <= 0:
@@ -520,16 +520,23 @@ class _APS(_Rule):
         return ()
 
 
-class _EAGV(_EAG):
-    """EAG with beta_k = 1/(k+2) and varying steps: alpha_{k+1} = alpha_k
-    (1 - alpha_k^2 L^2 / ((k+1)(k+3)(1 - alpha_k^2 L^2)))."""
-
-    row_fields = ("op_evals", "alpha")
-    anchor_offset = 2
+class _VaryingStep:
+    """The step schedule of EAG_V and APS_V: alpha_{k+1} =
+    ``next_alpha(alpha_k, c, k)`` with c = ``constant(config, problem)``,
+    defined while 1 - c alpha_k^2 > 0. ``validate_config`` refuses a start
+    unless ``first_alpha`` (alpha_1) is positive; each rule's docstring
+    shows that every later alpha_k is then positive and decreasing, and
+    ``step`` keeps the check as a fail-closed guard."""
 
     def __init__(self, config, problem, oracle, z0):
         super().__init__(config, problem, oracle, z0)
-        self.lip_sq = problem.lipschitz ** 2
+        self.c = self.constant(config, problem)
+
+    @classmethod
+    def first_alpha(cls, config, problem):
+        """alpha_1, or 0.0 where alpha_0 already has 1 - c alpha_0^2 <= 0."""
+        alpha, c = config.alpha, cls.constant(config, problem)
+        return cls.next_alpha(alpha, c, 0) if 1.0 - alpha ** 2 * c > 0 else 0.0
 
     def evaluate(self, k):
         residual, row = super().evaluate(k)
@@ -537,43 +544,61 @@ class _EAGV(_EAG):
 
     def step(self, k):
         alpha = self.alpha
-        if alpha <= 0 or 1.0 - (alpha_lip_sq := alpha ** 2 * self.lip_sq) <= 0:
+        if alpha <= 0 or 1.0 - alpha ** 2 * self.c <= 0:
             raise StepSizeCollapse(f"alpha_{k} = {alpha:.6g} inadmissible")
         made = super().step(k)
-        ratio = alpha_lip_sq / (1.0 - alpha_lip_sq)
-        self.alpha = alpha * (1.0 - ratio / ((k + 1.0) * (k + 3.0)))
+        self.alpha = self.next_alpha(alpha, self.c, k)
         return made
 
 
-class _APSV(_APS):
-    """APS with beta_k = 1/(k+2) and the varying step rule of the
-    2 L^2 (1 + theta) family."""
+class _EAGV(_VaryingStep, _EAG):
+    """EAG with beta_k = 1/(k+2) and c = L^2: alpha_{k+1} = alpha_k
+    (1 - r_k / ((k+1)(k+3))), r_k = alpha_k^2 L^2 / (1 - alpha_k^2 L^2).
+
+    r is increasing in alpha on [0, 1/L), and alpha_1 > 0 means r_0 < 3,
+    that is alpha_0 L < sqrt(3)/2. By induction, 0 < alpha_k <= alpha_0
+    gives 0 <= r_k <= r_0 < 3 <= (k+1)(k+3), so 0 < alpha_{k+1} <= alpha_k."""
+
+    row_fields = ("op_evals", "alpha")
+    anchor_offset = 2
+    step_range = "alpha L < sqrt(3)/2"
+
+    @staticmethod
+    def constant(config, problem):
+        return problem.lipschitz ** 2
+
+    @staticmethod
+    def next_alpha(alpha, lip_sq, k):
+        alpha_lip_sq = alpha ** 2 * lip_sq
+        ratio = alpha_lip_sq / (1.0 - alpha_lip_sq)
+        return alpha * (1.0 - ratio / ((k + 1.0) * (k + 3.0)))
+
+
+class _APSV(_VaryingStep, _APS):
+    """APS with beta_k = 1/(k+2) and c = M = 2 L^2 (1 + theta): with
+    m_k = M alpha_k^2, alpha_{k+1} = alpha_k beta_{k+1} (1 - beta_k^2 - m_k)
+    / ((1 - m_k) beta_k (1 - beta_k)).
+
+    The ratio alpha_{k+1}/alpha_k is (1 + r_k)/(1 + beta_k) with r_k =
+    beta_k (1 - beta_k - m_k)/((1 - m_k)(1 - beta_k)), below beta_k for
+    M > 0. So while 0 < m_k < 1, alpha_k and m_k decrease and
+    1 - beta_k^2 - m_k >= 1 - 1/4 - m_0, which alpha_1 > 0 makes positive:
+    every alpha_k stays positive and decreasing."""
 
     row_fields = ("op_evals", "v", "op_v", "alpha")
     anchor_offset = 2
+    step_range = "1 - 1/4 - 2 L^2 (1+theta) alpha^2 > 0"
 
-    def __init__(self, config, problem, oracle, z0):
-        super().__init__(config, problem, oracle, z0)
-        self.m_const = 2.0 * problem.lipschitz ** 2 * (1.0 + config.theta)
+    @staticmethod
+    def constant(config, problem):
+        return 2.0 * problem.lipschitz ** 2 * (1.0 + config.theta)
 
-    def evaluate(self, k):
-        residual, row = super().evaluate(k)
-        return residual, row + (self.alpha,)
-
-    def step(self, k):
-        alpha = self.alpha
-        if alpha <= 0:
-            raise StepSizeCollapse(f"alpha_{k} = {alpha:.6g} <= 0")
-        m_alpha_sq = self.m_const * alpha ** 2
-        if 1.0 - m_alpha_sq <= 0:
-            raise StepSizeCollapse(
-                f"1 - 2 L^2 (1+theta) alpha_{k}^2 <= 0 at k = {k}")
-        super().step(k)
-        beta = 1.0 / (k + self.anchor_offset)
-        beta_next = 1.0 / (k + 1 + self.anchor_offset)
-        self.alpha = (alpha * beta_next * (1.0 - beta ** 2 - m_alpha_sq)
-                      / ((1.0 - m_alpha_sq) * beta * (1.0 - beta)))
-        return ()
+    @staticmethod
+    def next_alpha(alpha, m_const, k):
+        m_alpha_sq = m_const * alpha ** 2
+        beta, beta_next = 1.0 / (k + 2), 1.0 / (k + 3)
+        return (alpha * beta_next * (1.0 - beta ** 2 - m_alpha_sq)
+                / ((1.0 - m_alpha_sq) * beta * (1.0 - beta)))
 
 
 # ---------------------------------------------------------------------------

@@ -632,25 +632,23 @@ def _aps_positivity_factors(r):
     ]
 
 
-_POSITIVITY_GRID = np.concatenate([np.arange(1, 1001), [1e4, 1e6]])
-
-
 def summability_positivity(rule: str, r: float):
-    """Names of factors that fail positivity at this step ratio (empty = ok).
+    """Names of factors not proved positive at this step ratio (empty = ok).
 
-    Factors are polynomials in the iteration counter; they are evaluated on
-    k in 1..1000 plus large probes, and leading coefficients must be positive
-    so the sign persists beyond the grid.
+    Each factor is a polynomial p in the iteration counter k, expanded here
+    in t = k - 1 by a Taylor shift. Every coefficient of p(1 + t) at least 0
+    and the constant term p(1) above 0 make p(1 + t) >= p(1) > 0 for every
+    t >= 0, so p(k) > 0 on every k >= 1.
     """
     factors = {"EAG": _eag_positivity_factors,
                "APS": _aps_positivity_factors}[rule](r)
     bad = []
     for name, coeffs in factors:
-        if coeffs[0] <= 0:
-            bad.append(name)
-            continue
-        vals = np.polyval(coeffs, _POSITIVITY_GRID)
-        if np.any(vals <= 0):
+        shifted = list(coeffs)  # highest degree first
+        for i in range(len(shifted) - 1):
+            for j in range(1, len(shifted) - i):
+                shifted[j] += shifted[j - 1]
+        if shifted[-1] <= 0 or min(shifted) < 0:
             bad.append(name)
     return bad
 

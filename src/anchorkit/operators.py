@@ -401,33 +401,6 @@ class ScaledOperator(Operator):
         return self.base.resolvent(alpha * self.scale, z)
 
 
-class SumOperator(_ForwardOnly):
-    """Pointwise sum of operators, each with a forward evaluation and a finite
-    Lipschitz constant (else InfeasibleConstants), as its resolvent needs."""
-
-    def __init__(self, parts):
-        parts = tuple(parts)
-        if not parts:
-            raise ValueError("need at least one operator")
-        if any(type(p).__call__ is Operator.__call__
-               or not math.isfinite(p.lipschitz) for p in parts):
-            raise InfeasibleConstants("every part needs a forward evaluation "
-                                      "and a finite Lipschitz constant")
-        dims = {p.dim for p in parts}
-        if len(dims) != 1:
-            raise DimensionMismatch(f"mixed dimensions {dims}")
-        self.parts = parts
-        self.dim = parts[0].dim
-        self.lipschitz = float(sum(p.lipschitz for p in parts))
-        self.mu = float(sum(p.mu for p in parts))
-
-    def __call__(self, z):
-        out = self.parts[0](z)
-        for p in self.parts[1:]:
-            out = out + p(z)
-        return out
-
-
 # ---------------------------------------------------------------------------
 # proximal maps
 

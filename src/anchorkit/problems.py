@@ -28,6 +28,7 @@ from .operators import (
 )
 
 _SOLUTION_SLACK = 1e-9
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -130,74 +131,8 @@ def make_random_monotone_affine(seed, d, lipschitz) -> Problem:
     return Problem(name=f"monotone-affine-{seed}", operator=op, solution=zs)
 
 
-def _brent_root(f, a, b, xtol, rtol, maxiter=100):
-    """A root of ``f`` in [a, b] by Brent's method (Brent 1973, ch. 4).
-
-    A line-for-line port of SciPy's ``brentq.c``: the same operation order
-    and the same sign tests, so it returns the float that
-    ``scipy.optimize.brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)``
-    returns. It fails closed with InfeasibleConstants where brentq raises:
-    a NaN value of ``f``, no sign change over [a, b], or no convergence
-    within ``maxiter`` iterations.
-    """
-    def value(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise InfeasibleConstants(f"root search: f({x!r}) is NaN")
-        return fx
-
-    xpre, xcur = float(a), float(b)
-    xblk = fblk = spre = scur = 0.0
-    fpre = value(xpre)
-    fcur = value(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise InfeasibleConstants(
-            f"root search: f({a!r}) and f({b!r}) have the same sign")
-    for _ in range(maxiter):
-        if (fpre != 0 and fcur != 0
-                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
-            xblk = xpre
-            fblk = fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
-            bound = 3 * abs(sbis) - delta
-            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
-                # good short step
-                spre = scur
-                scur = stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre = xcur
-        fpre = fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
-    raise InfeasibleConstants(
-        f"root search did not converge in {maxiter} iterations")
+#: Newton steps allowed for the SCSC scale (seeded cases take at most 9)
+_NEWTON_BUDGET = 50
 
 
 def _scsc_matrix(rng, d, lipschitz, mu):
@@ -205,9 +140,14 @@ def _scsc_matrix(rng, d, lipschitz, mu):
     jointly scaled so that lambda_min of the symmetric part is mu and the
     2-norm is ``lipschitz``, both verified by an eigensolve.
 
-    The scale s is the root of ``gap`` found by ``_brent_root``, a port of
-    SciPy's ``brentq`` that returns its bits, so the matrices are the ones
-    ``scipy.optimize.brentq`` gave without importing ``scipy.optimize``."""
+    The scale s solves g(s) = ||mu I + s base||_2 - L = 0, base = H + K.
+    g is convex, as the norm of an affine map, with g(0) = mu - L < 0, and
+    g(s0) >= 0 at s0 = (L + mu)/||base||_2 by the triangle inequality. So
+    g is increasing right of its root, and Newton's method from s0, with
+    the slope u1' base v1 of the top singular pair, decreases monotonically
+    to the root: a tangent (or, at a repeated top singular value, a
+    subgradient line) lies below g, so no iterate passes the root. It stops
+    once g <= 0 or the step is at most 4 eps s."""
     h = rng.standard_normal((d, d))
     h = h @ h.T
     h = h - np.linalg.eigvalsh(h).min() * np.eye(d)
@@ -215,16 +155,21 @@ def _scsc_matrix(rng, d, lipschitz, mu):
     k = k - k.T
     base = h + k
     eye = np.eye(d)
-
-    def gap(s):
-        return np.linalg.norm(mu * eye + s * base, 2) - lipschitz
-
-    hi = 1.0
-    while gap(hi) < 0:
-        hi *= 2.0
-        if hi > 1e12:
-            raise InfeasibleConstants("could not reach the requested norm")
-    s = _brent_root(gap, 0.0, hi, xtol=1e-15, rtol=8.9e-16)
+    top = np.linalg.norm(base, 2)
+    if top == 0:
+        raise InfeasibleConstants("H + K is zero; no scale reaches the norm")
+    s = (lipschitz + mu) / top
+    for _ in range(_NEWTON_BUDGET):
+        u, sigma, vt = np.linalg.svd(mu * eye + s * base)
+        if sigma[0] <= lipschitz:
+            break
+        step = (sigma[0] - lipschitz) / (u[:, 0] @ base @ vt[0])
+        s -= step
+        if step <= 4 * _EPS * s:
+            break
+    else:
+        raise InfeasibleConstants(
+            f"scale search did not converge in {_NEWTON_BUDGET} Newton steps")
     mat = mu * eye + s * base
     sym_min = np.linalg.eigvalsh(0.5 * (mat + mat.T)).min()
     two_norm = np.linalg.norm(mat, 2)
@@ -237,15 +182,15 @@ def _scsc_matrix(rng, d, lipschitz, mu):
 def make_random_scsc(seed, d, lipschitz, mu, z_star=None) -> Problem:
     """Seeded strongly monotone affine operator with exact constants.
 
-    Requires 0 < mu <= lipschitz; the scalar case d = 1 forces mu == lipschitz.
+    Requires 0 < mu <= lipschitz < inf, checked before any arithmetic (a
+    NaN fails it); the scalar case d = 1 forces mu == lipschitz.
     B(z) = Mz + b vanishes at z_star (b = -M z_star, exact in floating point).
     """
-    if mu <= 0:
-        raise InfeasibleConstants("generator requires mu > 0; "
-                                  "use make_bilinear or "
-                                  "make_random_monotone_affine for mu = 0")
-    if mu > lipschitz:
-        raise InfeasibleConstants(f"mu = {mu} exceeds L = {lipschitz}")
+    if not 0 < mu <= lipschitz < math.inf:
+        raise InfeasibleConstants(
+            f"generator requires 0 < mu <= L < inf, got mu = {mu}, "
+            f"L = {lipschitz}; use make_bilinear or "
+            f"make_random_monotone_affine for mu = 0")
     if d <= 0:
         raise DimensionMismatch("dimension must be positive")
     if d == 1 and mu != lipschitz:

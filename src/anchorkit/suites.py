@@ -18,7 +18,6 @@ from .operators import (
     AffineOperator,
     ScaledOperator,
     ShiftedIdentityPlus,
-    SumOperator,
     forward_backward_residual,
 )
 from .problems import (
@@ -530,8 +529,6 @@ def operator_property_suite() -> SuiteResult:
         ("strongly-monotone-affine", scsc.operator),
         ("skew-affine", skew.operator),
         ("scaled", ScaledOperator(0.7, scsc.operator)),
-        ("sum", SumOperator([scsc.operator,
-                             AffineOperator(np.zeros((5, 5)))])),
         ("shifted-identity", ShiftedIdentityPlus(scsc.operator, 0.2,
                                                  np.zeros(5))),
     ]

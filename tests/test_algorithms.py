@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from anchorkit import algorithms
 from anchorkit.algorithms import (
     ALGORITHMS,
     AlgorithmConfig,
@@ -281,12 +282,44 @@ def test_aps_v_step_update_formula():
 
 
 def test_aps_v_collapse_detected():
-    # 1 - M a0^2 > 0 passes validation, but 1 - b0^2 - M a0^2 < 0 sends
-    # alpha_1 negative
+    # 1 - M a0^2 > 0, but 1 - b0^2 - M a0^2 < 0 would send alpha_1
+    # negative: run refuses the start, and the step's own guard still fails
+    # closed on a rule stepped past validation
     prob = one_d_identity()
-    a0 = 0.45  # M = 4, M a0^2 = 0.81: valid start, collapses at k = 1
+    a0 = 0.45  # M = 4, M a0^2 = 0.81
+    config = cfg("APS_V", a0, 5, theta=1.0)
+    with pytest.raises(ConfigError, match="alpha_1 > 0"):
+        run(config, prob, np.array([1.0]))
+    rule = algorithms._APSV(config, prob, algorithms._Counted(prob.operator),
+                            np.array([1.0]))
+    rule.step(0)
+    assert rule.alpha < 0
     with pytest.raises(StepSizeCollapse):
-        run(cfg("APS_V", a0, 5, theta=1.0), prob, np.array([1.0]))
+        rule.step(1)
+
+
+def _decreasing_positive(alphas):
+    return np.all(alphas > 0) and np.all(np.diff(alphas) <= 0)
+
+
+def test_eag_v_first_step_needs_alpha_l_below_root_three_halves():
+    # alpha_1 > 0 exactly when alpha L < sqrt(3)/2 = 0.8660...
+    prob = make_random_monotone_affine(0, 4, 1.0)
+    z0 = np.ones(4)
+    alphas = run(cfg("EAG_V", 0.866, 500), prob, z0).auxiliary["alpha"]
+    assert 1e-4 < alphas[1] < 3e-4 and _decreasing_positive(alphas)
+    with pytest.raises(ConfigError, match="alpha_1 > 0"):
+        run(cfg("EAG_V", 0.87, 500), prob, z0)
+
+
+def test_aps_v_first_step_needs_m_alpha_sq_below_three_quarters():
+    # M = 2 L^2 (1 + theta) = 3, so M alpha^2 = 3/4 exactly at alpha = 1/2
+    prob = one_d_identity()
+    alphas = run(cfg("APS_V", 0.4999, 500, theta=0.5), prob,
+                 np.array([1.0])).auxiliary["alpha"]
+    assert _decreasing_positive(alphas)
+    with pytest.raises(ConfigError, match="alpha_1 > 0"):
+        run(cfg("APS_V", 0.5, 500, theta=0.5), prob, np.array([1.0]))
 
 
 # ---------------------------------------------------------------------------

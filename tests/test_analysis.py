@@ -525,6 +525,21 @@ def test_summability_constant_refuses_uncertified_steps():
     assert analysis.summability_constant("APS", 0.05, 1.0) > 0
 
 
+def test_summability_positivity_proof_agrees_with_a_sampled_scan():
+    # the sampled check it replaced: every factor positive on k = 1..1000
+    # and at two large probes, with a positive leading coefficient
+    grid = np.concatenate([np.arange(1, 1001), [1e4, 1e6]])
+    factors = {"EAG": analysis._eag_positivity_factors,
+               "APS": analysis._aps_positivity_factors}
+    for rule, build in factors.items():
+        for r in np.linspace(0.001, 0.999, 999):
+            sampled = [name for name, coeffs in build(r)
+                       if coeffs[0] <= 0
+                       or np.any(np.polyval(coeffs, grid) <= 0)]
+            assert analysis.summability_positivity(rule, r) == sampled, (
+                rule, r)
+
+
 def test_summability_bound_holds_on_certified_run():
     # the certified constant really bounds the weighted series for EAG
     prob = make_random_monotone_affine(6, 10, 10.0)

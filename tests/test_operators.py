@@ -19,10 +19,8 @@ from anchorkit.operators import (
     BoxProx,
     CallableOperator,
     GradientOperator,
-    Operator,
     ScaledOperator,
     ShiftedIdentityPlus,
-    SumOperator,
     _load_flapack,
     _lu_factor,
     as_vector,
@@ -231,26 +229,6 @@ def test_callable_dimension_must_be_positive(cls, dim):
         cls(_identity, dim, 1.0)
 
 
-class _ResolventOnly(Operator):
-    """A finite-constant operator with no forward map."""
-
-    dim, lipschitz, mu = 2, 1.0, 0.0
-
-
-def _box_block():
-    return BoxProx([0, 0], [1, 1])
-
-
-@pytest.mark.parametrize("part", [
-    _box_block, lambda: ScaledOperator(0.5, _box_block()), _ResolventOnly,
-], ids=["block-prox", "scaled-block-prox", "no-forward-map"])
-def test_sum_refuses_a_part_without_a_finite_forward_map(part):
-    # refused at construction, before a resolvent could compute an
-    # infinite inner budget
-    with pytest.raises(InfeasibleConstants):
-        SumOperator([AffineOperator(np.eye(2)), part()])
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_affine_resolvent_rejects_non_finite_input(bad):
     op = AffineOperator(ROT, [0.5, -0.5])
@@ -312,7 +290,13 @@ def test_iterative_resolvents_match_the_solver_bitwise():
     strongly = CallableOperator(lambda z: m @ z, 2, lipschitz=exact.lipschitz,
                                 mu=exact.mu)
     assert strongly.mu > 0
-    ops = [merely, strongly, SumOperator([AffineOperator(ROT), strongly])]
+    # the sum of a rotation and the strongly monotone part, with the sums of
+    # their constants
+    rot = AffineOperator(ROT)
+    total = CallableOperator(lambda z: rot(z) + strongly(z), 2,
+                             lipschitz=rot.lipschitz + strongly.lipschitz,
+                             mu=rot.mu + strongly.mu)
+    ops = [merely, strongly, total]
     rng = np.random.default_rng(8)
     for op in ops:
         for alpha in (0.3, 0.7):
@@ -330,8 +314,7 @@ def test_iterative_resolvent_rejects_nan_at_once():
 
     op = CallableOperator(fn, 2, lipschitz=1.0)
     shifted = ShiftedIdentityPlus(op, 0.5, np.zeros(2))
-    sums = SumOperator([op, zero_map(2)])
-    for target in (op, shifted, sums):
+    for target in (op, shifted):
         with pytest.raises(ValueError):
             target.resolvent(0.5, np.array([np.nan, 1.0]))
     assert calls == []
@@ -366,13 +349,10 @@ def test_shifted_identity_metadata():
     assert np.allclose(sh(z), z + 0.5 * base(z))
 
 
-def test_scaled_and_sum():
+def test_scaled_operator():
     base = AffineOperator(np.eye(2))
     z = np.array([2.0, -4.0])
     assert np.allclose(ScaledOperator(0.5, base)(z), 0.5 * z)
-    s = SumOperator([base, zero_map(2)])
-    assert np.allclose(s(z), z)
-    assert s.lipschitz == 1.0 and s.mu == 1.0
     # resolvent of the scaled operator delegates to the base at c * alpha
     assert np.allclose(ScaledOperator(0.5, base).resolvent(1.0, z),
                        base.resolvent(0.5, z))

@@ -7,7 +7,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 import anchorkit
 from anchorkit import problems, suites
@@ -21,7 +20,6 @@ from anchorkit.errors import (
 from anchorkit.operators import BoxProx, forward_backward_residual
 from anchorkit.problems import (
     Problem,
-    _brent_root,
     build_problem,
     make_bilinear,
     make_box_bilinear_composite,
@@ -111,92 +109,41 @@ def test_random_scsc_eigensolve_oracle():
 
 def test_random_scsc_preconditions():
     with pytest.raises(InfeasibleConstants):
-        make_random_scsc(0, 2, 1.0, 0.0)  # generator requires mu > 0
-    with pytest.raises(InfeasibleConstants):
-        make_random_scsc(0, 2, 1.0, 2.0)
-    with pytest.raises(InfeasibleConstants):
         make_random_scsc(0, 1, 2.0, 1.0)  # scalar case forces mu == L
     scalar = make_random_scsc(0, 1, 1.0, 1.0)
     assert np.allclose(scalar.operator.matrix, [[1.0]])
 
 
-def _scsc_roots(monkeypatch, build):
-    """(gap, arguments) of every root search that ``build()`` makes."""
-    calls = []
-
-    def spy(f, a, b, xtol, rtol):
-        calls.append((f, a, b, xtol, rtol))
-        return _brent_root(f, a, b, xtol, rtol)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(problems, "_brent_root", spy)
-        build()
-    return calls
+def test_scsc_scale_meets_both_constants():
+    # Newton's scale lands within the post-check's slack of both targets
+    ratios = (1e-4, 1e-3, 1e-2, 0.1, 0.5, 0.9, 0.999)
+    for seed, d, ratio in itertools.product(range(40), (2, 3, 5, 10, 20, 50),
+                                            ratios):
+        m = make_random_scsc(seed, d, 10.0, 10.0 * ratio).operator.matrix
+        sym_min = np.linalg.eigvalsh(0.5 * (m + m.T)).min()
+        assert abs(sym_min - 10.0 * ratio) <= 1e-9, (seed, d, ratio)
+        assert abs(np.linalg.norm(m, 2) - 10.0) <= 1e-9, (seed, d, ratio)
 
 
-def test_brent_root_matches_scipy_brentq_bitwise(monkeypatch):
-    ratios = (1e-4, 1e-3, 1e-2, 0.1, 0.5)
-    cases = 0
-    for seed, d, ratio in itertools.product(range(12), (2, 3, 10, 20), ratios):
-        calls = _scsc_roots(
-            monkeypatch, lambda: make_random_scsc(seed, d, 10.0, 10.0 * ratio))
-        for f, a, b, xtol, rtol in calls:
-            got = _brent_root(f, a, b, xtol, rtol)
-            want = brentq(f, a, b, xtol=xtol, rtol=rtol)
-            assert got.hex() == want.hex(), (seed, d, ratio)
-            cases += 1
-    assert cases == 12 * 4 * len(ratios)
+@pytest.mark.parametrize("lipschitz, mu", [
+    (1.0, math.nan), (math.nan, 0.5), (math.inf, 0.5), (math.inf, math.inf),
+    (1.0, -math.inf), (1.0, 0.0), (1.0, -0.5), (1.0, 1.5),
+], ids=["mu-nan", "L-nan", "L-inf", "both-inf", "mu-minus-inf", "mu-zero",
+        "mu-negative", "mu-above-L"])
+def test_random_scsc_refuses_constants_outside_the_range(lipschitz, mu):
+    with pytest.raises(InfeasibleConstants, match="0 < mu <= L < inf"):
+        make_random_scsc(0, 4, lipschitz, mu)
 
 
-def _generic_root_cases(count):
-    """Seeded cubics, exponentials and steep tanh steps on random brackets,
-    with random tolerances and budgets. Together they take the
-    interpolation, extrapolation, bisection and minimal steps of Brent's
-    method and run out of budget; the SCSC norm gaps rarely extrapolate."""
-    rng = np.random.default_rng(0)
-    for i in range(count):
-        c = rng.standard_normal(4).tolist()
-        f = (lambda x, c=c: c[0] + c[1] * x + c[2] * x ** 2 + c[3] * x ** 3,
-             lambda x, c=c: math.exp(c[0] * x) - 1.5 - c[1],
-             lambda x, c=c: math.tanh(3 * c[0] * (x - c[1])) + 0.01 * c[2],
-             )[i % 3]
-        a, b = sorted(rng.uniform(-3.0, 3.0, 2).tolist())
-        xtol = 10.0 ** rng.uniform(-15.0, -2.0)
-        rtol = 8.9e-16 * 10.0 ** rng.uniform(0.0, 6.0)
-        yield f, a, b, xtol, rtol, int(rng.integers(1, 60))
-
-
-def test_brent_root_matches_scipy_brentq_on_generic_functions():
-    roots = 0
-    for f, a, b, xtol, rtol, maxiter in _generic_root_cases(3000):
-        try:
-            want = brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)
-        except (ValueError, RuntimeError):
-            with pytest.raises(InfeasibleConstants):
-                _brent_root(f, a, b, xtol, rtol, maxiter)
-            continue
-        assert _brent_root(f, a, b, xtol, rtol, maxiter).hex() == want.hex()
-        roots += 1
-    assert roots > 500
-
-
-def test_suite_scsc_problems_reach_brentq_scale(monkeypatch):
-    calls = _scsc_roots(monkeypatch, lambda: [
-        suites.scsc_case(seed) for seed in suites.SUITE_SEEDS])
-    assert len(calls) == 20
-    for f, a, b, xtol, rtol in calls:
-        want = brentq(f, a, b, xtol=xtol, rtol=rtol)
-        assert _brent_root(f, a, b, xtol, rtol).hex() == want.hex()
-
-
-@pytest.mark.parametrize("f, maxiter", [
-    (lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5, 100),  # NaN inside
-    (lambda x: x + 1.0, 100),                                 # no sign change
-    (lambda x: x ** 3 - 0.3, 1),                              # no convergence
-], ids=["nan", "same-sign", "maxiter"])
-def test_brent_root_fails_closed(f, maxiter):
-    with pytest.raises(InfeasibleConstants):
-        _brent_root(f, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16, maxiter=maxiter)
+def test_scsc_scale_search_fails_closed(monkeypatch):
+    # H + K is zero only at d = 1, which make_random_scsc refuses first
+    with pytest.raises(InfeasibleConstants, match="zero"):
+        problems._scsc_matrix(np.random.default_rng(0), 1, 2.0, 1.0)
+    # a singular value that is never finite exhausts the step budget
+    monkeypatch.setattr(np.linalg, "svd", lambda m: (
+        np.eye(len(m)), np.full(len(m), math.nan), np.eye(len(m))))
+    with pytest.raises(InfeasibleConstants, match="did not converge"):
+        make_random_scsc(0, 4, 10.0, 1.0)
 
 
 def test_package_imports_neither_scipy_optimize_nor_scipy_linalg():

@@ -27,8 +27,9 @@ with ``TREE/src`` on the path and BLAS pinned to one thread:
   bytes that are not UTF-8, a directory as config, an unknown problem (also
   with a NaN parameter), an unknown algorithm, ``"alpha": NaN``, an output
   directory that a file blocks, ``verify`` of an unknown suite, a removed
-  algorithm key (``gamma``) and problem parameter (``z_star``), and two
-  usage errors (``figure1 --iterations x`` and no subcommand).
+  algorithm key (``gamma``) and problem parameter (``z_star``), EAG_V and
+  APS_V first steps whose step schedule collapses at once, and two usage
+  errors (``figure1 --iterations x`` and no subcommand).
 
 Every difference is printed. The exit code is 1 if there is one, else 0.
 Given the same tree twice, it checks that the outputs are deterministic
@@ -158,6 +159,16 @@ REFUSAL_CASES = [
     ("removed problem parameter", ["run", "config.json"],
      _config(problem={"name": "random_monotone_affine",
                       "params": {**AFFINE["params"], "z_star": [1.0] * 6}})),
+    ("EAG_V first step collapses", ["run", "config.json"],
+     _config(problem={"name": "random_monotone_affine",
+                      "params": {"seed": 0, "d": 4, "lipschitz": 1.0}},
+             algorithms=[{"algorithm": "FEG", "alpha": 0.5},
+                         {"algorithm": "EAG_V", "alpha": 0.9}])),
+    ("APS_V first step collapses", ["run", "config.json"],
+     _config(problem=SCSC_WEAK,
+             algorithms=[{"algorithm": "FEG", "alpha": 0.05},
+                         {"algorithm": "APS_V", "alpha": 0.05,
+                          "theta": 0.5}])),
     ("bad integer option", ["figure1", "--iterations", "x"], b"{}"),
     ("no subcommand", [], b"{}"),
 ]
