@@ -143,16 +143,20 @@ def _check_trace_size(what: str, iterations: int, dim: int) -> None:
 def _write_csv(path: Path, header, *blocks) -> None:
     """Write ``header``, then for each row index k a line of k followed by
     row k of each 2-D array in ``blocks``: integer arrays as integers, the
-    others with 17 significant digits, which round-trip exactly. Lines are
-    built one row at a time, so a wide trace is never held as cells."""
-    specs = ["" if np.issubdtype(block.dtype, np.integer) else ".17g"
-             for block in blocks]
+    others with 17 significant digits, which round-trip exactly. Each line
+    is one ``%`` format of a row template built once per file; ``'%.17g' %
+    v`` and ``format(v, '.17g')`` call the same routine, as ``'%d' % n``
+    and ``str(n)`` do. Lines are built one row at a time, so a wide trace is
+    never held as cells."""
+    row = ",".join(["%d"] + [
+        "%d" if np.issubdtype(block.dtype, np.integer) else "%.17g"
+        for block in blocks for _ in range(block.shape[1])])
     lines = [",".join(header)]
     for k, parts in enumerate(zip(*blocks)):
-        cells = [str(k)]
-        for spec, part in zip(specs, parts):
-            cells += [format(v, spec) for v in part.tolist()]
-        lines.append(",".join(cells))
+        cells = [k]
+        for part in parts:
+            cells += part.tolist()
+        lines.append(row % tuple(cells))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -66,6 +66,9 @@ _dgetrs = _flapack.dgetrs
 #: slack used when verifying metadata against computed spectra
 _META_SLACK = 1e-9
 
+#: unit roundoff of float64, 2^-53
+_UNIT_ROUNDOFF = 2.0 ** -53
+
 #: residual to which every iterative resolvent is solved
 RESOLVENT_TOL = 1e-12
 
@@ -85,6 +88,15 @@ def as_vector(coords, dim: int | None = None, finite: bool = True) -> Array:
     if dim is not None and v.size != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {v.size}")
     return v
+
+
+def _square(matrix) -> Array:
+    """``matrix`` as a nonempty square float64 array, else
+    DimensionMismatch."""
+    m = np.asarray(matrix, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
+        raise DimensionMismatch(f"expected a square matrix, got {m.shape}")
+    return m
 
 
 def _lu_factor(a: Array):
@@ -221,22 +233,73 @@ class AffineOperator(Operator):
     (2-norm and smallest eigenvalue of the symmetric part); if supplied they
     must be finite and nonnegative, and are verified against the spectrum at
     construction. The matrix must be monotone: min eig of (M + M^T)/2 >=
-    -1e-9.
+    -1e-9. When M + M^T is exactly zero (M is exactly skew, as every
+    bilinear saddle matrix and every ``scaled`` skew matrix is), that
+    eigenvalue is exactly 0.0 and no eigensolver runs.
 
     Forward evaluation is ``matrix.dot(z) + offset``: ``ndarray.dot`` gives
-    the bits of ``matrix @ z`` without the ``matmul`` ufunc's dispatch. The
-    resolvent factors I + alpha M once per step size with LAPACK ``getrf``
-    and solves each call with LAPACK ``getrs``, the routines behind
-    ``scipy.linalg.lu_factor`` and ``scipy.linalg.lu_solve``, so the bits are
-    theirs. The memo keeps, per alpha, the LU factors and ``alpha * offset``;
-    it never changes a result, so the operator is still immutable after
-    construction in every observable way.
+    the bits of ``matrix @ z`` without the ``matmul`` ufunc's dispatch. When
+    the offset has no nonzero entry and d >= 2 it is ``matrix.dot(z)``
+    alone, with the same bits: adding a zero changes a value only where the
+    product is -0.0, and BLAS gemv and numpy's own dot loop accumulate from
+    +0.0, so a product of length d >= 2 is never -0.0. numpy's 1 x 1
+    product is the one entry's product, which can be -0.0, so d = 1 keeps
+    the add.
+
+    The resolvent factors I + alpha M once per step size with LAPACK
+    ``getrf`` and solves each call with LAPACK ``getrs``, the routines
+    behind ``scipy.linalg.lu_factor`` and ``scipy.linalg.lu_solve``, so the
+    bits are theirs. The memo keeps, per alpha, the LU factors and
+    ``alpha * offset``; it never changes a result, so the operator is still
+    immutable after construction in every observable way.
     """
 
     def __init__(self, matrix, offset=None, lipschitz=None, mu=None):
-        m = np.asarray(matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-            raise DimensionMismatch(f"expected a square matrix, got {m.shape}")
+        self._setup(_square(matrix), offset, lipschitz, mu, math.inf)
+
+    @classmethod
+    def scaled(cls, k, lipschitz) -> tuple[AffineOperator, Array]:
+        """``(op, sigma)``: the operator z -> M z with M = fl(c K),
+        c = fl(L / max(sigma)), declared ``lipschitz``-Lipschitz, and the
+        singular values ``sigma`` of K, from one SVD.
+
+        ``mu`` is that of the spectrum, as when it is omitted. The SVD of K
+        also certifies L, so ``norm(M, 2)`` need not run: with u = 2^-53
+        the unit roundoff, and LAPACK giving the top singular value to
+        relative accuracy p u, ||K||_2 <= max(sigma) / (1 - p u) and
+        c <= (L / max(sigma)) (1 + u). Each entry of fl(c K) is c K_ij
+        (1 + delta), |delta| <= u, so ||M - c K||_F <= u c ||K||_F
+        <= u c sqrt(d) ||K||_2 (underflow adds at most d 2^-1075 more).
+        By Weyl's inequality ||M||_2 <= c ||K||_2 + ||M - c K||_F, so
+
+            ||M||_2 <= L (1 + u) (1 + sqrt(d) u) / (1 - p u),
+
+        taken with p = d. Its excess over L is at most
+        (3 + sqrt(d) + d) u / (1 - d u) times L, where the spare u covers
+        the rounding of evaluating the bound. When L times that excess is
+        at most ``_META_SLACK`` (at d = 1000, L up to about 8.7e3), the
+        declared L is certified; otherwise ``norm(M, 2)`` verifies it as
+        in the constructor. K must be square, finite and nonzero, and
+        0 < L < inf.
+        """
+        k = _square(k)
+        if not 0.0 < lipschitz < math.inf:
+            raise InfeasibleConstants(f"need 0 < L < inf, got L={lipschitz}")
+        sigma = np.linalg.svd(k, compute_uv=False)
+        if sigma.max() == 0.0:
+            raise InfeasibleConstants("K is zero; no scale reaches the norm")
+        m = (lipschitz / sigma.max()) * k
+        d = m.shape[0]
+        excess = ((3.0 + math.sqrt(d) + d) * _UNIT_ROUNDOFF
+                  / (1.0 - d * _UNIT_ROUNDOFF))
+        op = cls.__new__(cls)
+        op._setup(m, None, lipschitz, None, lipschitz + lipschitz * excess)
+        return op, sigma
+
+    def _setup(self, m, offset, lipschitz, mu, norm_bound):
+        """Check and store the constants of the square float matrix ``m``;
+        ``norm_bound`` is a proven upper bound on ||m||_2 (inf if none),
+        which replaces ``norm(m, 2)`` when it certifies the declared L."""
         if not all(c is None or 0.0 <= c < math.inf for c in (lipschitz, mu)):
             raise InfeasibleConstants(f"declared constants must be finite and "
                                       f"nonnegative, got L={lipschitz}, "
@@ -245,16 +308,20 @@ class AffineOperator(Operator):
         self.matrix = m.copy()
         self.offset = (np.zeros(self.dim) if offset is None
                        else as_vector(offset, self.dim).copy())
-        sym_min = float(np.linalg.eigvalsh(0.5 * (m + m.T)).min())
-        two_norm = float(np.linalg.norm(m, 2))
+        sym = m + m.T
+        sym_min = (float(np.linalg.eigvalsh(0.5 * sym).min()) if sym.any()
+                   else 0.0)
         if sym_min < -_META_SLACK:
             raise InfeasibleConstants(
                 f"matrix is not monotone: min sym eigenvalue {sym_min:.3e}")
         if lipschitz is None:
-            lipschitz = two_norm
-        elif two_norm > lipschitz + _META_SLACK:
-            raise InfeasibleConstants(
-                f"||M||_2 = {two_norm:.6g} exceeds declared L = {lipschitz:.6g}")
+            lipschitz = float(np.linalg.norm(m, 2))
+        elif norm_bound > lipschitz + _META_SLACK:
+            two_norm = float(np.linalg.norm(m, 2))
+            if two_norm > lipschitz + _META_SLACK:
+                raise InfeasibleConstants(
+                    f"||M||_2 = {two_norm:.6g} exceeds declared "
+                    f"L = {lipschitz:.6g}")
         if mu is None:
             mu = max(sym_min, 0.0)
         elif sym_min < mu - _META_SLACK:
@@ -264,6 +331,7 @@ class AffineOperator(Operator):
             raise InfeasibleConstants(f"mu = {mu} exceeds L = {lipschitz}")
         self.lipschitz = float(lipschitz)
         self.mu = float(mu)
+        self._plain_product = self.dim >= 2 and not self.offset.any()
         self._lu_cache: dict[float, tuple] = {}  # alpha -> (lu, piv, alpha b)
         self.matrix.setflags(write=False)
         self.offset.setflags(write=False)
@@ -271,6 +339,8 @@ class AffineOperator(Operator):
     def __call__(self, z):
         if z.shape != (self.dim,):
             self._dim_mismatch(z)
+        if self._plain_product:
+            return self.matrix.dot(z)
         return self.matrix.dot(z) + self.offset
 
     @property

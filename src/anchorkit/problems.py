@@ -106,29 +106,35 @@ def make_bilinear(coupling, x_shift=None, y_shift=None, want_solution=True,
 
 
 def make_random_monotone_affine(seed, d, lipschitz) -> Problem:
-    """Seeded merely monotone affine operator B(z) = Mz + b with ||M||_2 = L.
+    """Seeded merely monotone affine operator B(z) = Mz with ||M||_2 = L up
+    to rounding.
 
-    M is a random skew-symmetric matrix rescaled so the Lipschitz constant is
-    exact; the symmetric part is identically zero, so mu = 0 exactly. ``d``
-    must be even for M to be invertible (skew matrices of odd dimension are
-    singular). b = -M 0, so the origin is the unique zero.
+    M = fl(c K) for a random skew-symmetric K and c = fl(L / sigma_max(K)),
+    built by ``AffineOperator.scaled``, whose one SVD of K gives the scale,
+    certifies the declared L (for L up to about 8.7e3 at d = 1000; past
+    that ``norm(M, 2)`` verifies it) and gives this singularity test its
+    singular values. M is exactly skew, fl(c x) = -fl(c (-x)), so the
+    symmetric part is identically zero and mu = 0 exactly. ``d`` must be
+    even for M to be invertible (skew matrices of odd dimension are
+    singular), and 0 < L < inf is checked before any arithmetic. The offset
+    is zero, so the origin is the unique zero.
     """
     if d <= 0 or d % 2:
         raise DimensionMismatch("need a positive even dimension")
     if lipschitz <= 0:
         raise InfeasibleConstants("lipschitz must be positive")
+    if not lipschitz < math.inf:
+        raise InfeasibleConstants(f"lipschitz must be finite, got {lipschitz}")
     rng = np.random.default_rng(seed)
     k = rng.standard_normal((d, d))
     k = k - k.T
-    # the largest singular value is the 2-norm, and the min/max ratio, which
-    # does not depend on scale, is the singularity test
-    sigma = np.linalg.svd(k, compute_uv=False)
+    # the min/max ratio of the singular values, which does not depend on
+    # scale, is the singularity test
+    op, sigma = AffineOperator.scaled(k, lipschitz)
     if sigma.min() <= 1e-9 * sigma.max():
         raise SingularSystem(f"seed {seed} produced a near-singular matrix")
-    mat = (lipschitz / sigma.max()) * k
-    zs = np.zeros(d)
-    op = AffineOperator(mat, -mat @ zs, lipschitz=lipschitz, mu=0.0)
-    return Problem(name=f"monotone-affine-{seed}", operator=op, solution=zs)
+    return Problem(name=f"monotone-affine-{seed}", operator=op,
+                   solution=np.zeros(d))
 
 
 #: Newton steps allowed for the SCSC scale (seeded cases take at most 9)

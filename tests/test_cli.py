@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from anchorkit.cli import main
+from anchorkit.cli import _write_csv, main
 from anchorkit.errors import ConfigError
 
 
@@ -61,6 +61,23 @@ def test_run_reports_stop_reasons_and_keeps_diverged_rows(tmp_path, capsys):
     lines = (out / "trace_00_GDA.csv").read_text().splitlines()
     assert len(lines) == 2  # header + row 0
     assert lines[1].split(",")[5] == "inf"
+
+
+def test_csv_bytes_match_per_cell_format(tmp_path):
+    # reference: one format(v, '.17g') per float cell and str() per integer
+    floats = np.array([[-0.0, np.inf, -np.inf, np.nan, 5e-324,
+                        np.finfo(float).max, -np.finfo(float).max, 0.1],
+                       [1e16, 1e-300, -2.5, 1.0 / 3.0, 0.0, 123456789.0,
+                        -1e-5, 2.0 ** 60]])
+    ints = np.array([[0, -7, 2 ** 62], [1, 10 ** 18, -(2 ** 63)]])
+    header = ["k"] + [f"c{i}" for i in range(12)]
+    path = tmp_path / "t.csv"
+    _write_csv(path, header, floats, ints, floats[:, :1])
+    lines = [",".join(header)] + [
+        ",".join([str(k)] + [format(v, ".17g") for v in f.tolist()]
+                 + [str(v) for v in i.tolist()] + [format(f[0], ".17g")])
+        for k, (f, i) in enumerate(zip(floats, ints))]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 def test_run_zero_problem_constant_columns(tmp_path, capsys):

@@ -79,6 +79,58 @@ def test_affine_eval_bits_match_matmul(d):
         assert np.array_equal(op(z), m @ z + op.offset)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 10, 300, 1000])
+def test_zero_offset_forward_keeps_the_sign_of_zero(d):
+    # np.array_equal calls -0.0 equal to +0.0, so compare bytes: with a zero
+    # offset (of either sign) the forward map skips the add for d >= 2, and
+    # its bits must still be those of M.dot(z) + b, signed zeros included
+    rng = np.random.default_rng(700 + d)
+    a = rng.standard_normal((d, d))
+    a[rng.random((d, d)) < 0.3] = 0.0
+    m = a - a.T + np.diag(rng.random(d))  # monotone, with zero entries
+    m[0] = m[:, 0] = -0.0  # a row whose products are all signed zeros
+    signs = np.where(rng.random(d) < 0.5, -1.0, 1.0)
+    points = (signs * 0.0,  # only +-0.0 entries
+              np.where(rng.random(d) < 0.5, signs * 0.0,
+                       rng.standard_normal(d)))
+    for offset in (np.zeros(d), -np.zeros(d)):
+        op = AffineOperator(m, offset)
+        for z in points:
+            assert op(z).tobytes() == (m.dot(z) + offset).tobytes(), offset
+    # the 1 x 1 product is the one entry's product, so d = 1 keeps the add
+    one = AffineOperator([[1.0]])
+    assert np.signbit(one.matrix.dot(np.array([-0.0])))[0]
+    assert not np.signbit(one(np.array([-0.0])))[0]
+
+
+def test_exactly_skew_matrices_need_no_eigensolver(monkeypatch):
+    def refuse(a):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    rng = np.random.default_rng(3)
+    k = rng.standard_normal((6, 6))
+    k = k - k.T
+    for m in (ROT, k, np.zeros((3, 3))):
+        op = AffineOperator(m)
+        assert op.mu == 0.0 and not np.signbit(op.mu)
+    # one ulp off skew, the symmetric part is not zero: it is eigensolved
+    off = k.copy()
+    off[0, 1] = np.nextafter(off[0, 1], np.inf)
+    with pytest.raises(AssertionError, match="eigvalsh called"):
+        AffineOperator(off)
+
+
+def test_scaled_refuses_constants_and_a_zero_matrix():
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(InfeasibleConstants):
+            AffineOperator.scaled(ROT, bad)
+    with pytest.raises(InfeasibleConstants):
+        AffineOperator.scaled(np.zeros((2, 2)), 1.0)
+    with pytest.raises(DimensionMismatch):
+        AffineOperator.scaled(np.ones((2, 3)), 1.0)
+
+
 def test_wrong_shape_raises_dimension_mismatch():
     affine = AffineOperator(ROT, [0.5, -0.5])
     block = BoxProx([0.0, -1.0], [1.0, 1.0])

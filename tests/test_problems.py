@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +93,53 @@ def test_random_monotone_affine_exactness():
     assert np.array_equal(m, again.operator.matrix)
     with pytest.raises(DimensionMismatch):
         make_random_monotone_affine(0, 5, 1.0)  # odd dimension
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, -math.inf, math.nan])
+def test_random_monotone_affine_refuses_lipschitz_before_arithmetic(bad):
+    # L = inf once computed inf * K (a RuntimeWarning) and L = NaN built a
+    # NaN matrix; every warning is an error here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InfeasibleConstants):
+            make_random_monotone_affine(0, 4, bad)
+
+
+@pytest.mark.parametrize("seed, d, lipschitz", [
+    (0, 2, 1e-3), (1, 10, 1.0), (4, 10, 10.0), (2, 100, 8e3), (3, 100, 1e5),
+    (0, 1000, 10.0)])
+def test_random_monotone_affine_certificate(seed, d, lipschitz):
+    # the certificate replaces norm(M, 2) only where it holds, and M has the
+    # bits of the generator's scaled K
+    rng = np.random.default_rng(seed)
+    k = rng.standard_normal((d, d))
+    k = k - k.T
+    m = make_random_monotone_affine(seed, d, lipschitz).operator.matrix
+    assert m.tobytes() == ((lipschitz / np.linalg.svd(k, compute_uv=False)
+                            .max()) * k).tobytes()
+    assert np.linalg.norm(m, 2) <= lipschitz + 1e-9
+
+
+def test_random_monotone_affine_spectral_calls(monkeypatch):
+    # at d = 1000 and L = 10 the build makes one SVD and neither norm(M, 2)
+    # nor an eigensolve; at L = 1e308 the certificate cannot decide and
+    # norm(M, 2) verifies L
+    calls = []
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return call
+
+    for name in ("svd", "norm", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name,
+                            counted(name, getattr(np.linalg, name)))
+    make_random_monotone_affine(0, 1000, 10.0)
+    assert calls == ["svd"]
+    calls.clear()
+    make_random_monotone_affine(0, 4, 1e308)
+    assert calls == ["svd", "norm"]
 
 
 def test_random_scsc_eigensolve_oracle():

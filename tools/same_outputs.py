@@ -21,8 +21,10 @@ with ``TREE/src`` on the path and BLAS pinned to one thread:
 - the stdout and exit code of ``anchorkit verify all``;
 - the files, stdout and exit codes of ``run`` (all algorithms), ``compare``
   (the five declared pairs, APG_STAR/OHM_DRS again on a box composite too
-  large for the exact reference, a self pair and an undeclared pair) and
-  ``figure1`` at 200 and 60 iterations;
+  large for the exact reference, a self pair and an undeclared pair),
+  the benchmark's ``long-calls`` ``run`` (FEG, OHM, EAG, OG) and
+  ``compare`` (FEG/OHM) at d=1000 with seed 7, and ``figure1`` at 200 and
+  60 iterations;
 - the stdout, exit code and files of inputs the CLI refuses: bad JSON,
   bytes that are not UTF-8, a directory as config, an unknown problem (also
   with a NaN parameter), an unknown algorithm, ``"alpha": NaN``, an output
@@ -97,6 +99,10 @@ BOX = {"name": "box_bilinear_composite", "params": {"seed": 3}}
 #: 3^10 faces, more than the exact box solver enumerates: the one CLI case
 #: whose reference point is the end of the long OHM_DRS run
 BOX5 = {"name": "box_bilinear_composite", "params": {"seed": 3, "size": 5}}
+#: the d=1000 problem of the benchmark's long-calls workload; at seed 7, its
+#: start seed too, these are that workload's CLI inputs
+LONG_CALLS = {"name": "random_monotone_affine",
+              "params": {"seed": 7, "d": 1000, "lipschitz": 10.0}}
 
 
 def _algos(names, alpha):
@@ -126,6 +132,10 @@ CLI_CASES = [
      _algos(("APG_STAR", "OHM_DRS"), 0.1), 200),
     ("compare", "FEG-FEG", AFFINE10, _algos(("FEG", "FEG"), 0.05), 100),
     ("compare", "EG-OHM", AFFINE10, _algos(("EG", "OHM"), 0.05), 100),
+    ("run", "long-calls d=1000", LONG_CALLS,
+     _algos(("FEG", "OHM", "EAG", "OG"), 0.05), 300),
+    ("compare", "long-calls FEG-OHM d=1000", LONG_CALLS,
+     _algos(("FEG", "OHM"), 0.05), 300),
 ]
 
 
