@@ -264,6 +264,9 @@ def run(config: AlgorithmConfig, problem: Problem, z0) -> IterateTrace:
     most ``stop_residual``, or at the first row whose residual is not finite
     (``diverged``); the stopping row is kept. Deterministic: identical inputs
     produce bit-identical traces.
+
+    The oracle marks and the residuals are kept in typed arrays, 8 bytes a
+    value, not in lists of Python numbers.
     """
     validate_config(config, problem)
     z0 = as_vector(z0, problem.dim)
@@ -275,8 +278,8 @@ def run(config: AlgorithmConfig, problem: Problem, z0) -> IterateTrace:
     evaluate, step, isfinite = rule.evaluate, rule.step, math.isfinite
     # running oracle totals at the start of each row; their differences are
     # the per-step counts
-    b_marks, r_marks = [], []
-    residuals = array("d")  # 8 bytes per row
+    b_marks, r_marks = array("q"), array("q")
+    residuals = array("d")
     # recorded values go into flat lists, row after row: holding a container
     # per row would make the garbage collector rescan them all the time
     points, rows, steps = [z0], [], []

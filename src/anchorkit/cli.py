@@ -146,18 +146,19 @@ def _write_csv(path: Path, header, *blocks) -> None:
     others with 17 significant digits, which round-trip exactly. Each line
     is one ``%`` format of a row template built once per file; ``'%.17g' %
     v`` and ``format(v, '.17g')`` call the same routine, as ``'%d' % n``
-    and ``str(n)`` do. Lines are built one row at a time, so a wide trace is
-    never held as cells."""
+    and ``str(n)`` do. Each line is written to the open file as soon as it
+    is formatted, so neither the cells nor the text of the file are ever
+    held whole."""
     row = ",".join(["%d"] + [
         "%d" if np.issubdtype(block.dtype, np.integer) else "%.17g"
-        for block in blocks for _ in range(block.shape[1])])
-    lines = [",".join(header)]
-    for k, parts in enumerate(zip(*blocks)):
-        cells = [k]
-        for part in parts:
-            cells += part.tolist()
-        lines.append(row % tuple(cells))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for block in blocks for _ in range(block.shape[1])]) + "\n"
+    with path.open("w", encoding="utf-8") as out:
+        out.write(",".join(header) + "\n")
+        for k, parts in enumerate(zip(*blocks)):
+            cells = [k]
+            for part in parts:
+                cells += part.tolist()
+            out.write(row % tuple(cells))
 
 
 def _write_trace_csv(path: Path, trace) -> None:
@@ -180,6 +181,7 @@ def cmd_run(config_path: str) -> int:
         _write_trace_csv(path, trace)
         written.append(str(path))
         reasons.append(trace.stop_reason)
+        del trace  # not held while the next run records its own
     # a diverged run is a result, not a failure: its CSV ends at the first
     # non-finite row and the exit code stays 0
     print(json.dumps({"status": "ok", "traces": written,

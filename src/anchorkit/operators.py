@@ -103,13 +103,15 @@ def _lu_factor(a: Array):
     """``(lu, piv)`` of a square float64 matrix by LAPACK ``getrf``: the
     factors ``scipy.linalg.lu_factor`` returns, with its checks.
 
+    ``getrf`` may overwrite ``a``: a Fortran-order ``a`` becomes ``lu``,
+    and any other is copied to Fortran order first, as ``lu_factor`` does.
     A non-finite matrix raises ValueError, as does an illegal argument; an
     exactly zero pivot (a singular matrix) raises ValueError where
     ``lu_factor`` only warns.
     """
     if not np.isfinite(a).all():
         raise ValueError("array must not contain infs or NaNs")
-    lu, piv, info = _dgetrf(a)
+    lu, piv, info = _dgetrf(a, overwrite_a=True)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of getrf")
     if info > 0:
@@ -235,27 +237,34 @@ class AffineOperator(Operator):
     construction. The matrix must be monotone: min eig of (M + M^T)/2 >=
     -1e-9. When M + M^T is exactly zero (M is exactly skew, as every
     bilinear saddle matrix and every ``scaled`` skew matrix is), that
-    eigenvalue is exactly 0.0 and no eigensolver runs.
+    eigenvalue is exactly 0.0 and no eigensolver runs. The constructor
+    copies the caller's matrix; ``scaled`` keeps the one it builds.
 
-    Forward evaluation is ``matrix.dot(z) + offset``: ``ndarray.dot`` gives
-    the bits of ``matrix @ z`` without the ``matmul`` ufunc's dispatch. When
-    the offset has no nonzero entry and d >= 2 it is ``matrix.dot(z)``
-    alone, with the same bits: adding a zero changes a value only where the
-    product is -0.0, and BLAS gemv and numpy's own dot loop accumulate from
-    +0.0, so a product of length d >= 2 is never -0.0. numpy's 1 x 1
-    product is the one entry's product, which can be -0.0, so d = 1 keeps
-    the add.
+    Forward evaluation is ``matrix.dot(z) + offset``. For d >= 2
+    ``ndarray.dot`` gives the bits of ``matrix @ z`` (both call BLAS gemv)
+    without the ``matmul`` ufunc's dispatch; numpy's 1 x 1 ``dot`` is the
+    one entry's product, which can be -0.0 where ``@`` gives +0.0
+    (``[[1.0]]`` times ``[-0.0]``). When the offset has no nonzero entry
+    and d >= 2 the map is ``matrix.dot(z)`` alone, with the same bits:
+    adding a zero changes a value only where the product is -0.0, and BLAS
+    gemv and numpy's own dot loop accumulate from +0.0, so a product of
+    length d >= 2 is never -0.0. d = 1 keeps the add.
 
     The resolvent factors I + alpha M once per step size with LAPACK
     ``getrf`` and solves each call with LAPACK ``getrs``, the routines
     behind ``scipy.linalg.lu_factor`` and ``scipy.linalg.lu_solve``, so the
-    bits are theirs. The memo keeps, per alpha, the LU factors and
-    ``alpha * offset``; it never changes a result, so the operator is still
-    immutable after construction in every observable way.
+    bits are theirs. I + alpha M is formed in one Fortran-order array,
+    which ``getrf`` overwrites with the factors: alpha M, then + 0.0, which
+    turns each -0.0 into the +0.0 of 0.0 + alpha M_ij, then 1.0 added on
+    the diagonal; these are the bits of ``np.eye(d) + alpha * M``. The memo
+    keeps, per alpha, the LU factors and ``alpha * offset``; it never
+    changes a result, so the operator is still immutable after
+    construction in every observable way.
     """
 
     def __init__(self, matrix, offset=None, lipschitz=None, mu=None):
-        self._setup(_square(matrix), offset, lipschitz, mu, math.inf)
+        self._setup(_square(matrix).copy(), offset, lipschitz, mu,
+                    certified=False)
 
     @classmethod
     def scaled(cls, k, lipschitz) -> tuple[AffineOperator, Array]:
@@ -267,20 +276,30 @@ class AffineOperator(Operator):
         also certifies L, so ``norm(M, 2)`` need not run: with u = 2^-53
         the unit roundoff, and LAPACK giving the top singular value to
         relative accuracy p u, ||K||_2 <= max(sigma) / (1 - p u) and
-        c <= (L / max(sigma)) (1 + u). Each entry of fl(c K) is c K_ij
-        (1 + delta), |delta| <= u, so ||M - c K||_F <= u c ||K||_F
-        <= u c sqrt(d) ||K||_2 (underflow adds at most d 2^-1075 more).
-        By Weyl's inequality ||M||_2 <= c ||K||_2 + ||M - c K||_F, so
+        c <= (L / max(sigma)) (1 + u). For any scale s, each entry of
+        fl(s K) is s K_ij (1 + delta), |delta| <= u, so
+        ||fl(s K) - s K||_F <= u s ||K||_F <= u s sqrt(d) ||K||_2
+        (underflow adds at most d 2^-1075 more). By Weyl's inequality
+        ||fl(s K)||_2 <= s ||K||_2 (1 + sqrt(d) u), so at s = c
 
-            ||M||_2 <= L (1 + u) (1 + sqrt(d) u) / (1 - p u),
+            ||M||_2 <= L (1 + u) (1 + sqrt(d) u) / (1 - p u) <= L (1 + e),
 
-        taken with p = d. Its excess over L is at most
-        (3 + sqrt(d) + d) u / (1 - d u) times L, where the spare u covers
-        the rounding of evaluating the bound. When L times that excess is
-        at most ``_META_SLACK`` (at d = 1000, L up to about 8.7e3), the
-        declared L is certified; otherwise ``norm(M, 2)`` verifies it as
-        in the constructor. K must be square, finite and nonzero, and
-        0 < L < inf.
+        taken with p = d and e = (3 + sqrt(d) + d) u / (1 - d u), where the
+        spare u covers the rounding of evaluating e. When L e is at most
+        ``_META_SLACK`` (at d = 1000, L up to about 8.7e3), the declared L
+        is certified; otherwise ``norm(M, 2)`` verifies it as in the
+        constructor. Where that check fails too (from about L = 1e7, fl(c K)
+        can exceed L by ulps that the absolute slack does not cover), M is
+        rebuilt as fl(c' K) with c' = fl(c fl(1 - 2 e)) <= c (1 - 2 e)
+        (1 + u)^2. The bound at s = c' then gives
+
+            ||M||_2 <= L (1 + e) (1 - 2 e) (1 + u)^2 <= L (1 - e) (1 + 3 u)
+                     < L,
+
+        since e >= 5 u. On this path L e is about ``_META_SLACK`` or more,
+        so the margin L (e - 3 u) >= 0.4 L e also covers the underflow term.
+        The rebuilt M is still exactly skew when K is. K must be square,
+        finite and nonzero, and 0 < L < inf.
         """
         k = _square(k)
         if not 0.0 < lipschitz < math.inf:
@@ -288,24 +307,29 @@ class AffineOperator(Operator):
         sigma = np.linalg.svd(k, compute_uv=False)
         if sigma.max() == 0.0:
             raise InfeasibleConstants("K is zero; no scale reaches the norm")
-        m = (lipschitz / sigma.max()) * k
+        c = lipschitz / sigma.max()
+        m = c * k
         d = m.shape[0]
         excess = ((3.0 + math.sqrt(d) + d) * _UNIT_ROUNDOFF
                   / (1.0 - d * _UNIT_ROUNDOFF))
+        if (lipschitz + lipschitz * excess > lipschitz + _META_SLACK
+                and float(np.linalg.norm(m, 2)) > lipschitz + _META_SLACK):
+            m = (c * (1.0 - 2.0 * excess)) * k
         op = cls.__new__(cls)
-        op._setup(m, None, lipschitz, None, lipschitz + lipschitz * excess)
+        op._setup(m, None, lipschitz, None, certified=True)
         return op, sigma
 
-    def _setup(self, m, offset, lipschitz, mu, norm_bound):
-        """Check and store the constants of the square float matrix ``m``;
-        ``norm_bound`` is a proven upper bound on ||m||_2 (inf if none),
-        which replaces ``norm(m, 2)`` when it certifies the declared L."""
+    def _setup(self, m, offset, lipschitz, mu, certified):
+        """Check and keep the constants of the square float matrix ``m``,
+        which the operator then owns; ``certified`` says that the caller
+        has already checked the declared ``lipschitz`` against ``m``, so
+        ``norm(m, 2)`` does not run again."""
         if not all(c is None or 0.0 <= c < math.inf for c in (lipschitz, mu)):
             raise InfeasibleConstants(f"declared constants must be finite and "
                                       f"nonnegative, got L={lipschitz}, "
                                       f"mu={mu}")
         self.dim = m.shape[0]
-        self.matrix = m.copy()
+        self.matrix = m
         self.offset = (np.zeros(self.dim) if offset is None
                        else as_vector(offset, self.dim).copy())
         sym = m + m.T
@@ -316,7 +340,7 @@ class AffineOperator(Operator):
                 f"matrix is not monotone: min sym eigenvalue {sym_min:.3e}")
         if lipschitz is None:
             lipschitz = float(np.linalg.norm(m, 2))
-        elif norm_bound > lipschitz + _META_SLACK:
+        elif not certified:
             two_norm = float(np.linalg.norm(m, 2))
             if two_norm > lipschitz + _META_SLACK:
                 raise InfeasibleConstants(
@@ -357,8 +381,11 @@ class AffineOperator(Operator):
             raise ValueError(f"alpha must be positive and finite, got {alpha}")
         memo = self._lu_cache.get(alpha)
         if memo is None:
-            memo = (*_lu_factor(np.eye(self.dim) + alpha * self.matrix),
-                    alpha * self.offset)
+            # np.eye(d) + alpha * M in the one array that getrf factors
+            shifted = np.multiply(alpha, self.matrix, order="F")
+            shifted += 0.0  # -0.0 to +0.0, as in 0.0 + alpha M_ij
+            shifted.flat[::self.dim + 1] += 1.0
+            memo = (*_lu_factor(shifted), alpha * self.offset)
             self._lu_cache[alpha] = memo
         lu, piv, alpha_offset = memo
         rhs = z - alpha_offset

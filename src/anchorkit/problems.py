@@ -112,12 +112,14 @@ def make_random_monotone_affine(seed, d, lipschitz) -> Problem:
     M = fl(c K) for a random skew-symmetric K and c = fl(L / sigma_max(K)),
     built by ``AffineOperator.scaled``, whose one SVD of K gives the scale,
     certifies the declared L (for L up to about 8.7e3 at d = 1000; past
-    that ``norm(M, 2)`` verifies it) and gives this singularity test its
-    singular values. M is exactly skew, fl(c x) = -fl(c (-x)), so the
-    symmetric part is identically zero and mu = 0 exactly. ``d`` must be
-    even for M to be invertible (skew matrices of odd dimension are
-    singular), and 0 < L < inf is checked before any arithmetic. The offset
-    is zero, so the origin is the unique zero.
+    that ``norm(M, 2)`` verifies it, and where fl(c K) exceeds L by more
+    than the slack, c is lowered to a scale proven to give ||M||_2 < L) and
+    gives this singularity test its singular values. M is exactly skew,
+    fl(c x) = -fl(c (-x)), so the symmetric part is identically zero and
+    mu = 0 exactly. ``d`` must be even for M to be invertible (skew
+    matrices of odd dimension are singular), and 0 < L < inf is checked
+    before any arithmetic. The offset is zero, so the origin is the unique
+    zero.
     """
     if d <= 0 or d % 2:
         raise DimensionMismatch("need a positive even dimension")

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,6 +79,39 @@ def test_csv_bytes_match_per_cell_format(tmp_path):
                  + [str(v) for v in i.tolist()] + [format(f[0], ".17g")])
         for k, (f, i) in enumerate(zip(floats, ints))]
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def test_csv_streams_its_rows(tmp_path):
+    # numpy arrays and Python strings report to tracemalloc; the file's
+    # text, its lines and their cells are never held whole
+    block = np.random.default_rng(0).standard_normal((301, 400))
+    path = tmp_path / "wide.csv"
+    header = ["k"] + [f"c{i}" for i in range(400)]
+    tracemalloc.start()
+    try:
+        _write_csv(path, header, block)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * path.stat().st_size, peak / path.stat().st_size
+
+
+def test_run_at_large_lipschitz_exits_0(tmp_path, capsys):
+    # at seed 3, d = 4 and L = 1e10, fl(c K) exceeds L by more than the
+    # absolute slack; the build rescales K and the run goes ahead
+    out = tmp_path / "out"
+    cfgp = write_config(tmp_path / "large.json", {
+        "problem": {"name": "random_monotone_affine",
+                    "params": {"seed": 3, "d": 4, "lipschitz": 1e10}},
+        "iterations": 5,
+        "algorithms": [{"algorithm": "OHM", "alpha": 1e-10}],
+        "outputs": {"directory": str(out)},
+    })
+    assert main(["run", cfgp]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "ok"
+    assert doc["stop_reasons"] == ["max_iterations"]
+    assert len((out / "trace_00_OHM.csv").read_text().splitlines()) == 7
 
 
 def test_run_zero_problem_constant_columns(tmp_path, capsys):

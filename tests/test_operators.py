@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -66,17 +67,18 @@ def test_affine_eval_matches_matrix_product():
         op(np.zeros(3))
 
 
-@pytest.mark.parametrize("d", [1, 3, 10, 300, 1000])
+@pytest.mark.parametrize("d", [1, 2, 3, 10, 300, 1000])
 def test_affine_eval_bits_match_matmul(d):
-    # ndarray.dot gives the bits of M @ z + b, also where BLAS blocks the
-    # product
+    # with a nonzero offset the forward map has the bytes of M @ z + b, also
+    # where BLAS blocks the product; np.array_equal calls -0.0 equal to
+    # +0.0, so compare bytes
     rng = np.random.default_rng(500 + d)
     m = rng.standard_normal((d, d))
     m = m @ m.T / d + (m - m.T)
     op = AffineOperator(m, rng.standard_normal(d))
     for scale in (1e-200, 1e-3, 1.0, 1e150):
         z = scale * rng.standard_normal(d)
-        assert np.array_equal(op(z), m @ z + op.offset)
+        assert op(z).tobytes() == (m @ z + op.offset).tobytes()
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 10, 300, 1000])
@@ -97,9 +99,11 @@ def test_zero_offset_forward_keeps_the_sign_of_zero(d):
         op = AffineOperator(m, offset)
         for z in points:
             assert op(z).tobytes() == (m.dot(z) + offset).tobytes(), offset
-    # the 1 x 1 product is the one entry's product, so d = 1 keeps the add
+    # the 1 x 1 product is the one entry's product, where @ accumulates
+    # from +0.0, so d = 1 keeps the add
     one = AffineOperator([[1.0]])
     assert np.signbit(one.matrix.dot(np.array([-0.0])))[0]
+    assert not np.signbit(one.matrix @ np.array([-0.0]))[0]
     assert not np.signbit(one(np.array([-0.0])))[0]
 
 
@@ -193,6 +197,50 @@ def test_affine_resolvent_bits_match_lu_solve(d):
         assert np.array_equal(lu, factors[0])
         assert np.array_equal(piv, factors[1])
     assert sorted(op._lu_cache) == [1e-9, 0.01, 0.3, 2.5, 1e4]
+
+
+def signed_zero_monotone(d, seed):
+    """A monotone d x d matrix with zero entries and a row and column of
+    -0.0."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((d, d))
+    a[rng.random((d, d)) < 0.3] = 0.0
+    m = a - a.T + np.diag(rng.random(d))
+    m[0] = m[:, 0] = -0.0
+    return m
+
+
+@pytest.mark.parametrize("d", [1, 2, 10, 300])
+def test_in_place_factors_match_lu_factor_bytes(d):
+    # I + alpha M is formed in the Fortran-order array that getrf factors in
+    # place; the factors must have the bytes of the factors of
+    # np.eye(d) + alpha * M, signs of zero included: M has -0.0 entries,
+    # and at alpha = 5e-324 many products underflow to a signed zero
+    m = signed_zero_monotone(d, 900 + d)
+    op = AffineOperator(m)
+    for alpha in (0.05, 0.0125, 1e-300, 5e-324):
+        op.resolvent(alpha, np.ones(d))
+        lu, piv, _ = op._lu_cache[alpha]
+        ref_lu, ref_piv = _lu_factor(np.eye(d) + alpha * m)
+        assert lu.flags.f_contiguous
+        assert lu.tobytes("A") == ref_lu.tobytes("A")
+        assert piv.tobytes() == ref_piv.tobytes()
+
+
+def test_first_resolvent_call_holds_one_matrix():
+    # numpy reports its allocations to tracemalloc; forming I + alpha M in
+    # the array that getrf overwrites keeps the first call at one d x d
+    # array (np.eye(d) + alpha * M and getrf's copy of it peaked at two)
+    d = 400
+    op = AffineOperator(signed_zero_monotone(d, 3))
+    z = np.ones(d)
+    tracemalloc.start()
+    try:
+        op.resolvent(0.05, z)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * d * d, peak / (8 * d * d)
 
 
 def test_lu_factor_checks():

@@ -120,6 +120,32 @@ def test_random_monotone_affine_certificate(seed, d, lipschitz):
     assert np.linalg.norm(m, 2) <= lipschitz + 1e-9
 
 
+@pytest.mark.parametrize("lipschitz", [1e7, 1e8, 1e10])
+@pytest.mark.parametrize("d", [4, 10, 100])
+def test_random_monotone_affine_builds_at_large_lipschitz(d, lipschitz):
+    # fl(c K) can exceed a large L by ulps that the absolute slack does not
+    # cover; the build then rescales K by c' = fl(c fl(1 - 2 e)), whose
+    # proven bound is below L, and every other build keeps fl(c K)
+    u = 2.0 ** -53
+    excess = (3.0 + math.sqrt(d) + d) * u / (1.0 - d * u)
+    rebuilt = 0
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        k = rng.standard_normal((d, d))
+        k = k - k.T
+        c = lipschitz / np.linalg.svd(k, compute_uv=False).max()
+        first = c * k
+        m = make_random_monotone_affine(seed, d, lipschitz).operator.matrix
+        if np.linalg.norm(first, 2) <= lipschitz + 1e-9:
+            assert m.tobytes() == first.tobytes()
+        else:
+            assert m.tobytes() == ((c * (1.0 - 2.0 * excess)) * k).tobytes()
+            rebuilt += 1
+        assert not (m + m.T).any()
+        AffineOperator(m, lipschitz=lipschitz)  # the public check holds
+    assert rebuilt > 0
+
+
 def test_random_monotone_affine_spectral_calls(monkeypatch):
     # at d = 1000 and L = 10 the build makes one SVD and neither norm(M, 2)
     # nor an eigensolve; at L = 1e308 the certificate cannot decide and
