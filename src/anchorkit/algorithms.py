@@ -307,8 +307,8 @@ def run(config: AlgorithmConfig, problem: Problem, z0) -> IterateTrace:
         b_marks.append(oracle.b)
         r_marks.append(oracle.res)
     if record:
-        auxiliary = _columns(rule.row_fields, rows)
-        auxiliary.update(_columns(rule.step_fields, steps))
+        auxiliary = _columns(rule.row_fields, rows, problem.dim)
+        auxiliary.update(_columns(rule.step_fields, steps, problem.dim))
     else:
         points.append(rule.z)
         auxiliary = {}
@@ -328,10 +328,13 @@ def run(config: AlgorithmConfig, problem: Problem, z0) -> IterateTrace:
     )
 
 
-def _columns(names, flat) -> dict:
+def _columns(names, flat, dim) -> dict:
     """One array per name from values recorded row after row (or step after
-    step), one value per name each time."""
-    return {name: np.array(flat[i::len(names)]) for i, name in enumerate(names)}
+    step), one value per name each time. Only a run that stopped at row 0
+    records no value, and then only its step fields, each a vector, so each
+    is empty with shape (0, ``dim``)."""
+    return {name: np.array(flat[i::len(names)]) if flat
+            else np.empty((0, dim)) for i, name in enumerate(names)}
 
 
 class _Rule:
@@ -348,8 +351,8 @@ class _Rule:
 
     Rules run once per row, so they keep per-step values in locals, compute
     each repeated sub-expression once (the same bits as writing it out
-    twice), and write a residual norm inline as ``math.sqrt(v.dot(v))``,
-    the formula of ``operators.vector_norm``.
+    twice), and write a residual norm inline as
+    ``math.sqrt(np.vdot(v, v))``, the formula of ``operators.vector_norm``.
     """
 
     row_fields: tuple = ()
@@ -376,7 +379,7 @@ class _ForwardResidual(_Rule):
 
     def evaluate(self, k):
         self.bz = bz = self.b(self.z)
-        return math.sqrt(bz.dot(bz)), (bz,)
+        return math.sqrt(np.vdot(bz, bz)), (bz,)
 
 
 class _GDA(_ForwardResidual):
@@ -406,7 +409,7 @@ class _OG(_Rule):
 
     def evaluate(self, k):
         cur = self.cur
-        return math.sqrt(cur.dot(cur)), (cur,)
+        return math.sqrt(np.vdot(cur, cur)), (cur,)
 
     def step(self, k):
         alpha, cur = self.alpha, self.cur
@@ -430,7 +433,7 @@ class _AGM(_Rule):
 
     def evaluate(self, k):
         grad = self.raw(self.z)
-        return math.sqrt(grad.dot(grad)), (grad, self.y)
+        return math.sqrt(np.vdot(grad, grad)), (grad, self.y)
 
     def step(self, k):
         a, x = self.a, self.z
@@ -511,7 +514,7 @@ class _APS(_Rule):
 
     def evaluate(self, k):
         bz = self.raw(self.z)
-        return math.sqrt(bz.dot(bz)), (bz, self.v, self.bv)
+        return math.sqrt(np.vdot(bz, bz)), (bz, self.v, self.bv)
 
     def step(self, k):
         alpha = self.alpha
@@ -631,7 +634,7 @@ class _OHM(_Rule):
         half = beta * self.z0 + (1.0 - beta) * self.z
         self.w = w = self.b.resolvent(self.alpha, half)
         gap = half - w
-        return math.sqrt(gap.dot(gap)), (half,)
+        return math.sqrt(np.vdot(gap, gap)), (half,)
 
     def step(self, k):
         self.z = self.w
@@ -657,7 +660,7 @@ class _OHMDRS(_Rule):
     def evaluate(self, k):
         w = self.b.resolvent(self.alpha, self.z)
         gap = self.forward_backward(w)  # = alpha G_alpha(w_k)
-        return math.sqrt(gap.dot(gap)), (w, self.v, self.bw)
+        return math.sqrt(np.vdot(gap, gap)), (w, self.v, self.bw)
 
     def forward_backward(self, w):
         """Keep B w and v = J_{alpha A}(w - alpha B w) for the outer step;
@@ -695,7 +698,7 @@ class _APGStar(_OHMDRS):
         eps_k = self.m_const / ((k + 1.0) ** 2 * (k + 2.0))
         z, evals = iterative_resolvent(self.b, alpha, self.z, eps_k)
         gap = self.forward_backward(z)
-        return math.sqrt(gap.dot(gap)) / alpha, (z, self.bw, evals)
+        return math.sqrt(np.vdot(gap, gap)) / alpha, (z, self.bw, evals)
 
 
 _RULES = {

@@ -223,11 +223,19 @@ def _expect(trace, *algorithms) -> None:
                           f"traces, got a trace of {trace.algorithm}")
 
 
+def _need_step(trace) -> None:
+    """ConfigError for a trace that stopped at row 0, without a step."""
+    if trace.iterations < 1:
+        raise ConfigError(f"the {trace.algorithm} trace stopped at row 0, so "
+                          f"it has no step k = 0 -> 1 for this bound")
+
+
 def _feg_bound_inputs(trace_feg, problem: Problem):
     """alpha, L and ||z0 - z*||^2 of a bound on an FEG trace, with z* from
-    ``reference_point``; ConfigError for another algorithm's trace or
-    unless alpha * L < 1."""
+    ``reference_point``; ConfigError for another algorithm's trace, for a
+    trace without a step, or unless alpha * L < 1."""
     _expect(trace_feg, "FEG")
+    _need_step(trace_feg)
     alpha = trace_feg.params["alpha"]
     lip = problem.lipschitz
     if alpha * lip >= 1.0:
@@ -288,17 +296,15 @@ def mp_bound_apg(trace_apg, trace_drs, problem: Problem,
     _expect(trace_drs, "OHM_DRS")
     sq_outer = mp_distance(trace_apg, trace_drs)
     z, w = trace_apg.auxiliary["z"], trace_drs.auxiliary["w"]
-    n = min(len(z), len(w), len(sq_outer))
-    sq_inner = np.sum((z[:n] - w[:n]) ** 2, axis=1)
-    measured = np.maximum(sq_outer[:n], sq_inner)
+    measured = np.maximum(sq_outer, np.sum((z - w) ** 2, axis=1))
     xi_star = reference_point(trace_apg, problem, xi_star)
     c = apg_path_constant(problem, trace_apg.start, xi_star)
-    k = np.arange(n)
+    k = np.arange(len(measured))
     lip = problem.lipschitz
     if lip > 0:
         bound = c ** 2 / (lip ** 2 * (k + 1.0) ** 2)
     else:
-        bound = np.ones(n)  # degenerate smooth part; paths coincide exactly
+        bound = np.ones(len(k))  # degenerate smooth part; paths coincide
     return BoundReport(k_values=k, measured=measured, bound=bound)
 
 
@@ -328,9 +334,10 @@ def lyapunov_sm_eag(trace, alpha: float, mu: float, lipschitz: float,
     """Lyapunov values for the anchored extragradient family of SM_EAG_PLUS,
     whose mu = 0 member is FEG.
 
-    q_k and p_k follow the inverse-geometric anchor schedule of
-    x = 1 + 2 alpha mu; p_0 = q_0 = 0, and at mu = 0, q_k = k, the limit of
-    (x - x^{1-k}) / (2 alpha mu). The certified decrement is
+    With x = 1 + 2 alpha mu, the anchors are beta_k = 1 / S_k with
+    S_k = sum_{j<=k} x^j, q_k = sum_{j<k} x^{-j} and p_k = (alpha / 2)
+    q_k S_{k-1}, so p_0 = q_0 = 0, and at mu = 0, S_k = k + 1 and q_k = k
+    exactly. The certified decrement is
     (alpha (1 + 2 alpha mu - alpha^2 L^2) / 2) ||B z_0||^2 at k = 0 and
     q_k / (beta_k (1 - beta_k)) times the analogous half-step mismatch for
     k >= 1. ConfigError for a trace of neither method, for mu < 0 or NaN,
@@ -349,19 +356,10 @@ def lyapunov_sm_eag(trace, alpha: float, mu: float, lipschitz: float,
     x = 1.0 + 2.0 * alpha * mu
     z0 = z[0]
     head = (1.0 / (2.0 * alpha) + mu) * float(np.sum((z0 - z_star) ** 2))
-    # geometric sums S_k = sum_{j<=k} x^j, anchors beta_k = 1/S_k
-    s = np.empty(n + 1)
-    s[0] = 1.0
-    for j in range(1, n + 1):
-        s[j] = 1.0 + x * s[j - 1]
+    s = _partial_sums(x, n + 1)
     beta = 1.0 / s
     eta = (1.0 - beta) / x
-    kk = np.arange(n + 1, dtype=float)
-    q = np.zeros(n + 1)
-    if mu == 0:
-        q[1:] = kk[1:]
-    else:
-        q[1:] = (x - x ** (1.0 - kk[1:])) / (2.0 * alpha * mu)
+    q = np.concatenate(([0.0], _partial_sums(1.0 / x, n)))
     p = np.zeros(n + 1)
     p[1:] = 0.5 * alpha * q[1:] * s[:-1]
     diff = z[:n + 1] - z0
@@ -370,11 +368,10 @@ def lyapunov_sm_eag(trace, alpha: float, mu: float, lipschitz: float,
               + head)
     lead = 0.5 * alpha * (1.0 + 2.0 * alpha * mu - alpha ** 2 * lipschitz ** 2)
     mismatch = np.sum((eta[:n, None] * bz[:n] - bh) ** 2, axis=1)
-    cert = np.empty(n)
-    cert[0] = lead * float(np.sum(bz[0] ** 2))
-    if n > 1:
-        scale = q[1:n] / (beta[1:n] * (1.0 - beta[1:n]))
-        cert[1:] = lead * scale * mismatch[1:]
+    cert = np.empty(n)  # empty for a trace that stopped at row 0
+    cert[:1] = lead * float(np.sum(bz[0] ** 2))
+    scale = q[1:n] / (beta[1:n] * (1.0 - beta[1:n]))
+    cert[1:] = lead * scale * mismatch[1:]
     return LyapunovTrace(values=values,
                          decrements=values[:-1] - values[1:],
                          certified_lower=cert)
@@ -387,12 +384,19 @@ RATE_RULES = ("OHM_RATE", "OC_HALPERN_RATE", "SM_EAG_RATE", "APG_RESIDUAL",
               "OHM_DRS_RATE")
 
 
+def _partial_sums(ratio: float, n: int) -> Array:
+    """sum_{j<=k} ratio^j for k = 0..n-1, as cumulative sums; exactly k + 1
+    at ratio 1."""
+    return np.cumsum(ratio ** np.arange(n, dtype=float))
+
+
 def rate_bound(trace, problem: Problem, rule: str, reference=None) -> BoundReport:
     """Compare a trace's natural residuals against a theoretical rate.
 
     The reference point (w*, z*, or xi*) is ``reference_point``'s: the given
     ``reference``, else the splitting fixed point of a composite problem,
-    else the problem's known solution.
+    else the problem's known solution. OHM_RATE and OHM_DRS_RATE are
+    OC_HALPERN_RATE at gamma = 1, and FEG's rate is SM_EAG_RATE at mu = 0.
     """
     if rule not in RATE_RULES:
         raise ConfigError(f"unknown rate rule {rule!r}")
@@ -403,23 +407,20 @@ def rate_bound(trace, problem: Problem, rule: str, reference=None) -> BoundRepor
     dist0 = float(np.sum((start - ref) ** 2))
     k = np.arange(len(res))
     measured = res ** 2
-    if rule in ("OHM_RATE", "OHM_DRS_RATE"):
+    if rule in ("OHM_RATE", "OHM_DRS_RATE", "OC_HALPERN_RATE"):
         # OHM_DRS residuals already carry the alpha factor
-        bound = 4.0 * dist0 / (k + 1.0) ** 2
-    elif rule == "OC_HALPERN_RATE":
-        gamma = trace.params.get("gamma")
-        if gamma is None or gamma <= 1.0:
-            raise ConfigError("OC_HALPERN_RATE needs gamma > 1")
-        gsum = (gamma ** (k + 1.0) - 1.0) / (gamma - 1.0)
+        gamma = 1.0
+        if rule == "OC_HALPERN_RATE":
+            gamma = trace.params.get("gamma")
+            if gamma is None or gamma <= 1.0:
+                raise ConfigError("OC_HALPERN_RATE needs gamma > 1")
+        gsum = _partial_sums(gamma, len(k))  # sum_{j<=k} gamma^j
         bound = (1.0 + 1.0 / gamma) ** 2 * dist0 / gsum ** 2
     elif rule == "SM_EAG_RATE":
-        x = 1.0 + 2.0 * alpha * problem.mu
+        _need_step(trace)
+        root = math.sqrt(1.0 + 2.0 * alpha * problem.mu)
         k, measured = k[1:], measured[1:]  # the anchor sum is empty at k = 0
-        root = math.sqrt(x)
-        if root > 1.0:
-            gsum = (root ** k - 1.0) / (root - 1.0)  # sum_{j<k} x^(j/2)
-        else:
-            gsum = k.astype(float)  # mu = 0: FEG's rate
+        gsum = _partial_sums(root, len(k))  # sum_{j<k} x^(j/2)
         bound = (root + 1.0) ** 2 * dist0 / (alpha ** 2 * gsum ** 2)
     else:  # APG_RESIDUAL
         lip = problem.lipschitz
@@ -566,21 +567,20 @@ def splitting_residual(problem: Problem, alpha: float, u) -> float:
 
 
 def affine_zero_projection(problem: Problem, z0) -> Array:
-    """Orthogonal projection of z0 onto the zero set of an affine operator,
-    via least squares plus a nullspace correction."""
+    """Orthogonal projection z0 - pinv(M) (M z0 + t) of z0 onto the zero set
+    of an affine operator z -> M z + t, with the singular values below
+    d eps times the largest cut off; SingularSystem when the operator has
+    no zero."""
     op = problem.operator
     if not isinstance(op, AffineOperator):
         raise MissingReferencePoint("projection needs an affine operator")
     m, t = op.matrix, op.offset
-    particular, *_ = np.linalg.lstsq(m, -t, rcond=None)
-    if np.linalg.norm(m @ particular + t) > 1e-8 * max(1.0, np.linalg.norm(t)):
-        raise SingularSystem("operator has no zeros")
-    _, sing, vt = np.linalg.svd(m)
-    cutoff = sing.max() * max(m.shape) * np.finfo(float).eps if sing.size else 0.0
-    rank = int(np.sum(sing > cutoff))
-    null_basis = vt[rank:].T
     z0 = np.asarray(z0, dtype=float)
-    return particular + null_basis @ (null_basis.T @ (z0 - particular))
+    rcond = max(m.shape) * np.finfo(float).eps
+    z = z0 - np.linalg.pinv(m, rcond=rcond) @ (m @ z0 + t)
+    if np.linalg.norm(m @ z + t) > 1e-8 * max(1.0, np.linalg.norm(t)):
+        raise SingularSystem("operator has no zeros")
+    return z
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,15 @@ _ALGO_FIELDS = {f.name for f in fields(AlgorithmConfig)} - {
 MAX_TRACE_VALUES = 10 ** 7
 
 
+def _parse_finite(text: str) -> float:
+    """The float of a JSON number, else ConfigError: JSON has no NaN or
+    Infinity, and a literal such as 1e999 would read as inf."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"config holds the non-finite number {text}")
+    return value
+
+
 def _load_config(path: str) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -42,7 +51,8 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config: {exc}",
                           code="BAD_CONFIG") from None
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=_parse_finite,
+                          parse_float=_parse_finite)
     except (ValueError, RecursionError) as exc:  # or nested too deeply
         raise ConfigError(f"config is not valid JSON: {exc}",
                           code="BAD_CONFIG") from None
@@ -56,26 +66,12 @@ def _make_dir(directory: Path) -> None:
         raise ConfigError(f"cannot create output directory: {exc}") from None
 
 
-def _number(where: str, value, integer: bool = False):
-    """``value`` if it is a finite JSON number (an integer if asked), else
-    a ConfigError naming ``where``."""
-    kinds = int if integer else (int, float)
-    if (isinstance(value, bool) or not isinstance(value, kinds)
-            or isinstance(value, float) and not math.isfinite(value)):
-        kind = "an integer" if integer else "a finite number"
-        raise ConfigError(f"{where} must be {kind}, got {value!r}")
+def _integer(where: str, value) -> int:
+    """``value`` if it is a JSON integer, else a ConfigError naming
+    ``where``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
     return value
-
-
-def _finite_numbers(where: str, value) -> None:
-    """ConfigError if ``value`` holds a non-finite number at any depth; JSON
-    has no such numbers, but Python's parser reads NaN and Infinity."""
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{where} must be finite, got {value!r}")
-    items = (value.items() if isinstance(value, dict)
-             else enumerate(value) if isinstance(value, list) else ())
-    for key, item in items:
-        _finite_numbers(f"{where}.{key}", item)
 
 
 def _parse_experiment(cfg):
@@ -85,15 +81,13 @@ def _parse_experiment(cfg):
     if not isinstance(problem_cfg, dict) or "name" not in problem_cfg:
         raise ConfigError("config needs problem: {name, params}")
     pname = problem_cfg["name"]
-    _finite_numbers("problem.params", problem_cfg.get("params"))
     try:
         problem = build_problem(pname, problem_cfg.get("params"))
     except (TypeError, ValueError, OverflowError, MemoryError) as exc:
         # OverflowError: an integer beyond the float range; MemoryError: a
         # size whose arrays cannot be allocated at all
         raise ConfigError(f"problem {pname}: {exc}") from None
-    iterations = _number("iterations", cfg.get("iterations", 1000),
-                         integer=True)
+    iterations = _integer("iterations", cfg.get("iterations", 1000))
     algos = cfg.get("algorithms")
     if not isinstance(algos, list) or not algos:
         raise ConfigError("config needs a non-empty algorithms list")
@@ -121,7 +115,7 @@ def _parse_experiment(cfg):
     elif problem.start is not None:
         z0 = problem.start
     else:
-        seed = _number("seed", cfg.get("seed", 0), integer=True)
+        seed = _integer("seed", cfg.get("seed", 0))
         if seed < 0:
             raise ConfigError(f"seed must be non-negative, got {seed}")
         z0 = np.random.default_rng(seed).standard_normal(problem.dim)
@@ -194,10 +188,15 @@ def cmd_compare(config_path: str) -> int:
     problem, configs, z0, out_dir = _parse_experiment(cfg)
     if len(configs) != 2:
         raise ConfigError("compare needs exactly two algorithms")
-    pair = (configs[0].algorithm, configs[1].algorithm)
+    first, second = configs
+    pair = (first.algorithm, second.algorithm)
     rule = analysis.mp_rule(*pair)
-    if configs[0].alpha != configs[1].alpha:
-        raise ConfigError("compare needs both algorithms at the same alpha")
+    # both paths run to one horizon at one step, so their rows pair up
+    if (first.alpha != second.alpha
+            or first.max_iterations != second.max_iterations
+            or {first.stop_residual, second.stop_residual} != {None}):
+        raise ConfigError("compare needs both algorithms at the same alpha "
+                          "and max_iterations, without stop_residual")
     _make_dir(out_dir)
     traces = [run(c, problem, z0) for c in configs]
     mp = analysis.merging_path(*traces, problem)

@@ -7,8 +7,9 @@ at runtime. Operators are immutable after construction and safe to share.
 
 Every resolvent has the one signature ``resolvent(alpha, z)`` and refuses a
 step size outside 0 < alpha < inf. Affine and prox resolvents are exact;
-the resolvent of a forward-only operator is ``iterative_resolvent``, which
-solves the inner map ``ShiftedIdentityPlus`` to residual ``RESOLVENT_TOL``.
+the resolvent of a ``CallableOperator``, known through its forward map
+alone, is ``iterative_resolvent``, which solves the inner map
+``ShiftedIdentityPlus`` to residual ``RESOLVENT_TOL``.
 """
 from __future__ import annotations
 
@@ -29,11 +30,6 @@ from .errors import (
     NoForwardEvaluation,
     NoResolventCapability,
 )
-
-try:  # the ufunc behind np.clip: numpy._core from numpy 2, numpy.core before
-    from numpy._core.umath import clip as _clip
-except ImportError:
-    from numpy.core.umath import clip as _clip
 
 Array = np.ndarray
 
@@ -121,12 +117,30 @@ def _lu_factor(a: Array):
 
 
 def vector_norm(v: Array) -> float:
-    """Euclidean norm of a real vector, ``sqrt(v . v)``.
+    """Euclidean norm of a real vector, ``sqrt(np.vdot(v, v))``.
 
     This is the formula ``np.linalg.norm`` applies to a real 1-D vector, so
-    the result is bit-identical to it, without its dispatch layers.
+    the result is bit-identical to it, without its dispatch layers; unlike
+    ``v.dot(v)``, ``np.vdot`` overflows to inf without a RuntimeWarning.
     """
-    return math.sqrt(v.dot(v))
+    return math.sqrt(np.vdot(v, v))
+
+
+def _check_step(alpha: float) -> None:
+    """ValueError unless 0 < alpha < inf: the step check of every resolvent
+    and of ``ShiftedIdentityPlus``."""
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+
+
+def _check_constants(lipschitz, mu) -> None:
+    """InfeasibleConstants unless each declared constant (None: not
+    declared) is finite and nonnegative, with mu <= L when both are."""
+    if not all(c is None or 0.0 <= c < math.inf for c in (lipschitz, mu)):
+        raise InfeasibleConstants(f"declared constants must be finite and "
+                                  f"nonnegative, got L={lipschitz}, mu={mu}")
+    if None not in (lipschitz, mu) and mu > lipschitz + _META_SLACK:
+        raise InfeasibleConstants(f"mu = {mu} exceeds L = {lipschitz}")
 
 
 def max_step_strongly_monotone(lipschitz: float, mu: float) -> float:
@@ -324,10 +338,7 @@ class AffineOperator(Operator):
         which the operator then owns; ``certified`` says that the caller
         has already checked the declared ``lipschitz`` against ``m``, so
         ``norm(m, 2)`` does not run again."""
-        if not all(c is None or 0.0 <= c < math.inf for c in (lipschitz, mu)):
-            raise InfeasibleConstants(f"declared constants must be finite and "
-                                      f"nonnegative, got L={lipschitz}, "
-                                      f"mu={mu}")
+        _check_constants(lipschitz, mu)
         self.dim = m.shape[0]
         self.matrix = m
         self.offset = (np.zeros(self.dim) if offset is None
@@ -351,8 +362,6 @@ class AffineOperator(Operator):
         elif sym_min < mu - _META_SLACK:
             raise InfeasibleConstants(
                 f"min sym eigenvalue {sym_min:.6g} below declared mu = {mu:.6g}")
-        if mu > 0 and lipschitz > 0 and mu > lipschitz + _META_SLACK:
-            raise InfeasibleConstants(f"mu = {mu} exceeds L = {lipschitz}")
         self.lipschitz = float(lipschitz)
         self.mu = float(mu)
         self._plain_product = self.dim >= 2 and not self.offset.any()
@@ -377,8 +386,7 @@ class AffineOperator(Operator):
         # followed by scipy.linalg.lu_solve
         if z.shape != (self.dim,):
             self._dim_mismatch(z)
-        if not 0.0 < alpha < math.inf:
-            raise ValueError(f"alpha must be positive and finite, got {alpha}")
+        _check_step(alpha)
         memo = self._lu_cache.get(alpha)
         if memo is None:
             # np.eye(d) + alpha * M in the one array that getrf factors
@@ -391,7 +399,7 @@ class AffineOperator(Operator):
         rhs = z - alpha_offset
         # rhs . rhs is finite for a finite rhs unless it overflows, and then
         # the elementwise check decides
-        if not math.isfinite(rhs.dot(rhs)) and not np.isfinite(rhs).all():
+        if not math.isfinite(np.vdot(rhs, rhs)) and not np.isfinite(rhs).all():
             raise ValueError("array must not contain infs or NaNs")
         u, info = _dgetrs(lu, piv, rhs, overwrite_b=True)
         if info != 0:
@@ -399,20 +407,10 @@ class AffineOperator(Operator):
         return u
 
 
-class _ForwardOnly(Operator):
-    """An operator known through its forward map alone: its resolvent is the
-    point of ``iterative_resolvent``."""
-
-    @property
-    def resolvent_kind(self):
-        return "iterative"
-
-    def resolvent(self, alpha, z):
-        return iterative_resolvent(self, alpha, z)[0]
-
-
-class CallableOperator(_ForwardOnly):
-    """Wraps a forward map with declared constants and an optional open domain.
+class CallableOperator(Operator):
+    """Wraps a forward map with declared constants and an optional open
+    domain; known through its forward map alone, its resolvent is the point
+    of ``iterative_resolvent``.
 
     The constants must be finite and nonnegative, with mu <= L.
     """
@@ -425,13 +423,7 @@ class CallableOperator(_ForwardOnly):
         self.lipschitz = float(lipschitz)
         self.mu = float(mu)
         self.domain = domain
-        if not (0.0 <= self.lipschitz < math.inf
-                and 0.0 <= self.mu < math.inf):
-            raise InfeasibleConstants(f"constants must be finite and "
-                                      f"nonnegative, got L={lipschitz}, "
-                                      f"mu={mu}")
-        if self.mu > 0 and self.mu > self.lipschitz + _META_SLACK:
-            raise InfeasibleConstants(f"mu = {mu} exceeds L = {lipschitz}")
+        _check_constants(self.lipschitz, self.mu)
 
     def __call__(self, z):
         if z.shape != (self.dim,):
@@ -440,6 +432,13 @@ class CallableOperator(_ForwardOnly):
             raise DomainViolation(f"point {z} outside the open domain")
         return self.fn(z)
 
+    @property
+    def resolvent_kind(self):
+        return "iterative"
+
+    def resolvent(self, alpha, z):
+        return iterative_resolvent(self, alpha, z)[0]
+
 
 class GradientOperator(CallableOperator):
     """Gradient field of a differentiable convex objective: a
@@ -447,9 +446,9 @@ class GradientOperator(CallableOperator):
     requires."""
 
 
-class ShiftedIdentityPlus(_ForwardOnly):
+class ShiftedIdentityPlus(Operator):
     """z -> z + alpha * base(z) - shift, the inner map of every resolvent
-    evaluated by forward iterations.
+    evaluated by forward iterations; it has a forward map only.
 
     (1 + alpha mu)-strongly monotone and (1 + alpha L)-Lipschitz for the
     base's declared constants; its zero is J_{alpha base}(shift). The base
@@ -458,8 +457,7 @@ class ShiftedIdentityPlus(_ForwardOnly):
     """
 
     def __init__(self, base: Operator, alpha: float, shift):
-        if not 0.0 < alpha < math.inf:
-            raise ValueError(f"alpha must be positive and finite, got {alpha}")
+        _check_step(alpha)
         self.base = base
         self.alpha = float(alpha)
         self.shift = as_vector(shift, base.dim).copy()
@@ -511,10 +509,9 @@ class BoxProx(Operator):
     A bound may be infinite (``lower = 0``, ``upper = inf`` is an orthant),
     but no bound is NaN, no lower bound is +inf and no upper bound is -inf,
     so the box is never empty. The bounds are copies of the caller's. The
-    clamp is one call of numpy's ``clip`` ufunc, which ``np.clip`` calls
-    after its Python wrapper frames; the bits are those of ``np.clip``,
-    signed zeros, infinite bounds and NaN included, and so those of
-    clamping each block on its own.
+    clamp is one call of ``np.clip`` on the whole vector, which gives the
+    bits of clamping each block on its own, signed zeros, infinite bounds
+    and NaN included.
     """
 
     def __init__(self, lower, upper):
@@ -538,9 +535,8 @@ class BoxProx(Operator):
     def resolvent(self, alpha, z):
         if z.shape != (self.dim,):
             self._dim_mismatch(z)
-        if not 0.0 < alpha < math.inf:
-            raise ValueError(f"alpha must be positive and finite, got {alpha}")
-        return _clip(z, self.lower, self.upper)
+        _check_step(alpha)
+        return np.clip(z, self.lower, self.upper)
 
 
 # ---------------------------------------------------------------------------

@@ -775,7 +775,6 @@ def test_slim_recording_memory_independent_of_iterations(name):
     assert peak < full.main.nbytes / 4, (peak, full.main.nbytes)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("record", (True, False))
 def test_diverging_run_stops_at_first_non_finite_residual(record):
     # GDA at alpha = 10 on x*y grows by sqrt(101) a step; ||B z||^2

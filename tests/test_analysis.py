@@ -13,6 +13,7 @@ from anchorkit.errors import (
     ConfigError,
     MismatchedTraces,
     MissingReferencePoint,
+    SingularSystem,
     StepTooLarge,
 )
 from anchorkit.operators import (
@@ -322,6 +323,79 @@ def test_rate_bound_oc_halpern():
     assert rep.passed
 
 
+def _row0_traces():
+    """Recorded runs whose stop_residual is their row-0 residual, so each
+    stops at row 0 without a step, with their problems."""
+    affine = make_random_monotone_affine(0, 4, 2.0)
+    scsc = make_random_scsc(1, 4, 2.0, 0.5)
+    comp = make_box_bilinear_composite(seed=3)
+    cases = [("FEG", affine, 0.1), ("SM_EAG_PLUS", scsc, 0.1),
+             ("APG_STAR", comp, 0.1), ("OHM_DRS", comp, 0.1)]
+    traces = {}
+    for name, prob, alpha in cases:
+        z0 = np.linspace(-1.0, 2.0, prob.dim)
+        first = run(cfg(name, alpha, 1), prob, z0).residual_norms[0]
+        trace = run(cfg(name, alpha, 50, stop_residual=first), prob, z0)
+        assert trace.iterations == 0 and trace.stop_reason == "stop_residual"
+        traces[name] = trace, prob
+    return traces
+
+
+def test_every_analysis_entry_point_on_traces_that_stop_at_row_0():
+    # each returns a report that can be read, or refuses with a ConfigError
+    # that names the missing step; never a numpy error
+    traces = _row0_traces()
+    feg, affine = traces["FEG"]
+    sm, scsc = traces["SM_EAG_PLUS"]
+    apg, comp = traces["APG_STAR"]
+    drs, _ = traces["OHM_DRS"]
+    for trace, prob in ((feg, affine), (sm, scsc)):
+        for name in ("half", "op_half"):
+            assert trace.auxiliary[name].shape == (0, prob.dim)
+    mu0 = dict(alpha=0.1, lipschitz=affine.lipschitz, z_star=affine.solution)
+    calls = {
+        "lyapunov_feg": lambda: analysis.lyapunov_feg(feg, **mu0),
+        "lyapunov_sm_eag FEG": lambda: analysis.lyapunov_sm_eag(feg, mu=0.0,
+                                                                **mu0),
+        "lyapunov_sm_eag": lambda: analysis.lyapunov_sm_eag(
+            sm, 0.1, scsc.mu, scsc.lipschitz, scsc.solution),
+        "feg_summability_report": lambda: analysis.feg_summability_report(
+            feg, affine),
+        "mp_bound_feg_ohm": lambda: analysis.mp_bound_feg_ohm(feg, affine),
+        "mp_bound_apg": lambda: analysis.mp_bound_apg(apg, drs, comp),
+        "merging_path self": lambda: analysis.merging_path(feg, feg,
+                                                           affine).report,
+        "merging_path splitting": lambda: analysis.merging_path(
+            apg, drs, comp).report,
+        **{f"rate_bound {rule} FEG": (lambda rule=rule: analysis.rate_bound(
+            feg, affine, rule)) for rule in ("OHM_RATE", "SM_EAG_RATE")},
+        "rate_bound SM_EAG_RATE": lambda: analysis.rate_bound(
+            sm, scsc, "SM_EAG_RATE"),
+        "rate_bound APG_RESIDUAL": lambda: analysis.rate_bound(
+            apg, comp, "APG_RESIDUAL"),
+        "rate_bound OHM_DRS_RATE": lambda: analysis.rate_bound(
+            drs, comp, "OHM_DRS_RATE"),
+    }
+    refused = set()
+    for label, call in calls.items():
+        try:
+            result = call()
+        except ConfigError as exc:
+            assert "stopped at row 0" in str(exc), (label, exc)
+            refused.add(label)
+            continue
+        if isinstance(result, analysis.LyapunovTrace):
+            assert len(result.values) == 1 and len(result.decrements) == 0
+            assert result.certified_lower.shape == (0,) and result.passed
+        else:
+            assert len(result.k_values) >= 1, label
+            result.worst(), result.passed  # read without error
+    assert refused == {"feg_summability_report", "mp_bound_feg_ohm",
+                       "rate_bound SM_EAG_RATE FEG", "rate_bound SM_EAG_RATE"}
+    assert analysis.mp_distance(feg, feg).shape == (1,)
+    assert analysis.iterations_to_tolerance(feg, feg.residual_norms[0]) == 0
+
+
 def test_ohm_trace_refused_by_oc_halpern_rate():
     # OHM runs at gamma = 1 and its trace says so, so the rule for gamma > 1
     # refuses it
@@ -575,6 +649,11 @@ def test_affine_zero_projection_against_hand_construction():
     expected = np.array([-0.3, 2.0, -0.2, -1.5])
     got = analysis.affine_zero_projection(prob, z0)
     assert np.allclose(got, expected, atol=1e-12)
+    # with an offset outside the range of M there is no zero
+    no_zero = make_bilinear(np.diag([1.0, 0.0]), [0.2, 0.1], [-0.3, 0.0],
+                            want_solution=False)
+    with pytest.raises(SingularSystem, match="no zeros"):
+        analysis.affine_zero_projection(no_zero, z0)
 
 
 def test_fixed_point_reference_hits_solution():

@@ -40,7 +40,6 @@ def test_run_writes_traces(run_config, tmp_path, capsys):
     assert first[0] == "0" and float(first[1]) == 1.0
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_run_reports_stop_reasons_and_keeps_diverged_rows(tmp_path, capsys):
     # at L = 1e308, ||B z0||^2 overflows: the forward methods diverge at
     # row 0, which the CSV keeps, and the run still exits 0
@@ -298,6 +297,22 @@ def test_bad_config_fails_closed(change, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999",
+                                    "-1e999"])
+def test_non_finite_numbers_refused_as_the_config_is_parsed(
+        number, tmp_path, capsys):
+    # anywhere in the file, even under a key that nothing reads; 1e999 is a
+    # valid JSON number that reads as inf
+    out = tmp_path / "out"
+    doc = {**VALID_RUN, "outputs": {"directory": str(out)}, "note": "X"}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc).replace('"X"', number), encoding="utf-8")
+    assert main(["run", str(path)]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == "CONFIG_ERROR" and number in doc["detail"]
+    assert not out.exists()
+
+
 def test_unbounded_iterations_refused_before_any_run(
         tmp_path, capsys, monkeypatch):
     import anchorkit.cli as cli
@@ -475,6 +490,34 @@ def test_compare_undeclared_pair_rejected(tmp_path, capsys):
     })
     assert main(["compare", cfgp]) == 2
     assert json.loads(capsys.readouterr().out)["error"] == "CONFIG_ERROR"
+
+
+@pytest.mark.parametrize("entries", [
+    [{"algorithm": "FEG", "alpha": 0.05, "max_iterations": 200},
+     {"algorithm": "OHM", "alpha": 0.05, "max_iterations": 300}],
+    [{"algorithm": "FEG", "alpha": 0.05, "stop_residual": 1e-2},
+     {"algorithm": "OHM", "alpha": 0.05, "stop_residual": 1e-2}],
+    [{"algorithm": "FEG", "alpha": 0.05},
+     {"algorithm": "FEG", "alpha": 0.05, "stop_residual": 1e-2}],
+], ids=["unequal-max-iterations", "stop-residual", "one-stop-residual"])
+def test_compare_refuses_unequal_horizons_before_any_run(
+        entries, tmp_path, capsys, monkeypatch):
+    # the two paths would have different lengths; refused before a run
+    # starts or the output directory exists
+    def no_run(*args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr("anchorkit.cli.run", no_run)
+    out = tmp_path / "cmp-out"
+    cfgp = write_config(tmp_path / "cmp.json", {
+        "problem": {"name": "random_monotone_affine",
+                    "params": {"seed": 3, "d": 10, "lipschitz": 10.0}},
+        "iterations": 300, "algorithms": entries,
+        "outputs": {"directory": str(out)},
+    })
+    assert main(["compare", cfgp]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "CONFIG_ERROR"
+    assert not out.exists()
 
 
 def test_compare_apg_pair(tmp_path, capsys):

@@ -14,6 +14,7 @@ from anchorkit.errors import (
     InfeasibleConstants,
     InnerLoopBudgetExceeded,
     NoForwardEvaluation,
+    NoResolventCapability,
 )
 from anchorkit.operators import (
     AffineOperator,
@@ -322,6 +323,16 @@ def test_constants_must_be_finite(build, error):
             build()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: CallableOperator(_identity, 2, 1.0, mu=2.0),
+    lambda: AffineOperator(np.eye(2), lipschitz=1.0, mu=2.0),
+], ids=["callable", "affine"])
+def test_declared_mu_above_lipschitz_refused(build):
+    # one check of the declared constants, before any spectrum is computed
+    with pytest.raises(InfeasibleConstants, match="exceeds L"):
+        build()
+
+
 @pytest.mark.parametrize("cls", [CallableOperator, GradientOperator])
 @pytest.mark.parametrize("dim", [0, -3])
 def test_callable_dimension_must_be_positive(cls, dim):
@@ -337,8 +348,7 @@ def test_affine_resolvent_rejects_non_finite_input(bad):
         op.resolvent(0.5, z)
     # a finite input whose squared norm overflows is still solved
     big = np.array([1e200, -1e200])
-    with np.errstate(over="ignore"):
-        got = op.resolvent(0.5, big)
+    got = op.resolvent(0.5, big)
     assert np.array_equal(got, lu_solve(lu_factor(np.eye(2) + 0.5 * ROT),
                                         big - 0.5 * op.offset))
 
@@ -413,10 +423,8 @@ def test_iterative_resolvent_rejects_nan_at_once():
         return z
 
     op = CallableOperator(fn, 2, lipschitz=1.0)
-    shifted = ShiftedIdentityPlus(op, 0.5, np.zeros(2))
-    for target in (op, shifted):
-        with pytest.raises(ValueError):
-            target.resolvent(0.5, np.array([np.nan, 1.0]))
+    with pytest.raises(ValueError):
+        op.resolvent(0.5, np.array([np.nan, 1.0]))
     assert calls == []
 
 
@@ -447,6 +455,10 @@ def test_shifted_identity_metadata():
     assert sh.lipschitz == 1.0 + 0.5 * 2.0
     z = np.array([1.0, 0.0, -1.0])
     assert np.allclose(sh(z), z + 0.5 * base(z))
+    # the inner map only: it has no resolvent of its own
+    assert sh.resolvent_kind is None
+    with pytest.raises(NoResolventCapability):
+        sh.resolvent(0.5, z)
 
 
 def test_scaled_operator():

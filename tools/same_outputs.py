@@ -9,12 +9,14 @@ with ``TREE/src`` on the path and BLAS pinned to one thread:
   problems at d=2 and d=20, FEG and OHM on a d=300 affine problem, GDA
   diverging on a 1x1 bilinear problem, and OHM_DRS and APG_STAR on a
   half-infinite box composite, run in full, without recorded iterates,
-  with a stop at row 100's residual and for one iteration;
+  with a stop at row 100's residual, with a stop at row 0's residual (the
+  forward methods stop there without a step) and for one iteration;
   compared field by field (arrays with their dtype and bits), with
   ``params``, ``stop_reason``, the oracle totals and ``cumulative_counts``;
-- on the full FEG and SM_EAG_PLUS traces, the Lyapunov ``values``,
-  ``decrements`` and ``certified_lower``, and for FEG also the ``measured``
-  and ``bound`` of ``feg_summability_report`` and ``mp_bound_feg_ohm``;
+- on the full and the row-0 FEG and SM_EAG_PLUS traces, the Lyapunov
+  ``values``, ``decrements`` and ``certified_lower``, and for FEG also the
+  ``measured`` and ``bound`` of ``feg_summability_report`` and
+  ``mp_bound_feg_ohm`` (or the error each raises);
 - every verification suite's ``passed``, ``lines`` and ``details``, run in
   the same process as the traces, so ``details`` compare at full
   precision where the printed lines round;
@@ -27,11 +29,13 @@ with ``TREE/src`` on the path and BLAS pinned to one thread:
   60 iterations;
 - the stdout, exit code and files of inputs the CLI refuses: bad JSON,
   bytes that are not UTF-8, a directory as config, an unknown problem (also
-  with a NaN parameter), an unknown algorithm, ``"alpha": NaN``, an output
-  directory that a file blocks, ``verify`` of an unknown suite, a removed
-  algorithm key (``gamma``) and problem parameter (``z_star``), EAG_V and
-  APS_V first steps whose step schedule collapses at once, and two usage
-  errors (``figure1 --iterations x`` and no subcommand).
+  with a NaN parameter), a problem parameter ``1e999``, an unknown
+  algorithm, ``"alpha": NaN``, an output directory that a file blocks,
+  ``verify`` of an unknown suite, a removed algorithm key (``gamma``) and
+  problem parameter (``z_star``), EAG_V and APS_V first steps whose step
+  schedule collapses at once, ``compare`` of a pair at different
+  ``max_iterations`` or with ``stop_residual``, and two usage errors
+  (``figure1 --iterations x`` and no subcommand).
 
 Every difference is printed. The exit code is 1 if there is one, else 0.
 Given the same tree twice, it checks that the outputs are deterministic
@@ -156,6 +160,11 @@ REFUSAL_CASES = [
      _config(problem={"name": "nope"})),
     ("unknown problem with a NaN parameter", ["run", "config.json"],
      _config(problem={"name": "nope", "params": {"seed": float("nan")}})),
+    # a valid JSON number that Python's parser reads as inf
+    ("problem parameter 1e999", ["run", "config.json"],
+     _config(problem={"name": "random_monotone_affine",
+                      "params": {**AFFINE["params"], "lipschitz": "X"}})
+     .replace(b'"X"', b"1e999")),
     ("unknown algorithm", ["run", "config.json"],
      _config(algorithms=[{"algorithm": "WAT", "alpha": 0.05}])),
     ("alpha NaN", ["run", "config.json"],
@@ -179,6 +188,15 @@ REFUSAL_CASES = [
              algorithms=[{"algorithm": "FEG", "alpha": 0.05},
                          {"algorithm": "APS_V", "alpha": 0.05,
                           "theta": 0.5}])),
+    ("compare at different max_iterations", ["compare", "config.json"],
+     _config(problem=AFFINE10, iterations=300,
+             algorithms=[{"algorithm": "FEG", "alpha": 0.05,
+                          "max_iterations": 200},
+                         {"algorithm": "OHM", "alpha": 0.05}])),
+    ("compare with stop_residual", ["compare", "config.json"],
+     _config(problem=AFFINE10, iterations=300,
+             algorithms=[{"algorithm": n, "alpha": 0.05,
+                          "stop_residual": 1e-2} for n in ("FEG", "OHM")])),
     ("bad integer option", ["figure1", "--iterations", "x"], b"{}"),
     ("no subcommand", [], b"{}"),
 ]
@@ -207,7 +225,7 @@ def _trace_record(trace) -> dict:
 
 def _analysis_record(name, trace, prob) -> dict:
     """The Lyapunov arrays of an FEG or SM_EAG_PLUS trace, and FEG's
-    summability and merging-path reports."""
+    summability and merging-path reports, or the error each raises."""
     from anchorkit import analysis
 
     def lyapunov():
@@ -265,19 +283,28 @@ def collect_in_process(out: str) -> None:
             config = AlgorithmConfig(name, alpha=alpha, **extra, **kwargs)
             return _outcome(lambda: _trace_record(run(config, prob, z0)))
 
+        def analysis_with(**kwargs):
+            config = AlgorithmConfig(name, alpha=alpha,
+                                     max_iterations=ITERATIONS, **kwargs)
+            return _outcome(
+                lambda: _analysis_record(name, run(config, prob, z0), prob))
+
         full = run_with(max_iterations=ITERATIONS)
         records[f"{case}/full"] = full
         if name in ("FEG", "SM_EAG_PLUS"):
-            config = AlgorithmConfig(name, alpha=alpha,
-                                     max_iterations=ITERATIONS)
-            records[f"{case}/analysis"] = _outcome(
-                lambda: _analysis_record(name, run(config, prob, z0), prob))
+            records[f"{case}/analysis"] = analysis_with()
         records[f"{case}/slim"] = run_with(max_iterations=ITERATIONS,
                                            record_iterates=False)
         if isinstance(full, dict):
             stop = float(full["residual_norms"][STOP_ROW])
             records[f"{case}/stop"] = run_with(max_iterations=ITERATIONS,
                                                stop_residual=stop)
+            first = float(full["residual_norms"][0])
+            records[f"{case}/row0"] = run_with(max_iterations=ITERATIONS,
+                                               stop_residual=first)
+            if name in ("FEG", "SM_EAG_PLUS"):
+                records[f"{case}/row0 analysis"] = analysis_with(
+                    stop_residual=first)
         records[f"{case}/one"] = run_with(max_iterations=1)
     records = {f"trace {key}": record for key, record in records.items()}
     for name in suites.SUITES:
