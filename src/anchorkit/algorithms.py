@@ -654,13 +654,13 @@ class _OHMDRS(_Rule):
     """w_k = J_{alpha B}(u_k); u_{k+1} = beta_k u0 + (1-beta_k)
     (J_{alpha A}(w_k - alpha B w_k) + alpha B w_k); beta_k = 1/(k+2)."""
 
-    row_fields = ("w", "v", "op_w")
+    row_fields = ("w", "v")
     final_row_billed = True
 
     def evaluate(self, k):
         w = self.b.resolvent(self.alpha, self.z)
         gap = self.forward_backward(w)  # = alpha G_alpha(w_k)
-        return math.sqrt(np.vdot(gap, gap)), (w, self.v, self.bw)
+        return math.sqrt(np.vdot(gap, gap)), (w, self.v)
 
     def forward_backward(self, w):
         """Keep B w and v = J_{alpha A}(w - alpha B w) for the outer step;
@@ -684,7 +684,7 @@ class _APGStar(_OHMDRS):
     Row k bills its inner calls and one call of B at z_k, so
     ``inner_b_evals`` is ``b_per_iter - 1`` in either recording mode."""
 
-    row_fields = ("z", "op_z", "inner_b_evals")
+    row_fields = ("z", "inner_b_evals")
 
     def __init__(self, config, problem, oracle, z0):
         super().__init__(config, problem, oracle, z0)
@@ -698,7 +698,7 @@ class _APGStar(_OHMDRS):
         eps_k = self.m_const / ((k + 1.0) ** 2 * (k + 2.0))
         z, evals = iterative_resolvent(self.b, alpha, self.z, eps_k)
         gap = self.forward_backward(z)
-        return math.sqrt(np.vdot(gap, gap)) / alpha, (z, self.bw, evals)
+        return math.sqrt(np.vdot(gap, gap)) / alpha, (z, evals)
 
 
 _RULES = {

@@ -294,8 +294,14 @@ def mp_bound_apg(trace_apg, trace_drs, problem: Problem,
     for an APG_STAR trace and its OHM_DRS partner at the same step size."""
     _expect(trace_apg, "APG_STAR")
     _expect(trace_drs, "OHM_DRS")
-    sq_outer = mp_distance(trace_apg, trace_drs)
+    missing = [f"{t.algorithm} {name}" for t, name in
+               ((trace_apg, "z"), (trace_drs, "w")) if name not in t.auxiliary]
+    if missing:
+        raise ConfigError(f"the traces record no inner sequence "
+                          f"{', '.join(missing)} (a run with recorded "
+                          f"iterates has them)")
     z, w = trace_apg.auxiliary["z"], trace_drs.auxiliary["w"]
+    sq_outer = mp_distance(trace_apg, trace_drs)
     measured = np.maximum(sq_outer, np.sum((z - w) ** 2, axis=1))
     xi_star = reference_point(trace_apg, problem, xi_star)
     c = apg_path_constant(problem, trace_apg.start, xi_star)

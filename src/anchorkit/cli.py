@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -25,13 +24,12 @@ from .errors import AnchorkitError, ConfigError
 from .operators import as_vector
 from .problems import build_problem
 
-#: keys an algorithm entry may set besides ``algorithm``; trace CSVs need
-#: recorded iterates, so ``record_iterates`` is not one of them
-_ALGO_FIELDS = {f.name for f in fields(AlgorithmConfig)} - {
-    "algorithm", "record_iterates"}
+#: the keys an algorithm entry may set besides ``algorithm``; every run goes
+#: to the config's ``iterations`` and records the iterates its CSV holds
+_ALGO_FIELDS = {"alpha", "momentum_a", "theta", "stop_residual"}
 
-#: the most values a run may record, (max_iterations + 1) * dim (dim = 2 for
-#: ``figure1``); a larger run is refused before it starts
+#: the most values a run may record, (iterations + 1) * dim; a larger run is
+#: refused before it starts
 MAX_TRACE_VALUES = 10 ** 7
 
 
@@ -88,6 +86,9 @@ def _parse_experiment(cfg):
         # size whose arrays cannot be allocated at all
         raise ConfigError(f"problem {pname}: {exc}") from None
     iterations = _integer("iterations", cfg.get("iterations", 1000))
+    if (iterations + 1) * problem.dim > MAX_TRACE_VALUES:
+        raise ConfigError(f"{iterations} iterations at d = {problem.dim} "
+                          f"record more than {MAX_TRACE_VALUES} values")
     algos = cfg.get("algorithms")
     if not isinstance(algos, list) or not algos:
         raise ConfigError("config needs a non-empty algorithms list")
@@ -103,10 +104,12 @@ def _parse_experiment(cfg):
         unknown = sorted(entry.keys() - _ALGO_FIELDS - {"algorithm"})
         if unknown:
             raise ConfigError(f"{config.algorithm}: unknown keys {unknown}")
-        _check_trace_size(config.algorithm, config.max_iterations,
-                          problem.dim)
         validate_config(config, problem)  # before any file is written
         configs.append(config)
+    if "seed" in cfg and ("start" in cfg or problem.start is not None):
+        given = "the config's" if "start" in cfg else f"problem {pname}'s own"
+        raise ConfigError(f"seed draws a random start, but this run starts "
+                          f"from {given} start")
     if "start" in cfg:
         try:
             z0 = as_vector(cfg["start"], problem.dim)
@@ -125,13 +128,6 @@ def _parse_experiment(cfg):
     if not isinstance(directory, str):
         raise ConfigError("outputs must be {directory: a path string}")
     return problem, configs, z0, Path(directory)
-
-
-def _check_trace_size(what: str, iterations: int, dim: int) -> None:
-    """ConfigError if the run would record more than MAX_TRACE_VALUES."""
-    if (iterations + 1) * dim > MAX_TRACE_VALUES:
-        raise ConfigError(f"{what}: {iterations} iterations at d = {dim} "
-                          f"record more than {MAX_TRACE_VALUES} values")
 
 
 def _write_csv(path: Path, header, *blocks) -> None:
@@ -193,10 +189,9 @@ def cmd_compare(config_path: str) -> int:
     rule = analysis.mp_rule(*pair)
     # both paths run to one horizon at one step, so their rows pair up
     if (first.alpha != second.alpha
-            or first.max_iterations != second.max_iterations
             or {first.stop_residual, second.stop_residual} != {None}):
-        raise ConfigError("compare needs both algorithms at the same alpha "
-                          "and max_iterations, without stop_residual")
+        raise ConfigError("compare needs both algorithms at the same alpha, "
+                          "without stop_residual")
     _make_dir(out_dir)
     traces = [run(c, problem, z0) for c in configs]
     mp = analysis.merging_path(*traces, problem)
@@ -217,21 +212,17 @@ def cmd_compare(config_path: str) -> int:
     return 0 if mp.passed else 1
 
 
-def cmd_figure1(out: str, iterations: int = 200) -> int:
-    if iterations < suites.FIGURE1_SUMMARY_K:
-        raise ConfigError(f"figure1 needs --iterations >= "
-                          f"{suites.FIGURE1_SUMMARY_K}, the summary's row")
-    _check_trace_size("figure1", iterations, 2)
+def cmd_figure1(out: str) -> int:
     out_dir = Path(out)
     _make_dir(out_dir)
-    prob, runs, failures = suites.figure1_trajectories(iterations)
+    prob, runs, failures = suites.figure1_trajectories()
     for label, trace in runs.items():
         safe = label.replace("(", "_").replace(")", "").replace("=", "")
         _write_csv(out_dir / f"trajectory_{safe}.csv", ["k", "x1", "x2"],
                    trace.main)
     summary = suites.figure1_summary(runs)
     summary["start"] = [float(v) for v in prob.start]
-    summary["iterations"] = iterations
+    summary["iterations"] = suites.FIGURE1_ITERATIONS
     summary["domain_failures"] = failures
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n",
                                           encoding="utf-8")
@@ -270,7 +261,6 @@ def main(argv=None) -> int:
     p_cmp.add_argument("config")
     p_fig = sub.add_parser("figure1", help="reproduce the 2-d benchmark runs")
     p_fig.add_argument("--out", default="figure1-out")
-    p_fig.add_argument("--iterations", type=int, default=200)
     p_ver = sub.add_parser("verify", help="run a named verification suite")
     p_ver.add_argument("suite")
     try:
@@ -280,7 +270,7 @@ def main(argv=None) -> int:
         if args.command == "compare":
             return cmd_compare(args.config)
         if args.command == "figure1":
-            return cmd_figure1(args.out, args.iterations)
+            return cmd_figure1(args.out)
         return cmd_verify(args.suite)
     except AnchorkitError as exc:  # a refusal: exit 2 with its code
         print(json.dumps({"error": exc.code, "detail": str(exc)}))

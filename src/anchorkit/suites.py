@@ -34,7 +34,8 @@ from .problems import (
 #: momentum parameters for the divergent momentum baselines (a > 2)
 AGM_MOMENTUM_CHOICES = (3.0, 5.0, 9.0)
 
-#: the row of the figure-1 trajectories that the summary compares
+#: the steps of the figure-1 trajectories and the row the summary compares
+FIGURE1_ITERATIONS = 200
 FIGURE1_SUMMARY_K = 50
 
 #: seeds, dimension and Lipschitz constant of the seeded problem sets
@@ -42,8 +43,9 @@ SUITE_SEEDS = range(20)
 SET_DIM = 10
 SET_LIPSCHITZ = 10.0
 
-#: the steps alpha * L of the anchored-extragradient checks
+#: the steps alpha * L of the anchored-extragradient and splitting checks
 FEG_STEP_RATIOS = (0.25, 0.5, 0.9)
+APG_STEP_RATIO = 0.5
 
 
 @dataclass
@@ -61,7 +63,7 @@ class SuiteResult:
 
 
 # ---------------------------------------------------------------------------
-# seeded problem sets (tier-1 runs the per-problem checks on seeds 20-99)
+# seeded problem sets
 
 
 def affine_case(seed):
@@ -110,7 +112,7 @@ def ohm_rate_suite() -> SuiteResult:
     out = SuiteResult()
     worst = _worst(out, affine_case, ohm_rate_check)
     out.check(worst.passed,
-              f"residual^2 <= 4 d0^2/(k+1)^2 on 20 problems, "
+              f"residual^2 <= 4 d0^2/(k+1)^2 on {len(SUITE_SEEDS)} problems, "
               f"max ratio {worst.max_ratio:.4f}")
     out.details["max_ratio"] = worst.max_ratio
     return out
@@ -199,8 +201,8 @@ def sm_eag_rate_suite() -> SuiteResult:
     out = SuiteResult()
     worst = _worst(out, scsc_case, sm_eag_rate_check)
     out.check(worst.passed,
-              f"||B z_k||^2 within the geometric-anchor bound on 20 problems, "
-              f"max ratio {worst.max_ratio:.4f}")
+              f"||B z_k||^2 within the geometric-anchor bound on "
+              f"{len(SUITE_SEEDS)} problems, max ratio {worst.max_ratio:.4f}")
     out.details["max_ratio"] = worst.max_ratio
 
     bilinear = make_bilinear([[1.0, 0.3], [-0.2, 0.8]])
@@ -278,7 +280,7 @@ def lyapunov_suite() -> SuiteResult:
     checks = [lyapunov_check(*scsc_case(seed)) for seed in SUITE_SEEDS]
     for text in checks[0]:
         out.check(all(ly[text].passed for ly in checks),
-                  f"{text} on 20 problems")
+                  f"{text} on {len(SUITE_SEEDS)} problems")
     return out
 
 
@@ -293,9 +295,9 @@ def _apg_case():
 
 
 def apg_mp_check(prob, xi0):
-    """APG_STAR and OHM_DRS at alpha = 0.5 / L for 300 steps: their merging
-    path, both residual rates and the path constant C(xi_0)."""
-    alpha = 0.5 / prob.lipschitz
+    """APG_STAR and OHM_DRS at alpha = APG_STEP_RATIO / L for 300 steps: their
+    merging path, both residual rates and the path constant C(xi_0)."""
+    alpha = APG_STEP_RATIO / prob.lipschitz
     apg = run(AlgorithmConfig("APG_STAR", alpha=alpha, max_iterations=300),
               prob, xi0)
     drs = run(AlgorithmConfig("OHM_DRS", alpha=alpha, max_iterations=300),
@@ -327,18 +329,19 @@ def apg_mp_suite() -> SuiteResult:
 def apg_oracle_trend_suite() -> SuiteResult:
     out = SuiteResult()
     prob, xi0 = _apg_case()
-    apg = run(AlgorithmConfig("APG_STAR", alpha=0.5 / prob.lipschitz,
-                              max_iterations=1000), prob, xi0)
-    counts = apg.auxiliary["inner_b_evals"]
     ks = np.array([10, 100, 1000])
-    obs = counts[ks].astype(float)
-    design = np.vstack([np.ones(3), np.log(ks)]).T
+    alpha = APG_STEP_RATIO / prob.lipschitz
+    apg = run(AlgorithmConfig("APG_STAR", alpha=alpha,
+                              max_iterations=int(ks[-1])), prob, xi0)
+    obs = apg.auxiliary["inner_b_evals"][ks].astype(float)
+    design = np.vstack([np.ones(len(ks)), np.log(ks)]).T
     coef, *_ = np.linalg.lstsq(design, obs, rcond=None)
     resid = obs - design @ coef
     rms = float(np.sqrt(np.mean(resid ** 2)))
     mean = float(obs.mean())
     out.check(rms <= 0.2 * mean,
-              f"inner evals at k=10/100/1000 = {obs.astype(int).tolist()} fit "
+              f"inner evals at k={'/'.join(map(str, ks))} = "
+              f"{obs.astype(int).tolist()} fit "
               f"a + b log k (a={coef[0]:.2f}, b={coef[1]:.2f}); rms residual "
               f"{rms:.3f} <= 20% of mean {mean:.1f}")
     out.details.update(counts=obs.tolist(), intercept=coef[0], slope=coef[1],
@@ -368,8 +371,8 @@ def point_convergence_suite() -> SuiteResult:
             trace = run(AlgorithmConfig(name, alpha=alpha,
                                         max_iterations=5000), prob, z0)
             gap = float(np.linalg.norm(trace.final - target))
-            out.check(gap <= 1e-4,
-                      f"{name} on {prob.name}: |z_5000 - proj| = {gap:.3e}")
+            out.check(gap <= 1e-4, f"{name} on {prob.name}: |z_"
+                                   f"{trace.iterations} - proj| = {gap:.3e}")
     return out
 
 
@@ -377,24 +380,24 @@ def point_convergence_suite() -> SuiteResult:
 # 10. trajectory reproduction for the 2-d convex benchmark
 
 
-def figure1_trajectories(iterations=200):
-    """All benchmark runs from the caption start; a path that leaves the
-    domain is reported, not fatal."""
+def figure1_trajectories():
+    """All benchmark runs from the caption start for FIGURE1_ITERATIONS
+    steps; a path that leaves the domain is reported, not fatal."""
     prob = make_figure1()
-    z0 = prob.start
+    z0, steps = prob.start, FIGURE1_ITERATIONS
     runs, failures = {}, {}
     for a in AGM_MOMENTUM_CHOICES:
         label = f"AGM(a={a:g})"
         try:
             runs[label] = run(AlgorithmConfig("AGM", alpha=FIGURE1_AGM_STEP,
                                               momentum_a=a,
-                                              max_iterations=iterations),
+                                              max_iterations=steps),
                               prob, z0)
         except DomainViolation as exc:
             failures[label] = str(exc)
     for name in ("EAG", "FEG", "APS", "OHM"):
         runs[name] = run(AlgorithmConfig(name, alpha=FIGURE1_ANCHORED_STEP,
-                                         max_iterations=iterations),
+                                         max_iterations=steps),
                          prob, z0)
     return prob, runs, failures
 
@@ -433,15 +436,15 @@ def figure1_suite() -> SuiteResult:
     out.check(all(np.array_equal(t.main[0], start) for t in runs.values()),
               f"all trajectories start at exactly ({start[0]:g}, {start[1]:g})")
     summary = figure1_summary(runs)
-    thr = summary["threshold"]
+    at_k, thr = summary["at_k"], summary["threshold"]
     worst_anchored = max(summary["anchored_pairwise"].values())
     best_momentum = min(summary["momentum_pairwise"].values()) \
         if summary["momentum_pairwise"] else math.inf
     out.check(worst_anchored <= thr,
-              f"anchored pairwise distances at k=50 <= {thr:.3e} "
+              f"anchored pairwise distances at k={at_k} <= {thr:.3e} "
               f"(max {worst_anchored:.3e})")
     out.check(best_momentum > thr,
-              f"momentum pairwise distances at k=50 > {thr:.3e} "
+              f"momentum pairwise distances at k={at_k} > {thr:.3e} "
               f"(min {best_momentum:.3e})")
     out.details.update(summary)
     return out

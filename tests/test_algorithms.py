@@ -443,6 +443,7 @@ def test_residual_norms_match_numpy_norm_bitwise():
     comp = make_box_bilinear_composite(seed=9)
     drs = run(cfg("OHM_DRS", 0.4 / comp.lipschitz, 200), comp,
               np.array([1.5, -2.0, 0.3, 0.9]))
+    assert sorted(drs.auxiliary) == ["v", "w"]
     w, v = drs.auxiliary["w"], drs.auxiliary["v"]
     assert all(drs.residual_norms[k] == np.linalg.norm(w[k] - v[k])
                for k in range(201))
@@ -585,6 +586,7 @@ def test_apg_star_inner_solve_is_the_solver_bitwise():
             z0=xi, tol=eps_k, max_iterations=budget)
         assert np.array_equal(t.auxiliary["z"][k], z)
         assert t.auxiliary["inner_b_evals"][k] == evals
+    assert sorted(t.auxiliary) == ["inner_b_evals", "z"]
 
 
 # ---------------------------------------------------------------------------

@@ -161,6 +161,30 @@ def test_bounds_refuse_traces_of_other_algorithms():
             call()
 
 
+def test_splitting_bound_refuses_traces_without_inner_sequences():
+    # residuals-only runs keep no z_k or w_k; a pair of one slim and one
+    # full trace has unequal main sequences, which merging_path refuses as
+    # mismatched first
+    comp, alpha, xi0 = _box_bilinear_case(3)
+    traces = {(name, record): run(cfg(name, alpha, 20,
+                                      record_iterates=record), comp, xi0)
+              for name in ("APG_STAR", "OHM_DRS") for record in (True, False)}
+    for apg_record, drs_record, missing in (
+            (False, False, "APG_STAR z, OHM_DRS w"),
+            (False, True, "APG_STAR z"), (True, False, "OHM_DRS w")):
+        apg = traces["APG_STAR", apg_record]
+        drs = traces["OHM_DRS", drs_record]
+        calls = [analysis.mp_bound_apg]
+        if apg_record == drs_record:
+            calls.append(analysis.merging_path)
+        for call in calls:
+            with pytest.raises(ConfigError,
+                               match=f"record no inner sequence {missing} "):
+                call(apg, drs, comp)
+    assert analysis.mp_bound_apg(traces["APG_STAR", True],
+                                 traces["OHM_DRS", True], comp).passed
+
+
 # ---------------------------------------------------------------------------
 # Lyapunov traces
 

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from anchorkit import suites
 from anchorkit.cli import _write_csv, main
 from anchorkit.errors import ConfigError
 
@@ -234,6 +235,13 @@ VALID_RUN = {
     {"problem": {"name": "bilinear",
                  "params": {"coupling": [[1.0]], "shift": 1.0}}},
     {"start": DROP, "seed": -1},
+    # a seed that draws no start: beside a start, and on a problem that has
+    # its own start
+    {"seed": "abc"},
+    {"problem": {"name": "figure1"}, "start": DROP, "seed": -5,
+     "algorithms": [{"algorithm": "FEG", "alpha": 0.1}]},
+    # the horizon is the top-level iterations alone
+    {"algorithms": [{"algorithm": "FEG", "alpha": 0.5, "max_iterations": 5}]},
     {"algorithms": [{"algorithm": "FEG", "alpha": 0.5,
                      "resolvent_tolerance": 0}]},
     {"algorithms": [{"algorithm": "FEG", "alpha": 0.5,
@@ -276,6 +284,8 @@ VALID_RUN = {
     {"start": [10 ** 400, 0.0]},
 ], ids=["alpha-string", "stop-residual-string", "nan-start", "json-array",
         "fractional-iterations", "unknown-problem-parameter", "negative-seed",
+        "seed-beside-start", "seed-on-default-start",
+        "per-algorithm-max-iterations",
         "zero-resolvent-tolerance", "resolvent-tolerance",
         "ignored-momentum-a", "ignored-theta", "removed-gamma",
         "removed-affine-z-star", "removed-affine-name", "removed-scsc-name",
@@ -322,9 +332,9 @@ def test_unbounded_iterations_refused_before_any_run(
 
     monkeypatch.setattr(cli, "run", no_run)
     out = tmp_path / "out"
+    # (iterations + 1) * d values: the second is refused only because d = 2
     for change in ({"iterations": 10 ** 30},
-                   {"algorithms": [{"algorithm": "FEG", "alpha": 0.5,
-                                    "max_iterations": cli.MAX_TRACE_VALUES}]}):
+                   {"iterations": cli.MAX_TRACE_VALUES // 2}):
         cfgp = write_config(tmp_path / "cfg.json", {
             **VALID_RUN, **change, "outputs": {"directory": str(out)}})
         assert main(["run", cfgp]) == 2
@@ -339,26 +349,11 @@ def test_unbounded_iterations_refused_before_any_run(
         cli._parse_experiment({**VALID_RUN, "iterations": 6})
 
 
-def test_figure1_iterations_bounded(tmp_path, capsys, monkeypatch):
-    import anchorkit.cli as cli
-
-    def no_run(*args):
-        raise AssertionError("ran an unbounded figure1")
-
-    monkeypatch.setattr(cli.suites, "figure1_trajectories", no_run)
-    out = tmp_path / "fig"
-    assert main(["figure1", "--out", str(out),
-                 "--iterations", str(10 ** 30)]) == 2
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["error"] == "CONFIG_ERROR"
-    assert str(cli.MAX_TRACE_VALUES) in doc["detail"]
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("argv", [["figure1", "--iterations", "x"], [],
-                                  ["run"], ["verify", "ohm-rate", "extra"]],
-                         ids=["bad-int", "no-command", "no-config",
-                              "extra-argument"])
+@pytest.mark.parametrize("argv", [["figure1", "--iterations", "60"],
+                                  ["figure1", "--out"], [], ["run"],
+                                  ["verify", "ohm-rate", "extra"]],
+                         ids=["unknown-option", "missing-value", "no-command",
+                              "no-config", "extra-argument"])
 def test_usage_error_is_a_json_refusal(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
@@ -417,7 +412,7 @@ def test_figure1_blocked_output_directory(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("keep")
     for out in (blocker, blocker / "fig"):
-        assert main(["figure1", "--out", str(out), "--iterations", "50"]) == 2
+        assert main(["figure1", "--out", str(out)]) == 2
         assert json.loads(capsys.readouterr().out)["error"] == "CONFIG_ERROR"
     assert [p.name for p in tmp_path.iterdir()] == ["blocker"]
     assert blocker.read_text() == "keep"
@@ -435,14 +430,6 @@ def test_error_codes():
     assert MissingReferencePoint("x").code == "MISSINGREFERENCEPOINT"
     assert ConfigError("x", code="BAD_CONFIG").code == "BAD_CONFIG"
     assert str(AnchorkitError("x", code="UNKNOWN_SUITE")) == "x"
-
-
-def test_figure1_rejects_too_few_iterations(tmp_path, capsys):
-    out = tmp_path / "fig"
-    assert main(["figure1", "--out", str(out), "--iterations", "49"]) == 2
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["error"] == "CONFIG_ERROR" and "50" in doc["detail"]
-    assert not out.exists()
 
 
 def test_compare_feg_ohm_pass(tmp_path, capsys):
@@ -493,6 +480,7 @@ def test_compare_undeclared_pair_rejected(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("entries", [
+    # a per-algorithm horizon is an unknown key
     [{"algorithm": "FEG", "alpha": 0.05, "max_iterations": 200},
      {"algorithm": "OHM", "alpha": 0.05, "max_iterations": 300}],
     [{"algorithm": "FEG", "alpha": 0.05, "stop_residual": 1e-2},
@@ -537,17 +525,19 @@ def test_compare_apg_pair(tmp_path, capsys):
 
 def test_figure1_outputs(tmp_path, capsys):
     out = tmp_path / "fig"
-    assert main(["figure1", "--out", str(out), "--iterations", "60"]) == 0
+    assert main(["figure1", "--out", str(out)]) == 0
     capsys.readouterr()
     summary = json.loads((out / "summary.json").read_text())
     assert summary["start"] == [-2.0, 3.0]
+    assert summary["iterations"] == suites.FIGURE1_ITERATIONS
+    assert summary["at_k"] == suites.FIGURE1_SUMMARY_K
     assert summary["threshold"] > 0
     assert len(summary["anchored_pairwise"]) == 6  # 4 methods
     assert len(summary["momentum_pairwise"]) == 3  # 3 momentum choices
     traj = (out / "trajectory_FEG.csv").read_text().splitlines()
     assert traj[0] == "k,x1,x2"
     assert traj[1].split(",")[1:] == ["-2", "3"]
-    assert len(traj) == 62
+    assert len(traj) == suites.FIGURE1_ITERATIONS + 2
 
 
 def test_verify_exit_codes(capsys):

@@ -25,17 +25,18 @@ with ``TREE/src`` on the path and BLAS pinned to one thread:
   (the five declared pairs, APG_STAR/OHM_DRS again on a box composite too
   large for the exact reference, a self pair and an undeclared pair),
   the benchmark's ``long-calls`` ``run`` (FEG, OHM, EAG, OG) and
-  ``compare`` (FEG/OHM) at d=1000 with seed 7, and ``figure1`` at 200 and
-  60 iterations;
+  ``compare`` (FEG/OHM) at d=1000 with seed 7, and ``figure1``; every
+  case without a start of its own draws it from seed 7;
 - the stdout, exit code and files of inputs the CLI refuses: bad JSON,
   bytes that are not UTF-8, a directory as config, an unknown problem (also
   with a NaN parameter), a problem parameter ``1e999``, an unknown
   algorithm, ``"alpha": NaN``, an output directory that a file blocks,
   ``verify`` of an unknown suite, a removed algorithm key (``gamma``) and
   problem parameter (``z_star``), EAG_V and APS_V first steps whose step
-  schedule collapses at once, ``compare`` of a pair at different
-  ``max_iterations`` or with ``stop_residual``, and two usage errors
-  (``figure1 --iterations x`` and no subcommand).
+  schedule collapses at once, a per-algorithm ``max_iterations``,
+  ``compare`` with ``stop_residual``, a ``seed`` beside a ``start`` and on
+  ``figure1``, which has its own start, and two usage errors (``figure1``
+  with an unknown option and no subcommand).
 
 Every difference is printed. The exit code is 1 if there is one, else 0.
 Given the same tree twice, it checks that the outputs are deterministic
@@ -188,7 +189,7 @@ REFUSAL_CASES = [
              algorithms=[{"algorithm": "FEG", "alpha": 0.05},
                          {"algorithm": "APS_V", "alpha": 0.05,
                           "theta": 0.5}])),
-    ("compare at different max_iterations", ["compare", "config.json"],
+    ("a per-algorithm max_iterations", ["compare", "config.json"],
      _config(problem=AFFINE10, iterations=300,
              algorithms=[{"algorithm": "FEG", "alpha": 0.05,
                           "max_iterations": 200},
@@ -197,7 +198,13 @@ REFUSAL_CASES = [
      _config(problem=AFFINE10, iterations=300,
              algorithms=[{"algorithm": n, "alpha": 0.05,
                           "stop_residual": 1e-2} for n in ("FEG", "OHM")])),
-    ("bad integer option", ["figure1", "--iterations", "x"], b"{}"),
+    ("seed beside a start", ["run", "config.json"],
+     _config(start=[1.0] * 6, seed="abc")),
+    ("seed on figure1", ["run", "config.json"],
+     _config(problem={"name": "figure1"}, seed=-5,
+             algorithms=[{"algorithm": "FEG", "alpha": 0.1}])),
+    ("figure1 with an unknown option", ["figure1", "--iterations", "60"],
+     b"{}"),
     ("no subcommand", [], b"{}"),
 ]
 
@@ -346,20 +353,19 @@ def collect(tree: Path, work: Path) -> dict:
     outputs["verify all"] = _cli(tree, work, ["verify", "all"])
     for command, label, problem, algorithms, iterations in CLI_CASES:
         directory = f"{command}-{label}"
-        config = {"problem": problem, "iterations": iterations, "seed": 7,
+        config = {"problem": problem, "iterations": iterations,
                   "algorithms": algorithms,
                   "outputs": {"directory": directory}}
+        if problem["name"] != "figure1":  # figure1 has its own start
+            config["seed"] = 7
         path = work / f"{directory}.json"
         path.write_text(json.dumps(config), encoding="utf-8")
         result = _cli(tree, work, [command, path.name])
         result["files"] = _files(work / directory)
         outputs[f"{command} {label}"] = result
-    for iterations in (200, 60):
-        directory = f"figure1-{iterations}"
-        result = _cli(tree, work, ["figure1", "--out", directory,
-                                   "--iterations", str(iterations)])
-        result["files"] = _files(work / directory)
-        outputs[f"figure1 {iterations}"] = result
+    result = _cli(tree, work, ["figure1", "--out", "figure1"])
+    result["files"] = _files(work / "figure1")
+    outputs["figure1"] = result
     for label, args, config in REFUSAL_CASES:
         case = work / f"refused-{label.replace(' ', '-')}"
         case.mkdir()
