@@ -132,7 +132,8 @@ class IterateTrace:
     ``residual_norms[k]`` is the algorithm's natural residual at row k and
     is always kept. Auxiliary sequences have one entry per row or one per
     step, as documented per algorithm, and exist only when iterates are
-    recorded. ``b_per_iter``/``resolvent_per_iter`` hold the billed oracle
+    recorded. ``sequences`` reads them, ``main`` and ``op_evals`` by name.
+    ``b_per_iter``/``resolvent_per_iter`` hold the billed oracle
     calls of each step. ``stop_reason`` says why the
     run ended: ``max_iterations``, ``stop_residual``, or ``diverged`` (the
     final row's residual is not finite).
@@ -168,6 +169,23 @@ class IterateTrace:
     def final(self) -> Array:
         return self.main[-1]
 
+    def sequences(self, *names):
+        """The recorded sequences ``names``, each ``main``, ``op_evals`` or
+        an ``auxiliary`` field: the array for one name, a tuple for several.
+        ConfigError names the algorithm and the missing ones; a run without
+        recorded iterates has none of them."""
+        recorded = self.params.get("record_iterates", True)
+        found = ({"main": self.main, "op_evals": self.op_evals,
+                  **self.auxiliary} if recorded else {})
+        missing = [name for name in names if found.get(name) is None]
+        if missing:
+            raise ConfigError(
+                f"the {self.algorithm} trace records no {', '.join(missing)}"
+                + ("" if recorded else ": run without recorded iterates, it "
+                   "kept only its residuals"))
+        return found[names[0]] if len(names) == 1 else tuple(
+            found[name] for name in names)
+
     def total_b_evals(self) -> int:
         return self.warmup_b + int(self.b_per_iter.sum())
 
@@ -180,19 +198,14 @@ class IterateTrace:
         The per-step counts are summed up to the final row, which carries
         the run's total. With one entry per step, row 0 holds the warm-up
         alone; a splitting method also bills its final row's evaluation, so
-        each of its rows includes the evaluation of that row.
+        each of its rows includes the evaluation of that row. ConfigError
+        for a run without recorded iterates.
         """
-        if not self.params.get("record_iterates", True):
-            raise ValueError("trace was recorded in residuals-only mode")
-        rows = len(self.main)
-
-        def cumulative(per_iter):
-            out = np.zeros(rows, dtype=int)
-            out[rows - len(per_iter):] = np.cumsum(per_iter)
-            return out
-
-        return (cumulative(self.b_per_iter) + self.warmup_b,
-                cumulative(self.resolvent_per_iter))
+        rows = len(self.sequences("main"))
+        b, r = (np.concatenate((np.zeros(rows - len(per_iter), dtype=int),
+                                np.cumsum(per_iter)))
+                for per_iter in (self.b_per_iter, self.resolvent_per_iter))
+        return b + self.warmup_b, r
 
 
 class _Counted:
@@ -283,6 +296,7 @@ def run(config: AlgorithmConfig, problem: Problem, z0) -> IterateTrace:
     # recorded values go into flat lists, row after row: holding a container
     # per row would make the garbage collector rescan them all the time
     points, rows, steps = [z0], [], []
+    reason = "max_iterations"
     for k in range(last + 1):
         b_marks.append(oracle.b)
         r_marks.append(oracle.res)
@@ -290,19 +304,18 @@ def run(config: AlgorithmConfig, problem: Problem, z0) -> IterateTrace:
         residuals.append(residual)
         if record:
             rows.extend(row)
-        if k == last or not isfinite(residual) or (
-                stop is not None and k >= lag and residuals[k - lag] <= stop):
+        if not isfinite(residual):
+            reason = "diverged"
+            break
+        if stop is not None and k >= lag and residuals[k - lag] <= stop:
+            reason = "stop_residual"
+            break
+        if k == last:
             break
         made = step(k)
         if record:
             points.append(rule.z)
             steps.extend(made)
-    if not isfinite(residual):
-        reason = "diverged"
-    elif stop is not None and k >= lag and residuals[k - lag] <= stop:
-        reason = "stop_residual"
-    else:
-        reason = "max_iterations"
     if rule.final_row_billed:
         b_marks.append(oracle.b)
         r_marks.append(oracle.res)

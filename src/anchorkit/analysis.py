@@ -111,11 +111,11 @@ GEOMETRIC_EPSILON = 0.1
 
 
 def mp_distance(trace1, trace2) -> Array:
-    """Squared distances ||z_k^(1) - z_k^(2)||^2 between the main sequences
-    of two runs from the same start at the same step size."""
+    """Squared distances ||z_k^(1) - z_k^(2)||^2 between the recorded main
+    sequences of two runs from the same start at the same step size."""
     if trace1.params["alpha"] != trace2.params["alpha"]:
         raise MismatchedTraces("traces use different step sizes")
-    a, b = trace1.main, trace2.main
+    a, b = trace1.sequences("main"), trace2.sequences("main")
     if a.shape != b.shape:
         raise MismatchedTraces(f"shapes {a.shape} vs {b.shape}")
     if not np.array_equal(a[0], b[0]):
@@ -156,7 +156,9 @@ class MergingPath:
 def merging_path(trace1, trace2, problem: Problem) -> MergingPath:
     """Apply the pair's merging-path rule, ``mp_rule(trace1.algorithm,
     trace2.algorithm)`` (see ``MP_RULES``), to two traces that start from
-    the same point at the same step size (else MismatchedTraces).
+    the same point at the same step size (else MismatchedTraces). The
+    distances come first, so a trace without recorded iterates is refused
+    (ConfigError) before any reference point is computed.
 
     "constant" and "splitting" check the paper's bounds; the note of
     "splitting" says whether its reference point passes the certificate
@@ -252,6 +254,7 @@ def mp_bound_feg_ohm(trace_feg, problem: Problem,
     same step size."""
     alpha, lip, dist0 = _feg_bound_inputs(trace_feg, problem)
     if trace_ohm is None:
+        trace_feg.sequences("main")  # refused before the partner runs
         trace_ohm = run_ohm_partner(problem, alpha, trace_feg.iterations,
                                     trace_feg.start)
     else:
@@ -268,7 +271,7 @@ def feg_summability_report(trace_feg, problem: Problem) -> BoundReport:
     against ||z0 - z*||^2 / (alpha^2 (1 - alpha^2 L^2)), with z* from
     ``reference_point``."""
     alpha, lip, dist0 = _feg_bound_inputs(trace_feg, problem)
-    bz, bh = _half_steps(trace_feg)
+    bz, bh = trace_feg.sequences("op_evals", "op_half")
     n = len(bh)
     k = np.arange(n, dtype=float)[:, None]
     summand = np.sum((k * bz[:n] - (k + 1.0) * bh) ** 2, axis=1)
@@ -277,30 +280,13 @@ def feg_summability_report(trace_feg, problem: Problem) -> BoundReport:
                        bound=np.full(n, const))
 
 
-def _half_steps(trace):
-    """(B z_k per row, B z_{k+1/2} per step) of an anchored extragradient
-    trace; ConfigError for a trace that did not record them."""
-    op_half = trace.auxiliary.get("op_half")
-    if op_half is None or trace.op_evals is None:
-        raise ConfigError(f"the {trace.algorithm} trace records no half-step "
-                          f"evaluations (a run with recorded iterates has "
-                          f"them)")
-    return trace.op_evals, op_half
-
-
 def mp_bound_apg(trace_apg, trace_drs, problem: Problem,
                  xi_star=None) -> BoundReport:
     """max(||xi_k - u_k||^2, ||z_k - w_k||^2) against C(xi_0)^2 / (L^2 (k+1)^2)
     for an APG_STAR trace and its OHM_DRS partner at the same step size."""
     _expect(trace_apg, "APG_STAR")
     _expect(trace_drs, "OHM_DRS")
-    missing = [f"{t.algorithm} {name}" for t, name in
-               ((trace_apg, "z"), (trace_drs, "w")) if name not in t.auxiliary]
-    if missing:
-        raise ConfigError(f"the traces record no inner sequence "
-                          f"{', '.join(missing)} (a run with recorded "
-                          f"iterates has them)")
-    z, w = trace_apg.auxiliary["z"], trace_drs.auxiliary["w"]
+    z, w = trace_apg.sequences("z"), trace_drs.sequences("w")
     sq_outer = mp_distance(trace_apg, trace_drs)
     measured = np.maximum(sq_outer, np.sum((z - w) ** 2, axis=1))
     xi_star = reference_point(trace_apg, problem, xi_star)
@@ -356,8 +342,7 @@ def lyapunov_sm_eag(trace, alpha: float, mu: float, lipschitz: float,
     if alpha != trace.params["alpha"]:
         raise ConfigError(f"alpha = {alpha} differs from the trace's "
                           f"{trace.params['alpha']}")
-    bz, bh = _half_steps(trace)
-    z = trace.main
+    z, bz, bh = trace.sequences("main", "op_evals", "op_half")
     n = len(bh)
     x = 1.0 + 2.0 * alpha * mu
     z0 = z[0]

@@ -665,8 +665,27 @@ def test_early_stop_and_slim_recording():
     assert t.iterations == full.iterations == len(full.main) - 1
     assert t.residual_norms[-1] <= 1e-6
     assert len(t.main) == 2  # start and final only
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="kept only its residuals"):
         t.cumulative_counts()
+
+
+def test_sequences_reads_recorded_fields_by_name():
+    prob = make_random_monotone_affine(0, 4, 2.0)
+    z0 = np.ones(4)
+    feg = run(cfg("FEG", 0.1, 5), prob, z0)
+    assert feg.sequences("main") is feg.main
+    z, bz, bh = feg.sequences("main", "op_evals", "op_half")
+    assert bz is feg.op_evals and bh is feg.auxiliary["op_half"]
+    ohm = run(cfg("OHM", 0.1, 5), prob, z0)
+    with pytest.raises(ConfigError) as info:
+        ohm.sequences("main", "op_evals", "v")
+    assert str(info.value) == "the OHM trace records no op_evals, v"
+    slim = run(cfg("FEG", 0.1, 5, record_iterates=False), prob, z0)
+    with pytest.raises(ConfigError) as info:
+        slim.sequences("main", "half")
+    assert str(info.value) == ("the FEG trace records no main, half: run "
+                               "without recorded iterates, it kept only its "
+                               "residuals")
 
 
 def _recording_case(name):

@@ -128,7 +128,7 @@ def test_mp_bound_feg_ohm_rotation():
     for bare, why in ((run(cfg("OHM", 0.5, 5), prob, z0),
                        "holds for FEG traces"),
                       (run(cfg("FEG", 0.5, 5, record_iterates=False), prob,
-                           z0), "half-step")):
+                           z0), "no op_evals, op_half: run without")):
         with pytest.raises(ConfigError, match=why):
             analysis.feg_summability_report(bare, prob)
 
@@ -162,27 +162,84 @@ def test_bounds_refuse_traces_of_other_algorithms():
 
 
 def test_splitting_bound_refuses_traces_without_inner_sequences():
-    # residuals-only runs keep no z_k or w_k; a pair of one slim and one
-    # full trace has unequal main sequences, which merging_path refuses as
-    # mismatched first
+    # residuals-only runs keep no z_k, w_k or main sequence; the bound and
+    # merging_path refuse the first such trace of a pair, one slim and one
+    # full trace included
     comp, alpha, xi0 = _box_bilinear_case(3)
     traces = {(name, record): run(cfg(name, alpha, 20,
                                       record_iterates=record), comp, xi0)
               for name in ("APG_STAR", "OHM_DRS") for record in (True, False)}
-    for apg_record, drs_record, missing in (
-            (False, False, "APG_STAR z, OHM_DRS w"),
-            (False, True, "APG_STAR z"), (True, False, "OHM_DRS w")):
+    for apg_record, drs_record in ((False, False), (False, True),
+                                   (True, False)):
         apg = traces["APG_STAR", apg_record]
         drs = traces["OHM_DRS", drs_record]
-        calls = [analysis.mp_bound_apg]
-        if apg_record == drs_record:
-            calls.append(analysis.merging_path)
-        for call in calls:
+        slim, inner = ("OHM_DRS", "w") if apg_record else ("APG_STAR", "z")
+        for call, missing in ((analysis.mp_bound_apg, inner),
+                              (analysis.merging_path, "main")):
             with pytest.raises(ConfigError,
-                               match=f"record no inner sequence {missing} "):
+                               match=f"the {slim} trace records no {missing}: "
+                                     f"run without recorded iterates, it "
+                                     f"kept only its residuals"):
                 call(apg, drs, comp)
     assert analysis.mp_bound_apg(traces["APG_STAR", True],
                                  traces["OHM_DRS", True], comp).passed
+
+
+def _slim_pair_case(first):
+    """(problem, start, step) of the merging-path checks on a pair whose
+    first algorithm is ``first``."""
+    if first == "APG_STAR":
+        comp, alpha, xi0 = _box_bilinear_case(3)
+        return comp, xi0, alpha
+    if first == "SM_EAG_PLUS":
+        return make_random_scsc(2, 6, 5.0, 1.0), np.linspace(-1.0, 2.0, 6), 0.2
+    prob = make_random_monotone_affine(3, 10, 10.0)
+    return prob, np.linspace(-1.0, 2.0, 10), 0.05
+
+
+@pytest.mark.parametrize("first, second", [*analysis.MP_RULES, ("FEG", "FEG")])
+def test_residuals_only_pairs_refused_by_every_merging_path_rule(first,
+                                                                  second):
+    # a residuals-only main holds the start and final rows alone; read as
+    # rows k = 0 and 1, it once got a verdict from every rule but
+    # "splitting"
+    prob, z0, alpha = _slim_pair_case(first)
+    full, slim = ([run(cfg(name, alpha, 300, record_iterates=record), prob,
+                       z0) for name in (first, second)]
+                  for record in (True, False))
+    calls = [analysis.mp_distance,
+             lambda a, b: analysis.merging_path(a, b, prob)]
+    if first == "FEG" and second == "OHM":
+        calls.append(lambda a, b: analysis.mp_bound_feg_ohm(a, prob,
+                                                            trace_ohm=b))
+    for call in calls:
+        with pytest.raises(ConfigError,
+                           match=f"the {first} trace records no main: run "
+                                 f"without recorded iterates"):
+            call(*slim)
+        call(*full)  # the recorded pair is read
+
+
+def test_slim_refusals_come_before_reference_and_partner_runs(monkeypatch):
+    # 3^10 faces are more than MAX_BOX_FACES: the reference point would be
+    # the end of a 100,000-step splitting run
+    comp = make_box_bilinear_composite(seed=3, size=5)
+    xi0 = np.linspace(-1.0, 2.0, comp.dim)
+    apg, drs = (run(cfg(name, 0.1, 20, record_iterates=False), comp, xi0)
+                for name in ("APG_STAR", "OHM_DRS"))
+    prob = make_random_monotone_affine(3, 10, 10.0)
+    feg = run(cfg("FEG", 0.05, 300, record_iterates=False), prob,
+              np.ones(10))
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a run was made before the refusal")
+
+    monkeypatch.setattr(analysis, "fixed_point_reference", fail)
+    monkeypatch.setattr(analysis, "run_ohm_partner", fail)
+    with pytest.raises(ConfigError, match="kept only its residuals"):
+        analysis.merging_path(apg, drs, comp)
+    with pytest.raises(ConfigError, match="kept only its residuals"):
+        analysis.mp_bound_feg_ohm(feg, prob)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +278,8 @@ def test_lyapunov_feg_hand_values():
     for bare, why in ((run(cfg("OHM", alpha, 2), prob, np.array([1.0])),
                        "holds for FEG"),
                       (run(cfg("FEG", alpha, 2, record_iterates=False), prob,
-                           np.array([1.0])), "half-step")):
+                           np.array([1.0])), "no main, op_evals, op_half: run "
+                                             "without")):
         with pytest.raises(ConfigError, match=why):
             analysis.lyapunov_feg(bare, alpha, prob.solution, 1.0)
         with pytest.raises(ConfigError, match=why):
@@ -507,6 +565,7 @@ def _fallback_cases():
 @pytest.mark.parametrize("name", ["continuum", "affine-prox", "forward-only"])
 def test_reference_falls_back_to_the_splitting_run_bitwise(name):
     comp = _fallback_cases()[name]
+    assert analysis._box_composite_fixed_point(comp, 0.3) is None
     xi0 = np.array([2.0, -1.5])
     ref = analysis.fixed_point_reference(comp, 0.3, xi0, iterations=200)
     fallback = run(cfg("OHM_DRS", 0.3, 200, record_iterates=False), comp, xi0)

@@ -17,6 +17,10 @@ with ``TREE/src`` on the path and BLAS pinned to one thread:
   ``values``, ``decrements`` and ``certified_lower``, and for FEG also the
   ``measured`` and ``bound`` of ``feg_summability_report`` and
   ``mp_bound_feg_ohm`` (or the error each raises);
+- on residuals-only FEG/OHM and SM_EAG_PLUS/OC_HALPERN pairs (the trace
+  cases' problems, steps and starts), the outcome of ``mp_distance`` and
+  of ``merging_path`` (its distances, report, verdict and note, or the
+  error it raises);
 - every verification suite's ``passed``, ``lines`` and ``details``, run in
   the same process as the traces, so ``details`` compare at full
   precision where the printed lines round;
@@ -91,6 +95,11 @@ TRACE_CASES = [
      {"seed": 2, "box_upper": float("inf")}, 0.1, {})
     for name in ("OHM_DRS", "APG_STAR")
 ]
+
+#: (first, second, trace case whose problem, step and start they share) of
+#: the residuals-only pairs given to the merging-path checks
+SLIM_PAIRS = [("FEG", "OHM", "FEG"),
+              ("SM_EAG_PLUS", "OC_HALPERN", "SM_EAG_PLUS")]
 
 AFFINE = {"name": "random_monotone_affine",
           "params": {"seed": 4, "d": 6, "lipschitz": 5.0}}
@@ -257,6 +266,31 @@ def _analysis_record(name, trace, prob) -> dict:
     return record
 
 
+def _merging_path_record(first, second, case) -> dict:
+    """``mp_distance`` and ``merging_path`` on a residuals-only pair, or the
+    error each raises."""
+    from anchorkit import analysis
+    from anchorkit.algorithms import AlgorithmConfig, run
+    from anchorkit.problems import build_problem
+
+    _, _, builder, params, alpha, _ = next(c for c in TRACE_CASES
+                                           if c[0] == case)
+    prob = build_problem(builder, params)
+    z0 = np.linspace(-1.0, 2.0, prob.dim)
+    slim = [run(AlgorithmConfig(name, alpha=alpha, max_iterations=ITERATIONS,
+                                record_iterates=False), prob, z0)
+            for name in (first, second)]
+
+    def merging_path():
+        mp = analysis.merging_path(*slim, prob)
+        return {"sq_distance": mp.sq_distance, "k_values": mp.report.k_values,
+                "measured": mp.report.measured, "bound": mp.report.bound,
+                "passed": mp.passed, "note": mp.note}
+
+    return {"mp_distance": _outcome(lambda: analysis.mp_distance(*slim)),
+            "merging_path": _outcome(merging_path)}
+
+
 def _outcome(fn):
     """``fn()``, or the error it raised."""
     try:
@@ -314,6 +348,9 @@ def collect_in_process(out: str) -> None:
                     stop_residual=first)
         records[f"{case}/one"] = run_with(max_iterations=1)
     records = {f"trace {key}": record for key, record in records.items()}
+    for first, second, case in SLIM_PAIRS:
+        records[f"slim pair {first}/{second}"] = _outcome(
+            lambda: _merging_path_record(first, second, case))
     for name in suites.SUITES:
         records[f"suite {name}"] = _outcome(
             lambda: _suite_record(suites.run_suite(name)))
