@@ -42,6 +42,11 @@ from .operators import (
 )
 from .problems import Problem
 
+#: the most values, (max_iterations + 1) * d, for which ``run`` allocates a
+#: recorded field's full length at once; the CLI refuses a larger run
+#: before it starts
+MAX_TRACE_VALUES = 10 ** 7
+
 
 @dataclass(frozen=True)
 class AlgorithmConfig:
@@ -279,7 +284,17 @@ def run(config: AlgorithmConfig, problem: Problem, z0) -> IterateTrace:
     produce bit-identical traces.
 
     The oracle marks and the residuals are kept in typed arrays, 8 bytes a
-    value, not in lists of Python numbers.
+    value, not in lists of Python numbers. With recorded iterates each field
+    (``main``, every row field and every step field, ``op_evals``
+    included) is one array, allocated at its first value with that value's
+    shape and dtype, and row k is written into it in place, so a run peaks
+    at one copy of its trace. The array has ``max_iterations + 1`` rows
+    (``max_iterations`` for a step field) while (max_iterations + 1) * d is
+    within ``MAX_TRACE_VALUES``. Past that bound it starts at that many
+    values and doubles when full; while it copies, the old and the new
+    array are both held, so such a run peaks at up to twice its trace in
+    resident memory. The trace holds the arrays themselves; after an early
+    stop each is cut in place to the rows kept and owns only those.
     """
     validate_config(config, problem)
     z0 = as_vector(z0, problem.dim)
@@ -289,13 +304,18 @@ def run(config: AlgorithmConfig, problem: Problem, z0) -> IterateTrace:
     warmup = oracle.b
     last, stop, lag = config.max_iterations, config.stop_residual, rule.stop_lag
     evaluate, step, isfinite = rule.evaluate, rule.step, math.isfinite
+    dim = problem.dim
     # running oracle totals at the start of each row; their differences are
     # the per-step counts
     b_marks, r_marks = array("q"), array("q")
     residuals = array("d")
-    # recorded values go into flat lists, row after row: holding a container
-    # per row would make the garbage collector rescan them all the time
-    points, rows, steps = [z0], [], []
+    # one array per recorded field: main and the row fields (``rows``) are
+    # written at row k, the step fields at step k. Each starts empty with
+    # shape (0, d), and a write past its end (IndexError) goes through _grow
+    rows = [np.empty((0, dim)) for _ in range(1 + len(rule.row_fields))]
+    steps = [np.empty((0, dim)) for _ in rule.step_fields]
+    main, fields = rows[0], rows[1:]
+    record_steps = record and bool(steps)
     reason = "max_iterations"
     for k in range(last + 1):
         b_marks.append(oracle.b)
@@ -303,7 +323,13 @@ def run(config: AlgorithmConfig, problem: Problem, z0) -> IterateTrace:
         residual, row = evaluate(k)
         residuals.append(residual)
         if record:
-            rows.extend(row)
+            try:
+                main[k] = rule.z
+                for buffer, value in zip(fields, row):
+                    buffer[k] = value
+            except IndexError:
+                _grow(rows, k, (rule.z, *row), last + 1, dim)
+                main, fields = rows[0], rows[1:]
         if not isfinite(residual):
             reason = "diverged"
             break
@@ -313,21 +339,26 @@ def run(config: AlgorithmConfig, problem: Problem, z0) -> IterateTrace:
         if k == last:
             break
         made = step(k)
-        if record:
-            points.append(rule.z)
-            steps.extend(made)
+        if record_steps:
+            try:
+                for buffer, value in zip(steps, made):
+                    buffer[k] = value
+            except IndexError:
+                _grow(steps, k, made, last, dim)
     if rule.final_row_billed:
         b_marks.append(oracle.b)
         r_marks.append(oracle.res)
     if record:
-        auxiliary = _columns(rule.row_fields, rows, problem.dim)
-        auxiliary.update(_columns(rule.step_fields, steps, problem.dim))
+        kept = len(residuals)
+        auxiliary = dict(zip(("main", *rule.row_fields, *rule.step_fields),
+                             _trim(rows, kept) + _trim(steps, kept - 1)))
+        main = auxiliary.pop("main")
     else:
-        points.append(rule.z)
+        main = np.array([z0, rule.z])
         auxiliary = {}
     return IterateTrace(
         algorithm=config.algorithm,
-        main=np.array(points),
+        main=main,
         residual_norms=np.array(residuals),
         auxiliary=auxiliary,
         op_evals=auxiliary.pop("op_evals", None),
@@ -341,13 +372,33 @@ def run(config: AlgorithmConfig, problem: Problem, z0) -> IterateTrace:
     )
 
 
-def _columns(names, flat, dim) -> dict:
-    """One array per name from values recorded row after row (or step after
-    step), one value per name each time. Only a run that stopped at row 0
-    records no value, and then only its step fields, each a vector, so each
-    is empty with shape (0, ``dim``)."""
-    return {name: np.array(flat[i::len(names)]) if flat
-            else np.empty((0, dim)) for i, name in enumerate(names)}
+def _grow(buffers, k, values, rows, dim) -> None:
+    """Write ``values`` at index k of ``buffers``, one value each, where k
+    is past their end, replacing each array in the list. At k = 0 each is
+    allocated from its value's shape and dtype with ``rows`` rows, or with
+    MAX_TRACE_VALUES // ``dim`` rows where that is fewer; later each is
+    copied into one twice its size, up to ``rows``."""
+    for i, value in enumerate(values):
+        if k == 0:
+            value = np.asarray(value)
+            size = min(rows, max(1, MAX_TRACE_VALUES // dim))
+            buffer = np.empty((size, *value.shape), value.dtype)
+        else:
+            old = buffers[i]
+            buffer = np.empty((min(2 * k, rows), *old.shape[1:]), old.dtype)
+            buffer[:k] = old
+        buffer[k] = value
+        buffers[i] = buffer
+
+
+def _trim(buffers, rows) -> list:
+    """``buffers``, each cut in place to its first ``rows`` rows; ``run``
+    makes no view of them, so resizing without the reference check is
+    safe."""
+    for buffer in buffers:
+        if len(buffer) > rows:
+            buffer.resize((rows, *buffer.shape[1:]), refcheck=False)
+    return buffers
 
 
 class _Rule:
@@ -559,7 +610,8 @@ class _VaryingStep:
 
     def evaluate(self, k):
         residual, row = super().evaluate(k)
-        return residual, row + (self.alpha,)
+        # float: an int alpha_0 must not make the recorded field integer
+        return residual, row + (float(self.alpha),)
 
     def step(self, k):
         alpha = self.alpha

@@ -120,7 +120,9 @@ def mp_distance(trace1, trace2) -> Array:
         raise MismatchedTraces(f"shapes {a.shape} vs {b.shape}")
     if not np.array_equal(a[0], b[0]):
         raise MismatchedTraces("traces start from different points")
-    return np.sum((a - b) ** 2, axis=1)
+    diff = a - b
+    np.multiply(diff, diff, out=diff)  # the bits of (a - b) ** 2, one array
+    return np.sum(diff, axis=1)
 
 
 def mp_rule(first: str, second: str) -> str:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, suites
-from .algorithms import AlgorithmConfig, run, validate_config
+from .algorithms import MAX_TRACE_VALUES, AlgorithmConfig, run, validate_config
 from .errors import AnchorkitError, ConfigError
 from .operators import as_vector
 from .problems import build_problem
@@ -27,10 +27,6 @@ from .problems import build_problem
 #: the keys an algorithm entry may set besides ``algorithm``; every run goes
 #: to the config's ``iterations`` and records the iterates its CSV holds
 _ALGO_FIELDS = {"alpha", "momentum_a", "theta", "stop_residual"}
-
-#: the most values a run may record, (iterations + 1) * dim; a larger run is
-#: refused before it starts
-MAX_TRACE_VALUES = 10 ** 7
 
 
 def _parse_finite(text: str) -> float:

@@ -20,7 +20,6 @@ from importlib.machinery import EXTENSION_SUFFIXES
 from typing import NoReturn
 
 import numpy as np
-import scipy
 
 from .errors import (
     DimensionMismatch,
@@ -36,13 +35,18 @@ Array = np.ndarray
 
 def _load_flapack():
     """scipy's LAPACK extension ``scipy.linalg._flapack``, loaded from its
-    file without running the ``scipy.linalg`` package.
+    file without running the ``scipy`` or ``scipy.linalg`` package: the
+    package's directory comes from its import spec.
 
     Its routines are the objects ``scipy.linalg.lapack`` re-exports, so every
     bit is that of ``scipy.linalg``. Raises ImportError naming the path
     looked for when no file with an extension suffix is there.
     """
-    base = os.path.join(os.path.dirname(scipy.__file__), "linalg", "_flapack")
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+    base = os.path.join(spec.submodule_search_locations[0], "linalg",
+                        "_flapack")
     for suffix in EXTENSION_SUFFIXES:
         path = base + suffix
         if os.path.isfile(path):
@@ -365,7 +369,8 @@ class AffineOperator(Operator):
         self.lipschitz = float(lipschitz)
         self.mu = float(mu)
         self._plain_product = self.dim >= 2 and not self.offset.any()
-        self._lu_cache: dict[float, tuple] = {}  # alpha -> (lu, piv, alpha b)
+        # alpha -> (lu, piv, alpha b), for the most recent alpha only
+        self._lu_cache: dict[float, tuple] = {}
         self.matrix.setflags(write=False)
         self.offset.setflags(write=False)
 
@@ -382,13 +387,16 @@ class AffineOperator(Operator):
 
     def resolvent(self, alpha, z):
         # direct dense solve of (I + alpha M) u = z - alpha b by getrf/getrs,
-        # LU cached per alpha; the bits are those of scipy.linalg.lu_factor
-        # followed by scipy.linalg.lu_solve
+        # LU kept for the most recent alpha (every run uses one); the bits
+        # are those of scipy.linalg.lu_factor followed by
+        # scipy.linalg.lu_solve
         if z.shape != (self.dim,):
             self._dim_mismatch(z)
         _check_step(alpha)
         memo = self._lu_cache.get(alpha)
         if memo is None:
+            # release the previous alpha's factors before forming new ones
+            self._lu_cache.clear()
             # np.eye(d) + alpha * M in the one array that getrf factors
             shifted = np.multiply(alpha, self.matrix, order="F")
             shifted += 0.0  # -0.0 to +0.0, as in 0.0 + alpha M_ij
@@ -401,7 +409,8 @@ class AffineOperator(Operator):
         # the elementwise check decides
         if not math.isfinite(np.vdot(rhs, rhs)) and not np.isfinite(rhs).all():
             raise ValueError("array must not contain infs or NaNs")
-        u, info = _dgetrs(lu, piv, rhs, overwrite_b=True)
+        # positional trans = 0, overwrite_b = 1: no keyword to parse per call
+        u, info = _dgetrs(lu, piv, rhs, 0, 1)
         if info != 0:
             raise ValueError(f"illegal value in argument {-info} of getrs")
         return u

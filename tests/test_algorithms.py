@@ -770,17 +770,33 @@ def test_recording_modes_agree_bitwise(name, monkeypatch):
                                   full.b_per_iter - 1)
 
 
+def _large_case(name, d):
+    """A monotone affine problem at dimension ``d``, with a box prox part
+    for the splitting methods."""
+    smooth = make_random_monotone_affine(0, d, 2.0)
+    if name in ("OHM_DRS", "APG_STAR"):
+        box = BoxProx(-np.ones(d), np.ones(d))
+        return Problem(name="box-affine", operator=smooth.operator,
+                       prox_part=box)
+    return smooth
+
+
+def _trace_arrays(trace) -> dict:
+    """Every array of a trace by name, op_evals only where recorded."""
+    arrays = {"main": trace.main, "residual_norms": trace.residual_norms,
+              "b_per_iter": trace.b_per_iter,
+              "resolvent_per_iter": trace.resolvent_per_iter,
+              **trace.auxiliary}
+    if trace.op_evals is not None:
+        arrays["op_evals"] = trace.op_evals
+    return arrays
+
+
 @pytest.mark.parametrize("name", ("EG", "OG", "EAG_V", "APS_V", "OHM",
                                   "OHM_DRS", "APG_STAR"))
 def test_slim_recording_memory_independent_of_iterations(name):
     d, iters = 500, 400
-    smooth = make_random_monotone_affine(0, d, 2.0)
-    if name in ("OHM_DRS", "APG_STAR"):
-        box = BoxProx(-np.ones(d), np.ones(d))
-        prob = Problem(name="box-affine", operator=smooth.operator,
-                       prox_part=box)
-    else:
-        prob = smooth
+    prob = _large_case(name, d)
     extra = {"theta": 1.0} if name == "APS_V" else {}
     z0 = np.linspace(-2.0, 2.0, d)
     # the full run also builds the resolvent's cached factorisation
@@ -794,6 +810,106 @@ def test_slim_recording_memory_independent_of_iterations(name):
         tracemalloc.stop()
     assert slim.iterations == iters
     assert peak < full.main.nbytes / 4, (peak, full.main.nbytes)
+
+
+@pytest.mark.parametrize("name", ("FEG", "APS", "OHM_DRS", "APG_STAR"))
+def test_recorded_run_peaks_at_its_trace(name):
+    # each recorded field is one array that row k is written into, so a
+    # recorded run holds one copy of its trace; rows kept as separate
+    # vectors and stacked at the end peaked at about twice the trace
+    d, iters = 500, 400
+    prob = _large_case(name, d)
+    z0 = np.linspace(-2.0, 2.0, d)
+    run(cfg(name, 0.1, 2), prob, z0)  # builds the resolvent's factors
+    tracemalloc.start()
+    try:
+        trace = run(cfg(name, 0.1, iters), prob, z0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert trace.iterations == iters
+    trace_bytes = sum(a.nbytes for a in _trace_arrays(trace).values())
+    assert peak < 1.1 * trace_bytes, peak / trace_bytes
+
+
+def _stacked_layout(trace, dim) -> dict:
+    """name -> (shape, dtype) of every array of a recorded trace, as rows
+    stacked with np.array give them: one row per row and one per step,
+    each a float64 vector except the scalar fields ``alpha`` (float64) and
+    ``inner_b_evals`` (int64); the oracle counts have one entry per step,
+    and one more for the splitting methods' billed final row."""
+    rows = trace.iterations + 1
+    rule = algorithms._RULES[trace.algorithm]
+    layout = {"main": ((rows, dim), np.float64),
+              "residual_norms": ((rows,), np.float64)}
+    for name in ("b_per_iter", "resolvent_per_iter"):
+        layout[name] = ((rows - 1 + rule.final_row_billed,), np.int64)
+    for names, count in ((rule.row_fields, rows), (rule.step_fields, rows - 1)):
+        for field_name in names:
+            scalar = field_name in ("alpha", "inner_b_evals")
+            layout[field_name] = (
+                (count,) if scalar else (count, dim),
+                np.int64 if field_name == "inner_b_evals" else np.float64)
+    return layout
+
+
+@pytest.mark.parametrize("stop", ("row 0", "mid-run", "diverged",
+                                  "max_iterations"))
+def test_recorded_arrays_own_their_rows(stop):
+    # after an early stop each recorded field is cut to its kept rows in
+    # place: every array of the trace owns its data, is read-only and has
+    # the shape and dtype of its rows stacked, (0, d) for the step fields
+    # of a run stopped at row 0 included
+    if stop == "diverged":
+        cases = [("GDA", 10.0, {}, make_bilinear([[1.0]]),
+                  np.array([1.0, 0.0]))]
+    else:
+        cases = [(name, *_recording_case(name)) for name in
+                 ("FEG", "EAG_V", "APS_V", "OHM", "OHM_DRS", "APG_STAR")]
+    for name, alpha, extra, prob, z0 in cases:
+        probe = run(cfg(name, alpha, 300, **extra), prob, z0)
+        threshold = {"row 0": 0, "mid-run": 100}.get(stop)
+        if threshold is not None:
+            threshold = float(probe.residual_norms[threshold])
+        trace = run(cfg(name, alpha, 300, stop_residual=threshold, **extra),
+                    prob, z0)
+        lag = algorithms._RULES[name].stop_lag
+        if stop == "max_iterations":
+            assert trace.iterations == 300
+        elif stop == "diverged":
+            assert trace.stop_reason == "diverged"
+        else:
+            first = np.flatnonzero(probe.residual_norms <= threshold)[0]
+            assert trace.iterations == first + lag
+        arrays = _trace_arrays(trace)
+        assert {key: (a.shape, a.dtype) for key, a in arrays.items()} == (
+            _stacked_layout(trace, prob.dim)), (name, stop)
+        for key, a in arrays.items():
+            assert a.base is None and a.flags.owndata, (name, stop, key)
+            assert not a.flags.writeable, (name, stop, key)
+
+
+def test_runs_past_the_preallocation_bound_give_the_same_trace(monkeypatch):
+    # past MAX_TRACE_VALUES a field starts at that many values and doubles
+    # when full; the trace is the same bit for bit, and after an early stop
+    # each array again owns only its kept rows
+    for name in ("FEG", "EAG_V", "APS_V", "OHM", "APG_STAR"):
+        alpha, extra, prob, z0 = _recording_case(name)
+        probe = run(cfg(name, alpha, 300, **extra), prob, z0)
+        for stop in (None, float(probe.residual_norms[100])):
+            config = cfg(name, alpha, 300, stop_residual=stop, **extra)
+            expected = _trace_arrays(run(config, prob, z0))
+            for rows in (1, 3):
+                with monkeypatch.context() as patch:
+                    patch.setattr(algorithms, "MAX_TRACE_VALUES",
+                                  rows * prob.dim)
+                    got = _trace_arrays(run(config, prob, z0))
+                assert got.keys() == expected.keys()
+                for key, a in got.items():
+                    want = expected[key]
+                    assert (a.dtype, a.shape) == (want.dtype, want.shape)
+                    assert a.tobytes() == want.tobytes(), (name, stop, key)
+                    assert a.base is None and a.flags.owndata
 
 
 @pytest.mark.parametrize("record", (True, False))

@@ -69,6 +69,15 @@ def test_mp_distance_matches_direct_recomputation():
     got = analysis.mp_distance(a, b)
     expect = [np.sum((x - y) ** 2) for x, y in zip(a.main, b.main)]
     assert np.allclose(got, expect, rtol=0, atol=0)
+    # the difference is squared in place; its bits must be those of
+    # (a - b) ** 2 at every scale, subnormal squares and overflow included
+    for scale in (1e-200, 1e-155, 1e100, 1e150, 1e160):
+        first, second = (replace(t, main=t.main * scale) for t in (a, b))
+        with np.errstate(over="ignore"):  # squares past 1e308 are inf
+            expect = np.sum((first.main - second.main) ** 2, axis=1)
+            got = analysis.mp_distance(first, second)
+        assert got.dtype == expect.dtype and got.shape == expect.shape
+        assert got.tobytes() == expect.tobytes(), scale
 
 
 def test_mp_distance_mismatches():

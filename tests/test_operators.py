@@ -1,11 +1,12 @@
+import importlib.util
 import math
 import re
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
 import pytest
-import scipy
 from scipy.linalg import lu_factor, lu_solve
 
 from anchorkit.errors import (
@@ -178,13 +179,14 @@ def test_affine_resolvent_against_direct_solve():
 @pytest.mark.parametrize("d", [1, 10, 300])
 def test_affine_resolvent_bits_match_lu_solve(d):
     # the direct getrf/getrs calls must give scipy.linalg.lu_factor's and
-    # lu_solve's bits, including on a cache hit (alpha repeated)
+    # lu_solve's bits, including on a cache hit (alpha repeated at once) and
+    # on a return to an alpha whose factors were released
     rng = np.random.default_rng(d)
     m = rng.standard_normal((d, d))
     m = m @ m.T / d + (m - m.T)
     b = rng.standard_normal(d)
     op = AffineOperator(m, b)
-    for alpha in (0.01, 0.3, 2.5, 0.3, 1e-9, 0.01, 1e4):
+    for alpha in (0.01, 0.3, 2.5, 2.5, 0.3, 1e-9, 0.01, 1e4):
         z = rng.standard_normal(d)
         factors = lu_factor(np.eye(d) + alpha * m)
         expected = lu_solve(factors, z - alpha * b)
@@ -197,7 +199,7 @@ def test_affine_resolvent_bits_match_lu_solve(d):
         assert lu.dtype == factors[0].dtype and piv.dtype == factors[1].dtype
         assert np.array_equal(lu, factors[0])
         assert np.array_equal(piv, factors[1])
-    assert sorted(op._lu_cache) == [1e-9, 0.01, 0.3, 2.5, 1e4]
+    assert list(op._lu_cache) == [1e4]  # the most recent alpha only
 
 
 def signed_zero_monotone(d, seed):
@@ -244,6 +246,26 @@ def test_first_resolvent_call_holds_one_matrix():
     assert peak < 1.5 * 8 * d * d, peak / (8 * d * d)
 
 
+def test_new_step_size_releases_the_previous_factors():
+    # the factors of one alpha are released before another alpha's are
+    # formed, so two step sizes hold one d x d array at a time, not two
+    d = 300
+    op = AffineOperator(signed_zero_monotone(d, 4))
+    z = np.ones(d)
+    matrix_bytes = 8 * d * d
+    tracemalloc.start()
+    try:
+        op.resolvent(0.05, z)
+        tracemalloc.reset_peak()
+        op.resolvent(0.1, z)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert list(op._lu_cache) == [0.1]
+    assert held < 1.5 * matrix_bytes, held / matrix_bytes
+    assert peak < 1.5 * matrix_bytes, peak / matrix_bytes
+
+
 def test_lu_factor_checks():
     # the factor refuses what scipy.linalg.lu_factor refuses, and also the
     # exactly zero pivot that lu_factor only warns about
@@ -258,9 +280,14 @@ def test_lu_factor_checks():
 
 
 def test_missing_lapack_extension_names_the_path(monkeypatch, tmp_path):
-    monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
+    # scipy's directory comes from its import spec, not from importing it
+    spec = types.SimpleNamespace(submodule_search_locations=[str(tmp_path)])
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec)
     looked_for = re.escape(str(tmp_path / "linalg" / "_flapack"))
     with pytest.raises(ImportError, match=looked_for):
+        _load_flapack()
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+    with pytest.raises(ModuleNotFoundError, match="scipy"):
         _load_flapack()
 
 
