@@ -42,9 +42,8 @@ from .operators import (
 )
 from .problems import Problem
 
-#: the most values, (max_iterations + 1) * d, for which ``run`` allocates a
-#: recorded field's full length at once; the CLI refuses a larger run
-#: before it starts
+#: the most values, (max_iterations + 1) * d, that a run with recorded
+#: iterates may hold in one field; ``validate_config`` refuses a larger one
 MAX_TRACE_VALUES = 10 ** 7
 
 
@@ -245,8 +244,8 @@ class _Counted:
 def validate_config(config: AlgorithmConfig, problem: Problem) -> None:
     """Reject configurations outside the admissible range for the problem;
     ``AlgorithmConfig`` has already refused what is wrong for any problem."""
-    name = config.algorithm
-    lip, mu = problem.lipschitz, problem.mu
+    name, n = config.algorithm, config.max_iterations
+    lip, mu, dim = problem.lipschitz, problem.mu, problem.dim
     if problem.is_composite and name not in ("OHM_DRS", "APG_STAR"):
         raise ConfigError(f"{name} does not handle composite problems")
     if name in ("OHM_DRS", "APG_STAR") and not problem.is_composite:
@@ -269,6 +268,9 @@ def validate_config(config: AlgorithmConfig, problem: Problem) -> None:
     if name == "OC_HALPERN" and mu <= 0:
         raise ConfigError("OC_HALPERN needs a strongly monotone problem: it "
                           "runs at gamma = sqrt(1 + 2 alpha mu) > 1")
+    if config.record_iterates and (n + 1) * dim > MAX_TRACE_VALUES:
+        raise ConfigError(f"{name}: {n} recorded iterations at d = {dim} "
+                          f"hold more than {MAX_TRACE_VALUES} values")
 
 
 def run(config: AlgorithmConfig, problem: Problem, z0) -> IterateTrace:
@@ -286,15 +288,12 @@ def run(config: AlgorithmConfig, problem: Problem, z0) -> IterateTrace:
     The oracle marks and the residuals are kept in typed arrays, 8 bytes a
     value, not in lists of Python numbers. With recorded iterates each field
     (``main``, every row field and every step field, ``op_evals``
-    included) is one array, allocated at its first value with that value's
-    shape and dtype, and row k is written into it in place, so a run peaks
-    at one copy of its trace. The array has ``max_iterations + 1`` rows
-    (``max_iterations`` for a step field) while (max_iterations + 1) * d is
-    within ``MAX_TRACE_VALUES``. Past that bound it starts at that many
-    values and doubles when full; while it copies, the old and the new
-    array are both held, so such a run peaks at up to twice its trace in
-    resident memory. The trace holds the arrays themselves; after an early
-    stop each is cut in place to the rows kept and owns only those.
+    included) is one array of ``max_iterations + 1`` rows
+    (``max_iterations`` for a step field), allocated at its first value
+    with that value's shape and dtype, and row k is written into it in
+    place, so a run peaks at one copy of its trace. The trace holds the
+    arrays themselves; after an early stop each is cut in place to the
+    rows kept and owns only those.
     """
     validate_config(config, problem)
     z0 = as_vector(z0, problem.dim)
@@ -304,17 +303,16 @@ def run(config: AlgorithmConfig, problem: Problem, z0) -> IterateTrace:
     warmup = oracle.b
     last, stop, lag = config.max_iterations, config.stop_residual, rule.stop_lag
     evaluate, step, isfinite = rule.evaluate, rule.step, math.isfinite
-    dim = problem.dim
     # running oracle totals at the start of each row; their differences are
     # the per-step counts
     b_marks, r_marks = array("q"), array("q")
     residuals = array("d")
-    # one array per recorded field: main and the row fields (``rows``) are
-    # written at row k, the step fields at step k. Each starts empty with
-    # shape (0, d), and a write past its end (IndexError) goes through _grow
-    rows = [np.empty((0, dim)) for _ in range(1 + len(rule.row_fields))]
-    steps = [np.empty((0, dim)) for _ in rule.step_fields]
-    main, fields = rows[0], rows[1:]
+    # one array per recorded field: main and the row fields are written at
+    # row k, the step fields at step k. The first write into the empty
+    # arrays raises IndexError, and _allocate gives them their full length;
+    # a run that stops at row 0 keeps its (0, d) step fields
+    main, fields = np.empty((0, problem.dim)), []
+    steps = [np.empty((0, problem.dim)) for _ in rule.step_fields]
     record_steps = record and bool(steps)
     reason = "max_iterations"
     for k in range(last + 1):
@@ -328,8 +326,7 @@ def run(config: AlgorithmConfig, problem: Problem, z0) -> IterateTrace:
                 for buffer, value in zip(fields, row):
                     buffer[k] = value
             except IndexError:
-                _grow(rows, k, (rule.z, *row), last + 1, dim)
-                main, fields = rows[0], rows[1:]
+                main, *fields = _allocate((rule.z, *row), last + 1)
         if not isfinite(residual):
             reason = "diverged"
             break
@@ -344,14 +341,15 @@ def run(config: AlgorithmConfig, problem: Problem, z0) -> IterateTrace:
                 for buffer, value in zip(steps, made):
                     buffer[k] = value
             except IndexError:
-                _grow(steps, k, made, last, dim)
+                steps = _allocate(made, last)
     if rule.final_row_billed:
         b_marks.append(oracle.b)
         r_marks.append(oracle.res)
     if record:
         kept = len(residuals)
         auxiliary = dict(zip(("main", *rule.row_fields, *rule.step_fields),
-                             _trim(rows, kept) + _trim(steps, kept - 1)))
+                             _trim([main, *fields], kept)
+                             + _trim(steps, kept - 1)))
         main = auxiliary.pop("main")
     else:
         main = np.array([z0, rule.z])
@@ -372,23 +370,14 @@ def run(config: AlgorithmConfig, problem: Problem, z0) -> IterateTrace:
     )
 
 
-def _grow(buffers, k, values, rows, dim) -> None:
-    """Write ``values`` at index k of ``buffers``, one value each, where k
-    is past their end, replacing each array in the list. At k = 0 each is
-    allocated from its value's shape and dtype with ``rows`` rows, or with
-    MAX_TRACE_VALUES // ``dim`` rows where that is fewer; later each is
-    copied into one twice its size, up to ``rows``."""
-    for i, value in enumerate(values):
-        if k == 0:
-            value = np.asarray(value)
-            size = min(rows, max(1, MAX_TRACE_VALUES // dim))
-            buffer = np.empty((size, *value.shape), value.dtype)
-        else:
-            old = buffers[i]
-            buffer = np.empty((min(2 * k, rows), *old.shape[1:]), old.dtype)
-            buffer[:k] = old
-        buffer[k] = value
-        buffers[i] = buffer
+def _allocate(values, rows) -> list:
+    """One array of ``rows`` rows per value in ``values``, with that value's
+    shape and dtype, holding it as row 0."""
+    buffers = []
+    for value in map(np.asarray, values):
+        buffers.append(np.empty((rows, *value.shape), value.dtype))
+        buffers[-1][0] = value
+    return buffers
 
 
 def _trim(buffers, rows) -> list:

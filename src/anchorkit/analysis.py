@@ -31,6 +31,7 @@ from .operators import (
     AffineOperator,
     Array,
     BoxProx,
+    as_vector,
     drs_map,
     vector_norm,
 )
@@ -336,7 +337,7 @@ def lyapunov_sm_eag(trace, alpha: float, mu: float, lipschitz: float,
     q_k / (beta_k (1 - beta_k)) times the analogous half-step mismatch for
     k >= 1. ConfigError for a trace of neither method, for mu < 0 or NaN,
     for an ``alpha`` other than the trace's, or for a trace without recorded
-    half-steps.
+    half-steps; ``z_star`` is checked by ``_given_point``.
     """
     _expect(trace, "FEG", "SM_EAG_PLUS")
     if not mu >= 0:
@@ -345,6 +346,7 @@ def lyapunov_sm_eag(trace, alpha: float, mu: float, lipschitz: float,
         raise ConfigError(f"alpha = {alpha} differs from the trace's "
                           f"{trace.params['alpha']}")
     z, bz, bh = trace.sequences("main", "op_evals", "op_half")
+    z_star = _given_point("z_star", z_star, z.shape[1])
     n = len(bh)
     x = 1.0 + 2.0 * alpha * mu
     z0 = z[0]
@@ -438,15 +440,15 @@ _FACE_SLACK = 1e-9
 
 
 def reference_point(trace, problem: Problem, reference=None) -> Array:
-    """The reference point of a bound on ``trace``: ``reference`` when given;
-    for a composite problem, ``fixed_point_reference`` at the trace's step
-    size (the exact, certified fixed point of the splitting map for a box
-    composite with affine B, else the end of a long splitting run from the
-    trace's start, or MissingReferencePoint when that box composite has no
-    fixed point); otherwise the problem's known solution, or
-    MissingReferencePoint."""
+    """The reference point of a bound on ``trace``: ``reference`` when given,
+    checked by ``_given_point``; for a composite problem,
+    ``fixed_point_reference`` at the trace's step size (the exact, certified
+    fixed point of the splitting map for a box composite with affine B,
+    else the end of a long splitting run from the trace's start, or
+    MissingReferencePoint when that box composite has no fixed point);
+    otherwise the problem's known solution, or MissingReferencePoint."""
     if reference is not None:
-        return reference
+        return _given_point("reference point", reference, problem.dim)
     if problem.is_composite:
         return fixed_point_reference(problem, trace.params["alpha"],
                                      trace.start)
@@ -454,6 +456,15 @@ def reference_point(trace, problem: Problem, reference=None) -> Array:
         raise MissingReferencePoint(f"{problem.name} has no known solution "
                                     f"to serve as the reference point")
     return problem.solution
+
+
+def _given_point(name: str, point, dim: int) -> Array:
+    """A caller's ``point`` as a float64 vector of dimension ``dim``:
+    DimensionMismatch for another shape, else ConfigError if not finite."""
+    try:
+        return as_vector(point, dim)
+    except (TypeError, ValueError) as exc:  # None reads as NaN
+        raise ConfigError(f"{name}: {exc}") from None
 
 
 def fixed_point_reference(problem: Problem, alpha: float, start,
@@ -553,8 +564,8 @@ def _box_composite_fixed_point(problem: Problem, alpha: float):
 
 def splitting_residual(problem: Problem, alpha: float, u) -> float:
     """||drs_map(u) - u||, the fixed-point residual of a composite problem's
-    splitting map at step ``alpha``."""
-    u = np.asarray(u, dtype=float)
+    splitting map at step ``alpha``; ``u`` is checked by ``_given_point``."""
+    u = _given_point("u", u, problem.dim)
     return vector_norm(drs_map(problem.prox_part, problem.operator, alpha, u)
                        - u)
 
@@ -563,12 +574,12 @@ def affine_zero_projection(problem: Problem, z0) -> Array:
     """Orthogonal projection z0 - pinv(M) (M z0 + t) of z0 onto the zero set
     of an affine operator z -> M z + t, with the singular values below
     d eps times the largest cut off; SingularSystem when the operator has
-    no zero."""
+    no zero. ``z0`` is checked by ``_given_point``."""
     op = problem.operator
     if not isinstance(op, AffineOperator):
         raise MissingReferencePoint("projection needs an affine operator")
     m, t = op.matrix, op.offset
-    z0 = np.asarray(z0, dtype=float)
+    z0 = _given_point("z0", z0, op.dim)
     rcond = max(m.shape) * np.finfo(float).eps
     z = z0 - np.linalg.pinv(m, rcond=rcond) @ (m @ z0 + t)
     if np.linalg.norm(m @ z + t) > 1e-8 * max(1.0, np.linalg.norm(t)):

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, suites
-from .algorithms import MAX_TRACE_VALUES, AlgorithmConfig, run, validate_config
+from .algorithms import AlgorithmConfig, run, validate_config
 from .errors import AnchorkitError, ConfigError
 from .operators import as_vector
 from .problems import build_problem
@@ -82,9 +82,6 @@ def _parse_experiment(cfg):
         # size whose arrays cannot be allocated at all
         raise ConfigError(f"problem {pname}: {exc}") from None
     iterations = _integer("iterations", cfg.get("iterations", 1000))
-    if (iterations + 1) * problem.dim > MAX_TRACE_VALUES:
-        raise ConfigError(f"{iterations} iterations at d = {problem.dim} "
-                          f"record more than {MAX_TRACE_VALUES} values")
     algos = cfg.get("algorithms")
     if not isinstance(algos, list) or not algos:
         raise ConfigError("config needs a non-empty algorithms list")

@@ -81,22 +81,24 @@ def make_bilinear(coupling, x_shift=None, y_shift=None, want_solution=True,
     monotone with L = ||A||_2. With ``want_solution`` the stationarity system
     is solved; SingularSystem is raised if it has no unique solution (except
     for the all-zero operator, where the origin is the solution by
-    convention).
+    convention). DimensionMismatch for an empty coupling.
     """
     a = np.atleast_2d(np.asarray(coupling, dtype=float))
+    if a.size == 0:
+        raise DimensionMismatch(f"coupling is empty, shape {a.shape}")
     m, n = a.shape
     b = np.zeros(m) if x_shift is None else as_vector(x_shift, m)
     c = np.zeros(n) if y_shift is None else as_vector(y_shift, n)
     mat = _saddle_matrix(a)
     shift = np.concatenate([b, c])
-    lip = float(np.linalg.norm(a, 2)) if a.size else 0.0
+    lip = float(np.linalg.norm(a, 2))
     solution = None
     if want_solution:
         if lip == 0.0 and not shift.any():
             solution = np.zeros(m + n)
         else:
             sigma = np.linalg.svd(mat, compute_uv=False)
-            if sigma.size == 0 or sigma.min() <= 1e-12 * max(sigma.max(), 1.0):
+            if sigma.min() <= 1e-12 * max(sigma.max(), 1.0):
                 raise SingularSystem(
                     "stationarity system has no unique solution; "
                     "pass want_solution=False")

@@ -889,27 +889,28 @@ def test_recorded_arrays_own_their_rows(stop):
             assert not a.flags.writeable, (name, stop, key)
 
 
-def test_runs_past_the_preallocation_bound_give_the_same_trace(monkeypatch):
-    # past MAX_TRACE_VALUES a field starts at that many values and doubles
-    # when full; the trace is the same bit for bit, and after an early stop
-    # each array again owns only its kept rows
-    for name in ("FEG", "EAG_V", "APS_V", "OHM", "APG_STAR"):
-        alpha, extra, prob, z0 = _recording_case(name)
-        probe = run(cfg(name, alpha, 300, **extra), prob, z0)
-        for stop in (None, float(probe.residual_norms[100])):
-            config = cfg(name, alpha, 300, stop_residual=stop, **extra)
-            expected = _trace_arrays(run(config, prob, z0))
-            for rows in (1, 3):
-                with monkeypatch.context() as patch:
-                    patch.setattr(algorithms, "MAX_TRACE_VALUES",
-                                  rows * prob.dim)
-                    got = _trace_arrays(run(config, prob, z0))
-                assert got.keys() == expected.keys()
-                for key, a in got.items():
-                    want = expected[key]
-                    assert (a.dtype, a.shape) == (want.dtype, want.shape)
-                    assert a.tobytes() == want.tobytes(), (name, stop, key)
-                    assert a.base is None and a.flags.owndata
+def test_recorded_run_over_the_trace_bound_refused_before_any_call(
+        monkeypatch):
+    # (max_iterations + 1) * d values: at d = 2, 5 iterations record 12
+    prob = make_bilinear([[1.0]])
+    z0 = np.array([1.0, 0.0])
+    monkeypatch.setattr(algorithms, "MAX_TRACE_VALUES", 12)
+    assert run(cfg("OHM", 0.5, 5), prob, z0).iterations == 5
+
+    def no_call(*args):
+        raise AssertionError("the operator was called")
+
+    with monkeypatch.context() as patch:
+        for method in ("__call__", "resolvent"):
+            patch.setattr(AffineOperator, method, no_call)
+        for name in ("FEG", "OHM"):
+            with pytest.raises(ConfigError, match="more than 12 values"):
+                run(cfg(name, 0.5, 6), prob, z0)
+    # a run without recorded iterates holds O(d) whatever its length
+    slim = run(cfg("FEG", 0.5, 6, record_iterates=False), prob, z0)
+    assert slim.iterations == 6
+    algorithms.validate_config(
+        cfg("FEG", 0.5, 10 ** 30, record_iterates=False), prob)
 
 
 @pytest.mark.parametrize("record", (True, False))

@@ -11,6 +11,7 @@ from anchorkit.algorithms import (
 )
 from anchorkit.errors import (
     ConfigError,
+    DimensionMismatch,
     MismatchedTraces,
     MissingReferencePoint,
     SingularSystem,
@@ -746,6 +747,53 @@ def test_affine_zero_projection_against_hand_construction():
                             want_solution=False)
     with pytest.raises(SingularSystem, match="no zeros"):
         analysis.affine_zero_projection(no_zero, z0)
+
+
+@pytest.fixture(scope="module")
+def point_takers():
+    """name -> a call, on d = 4 inputs, of an entry point that takes a
+    point from its caller"""
+    prob = make_random_monotone_affine(0, 4, 2.0)
+    feg = run(cfg("FEG", 0.05, 20), prob, np.ones(4))
+    comp = make_box_bilinear_composite(seed=0)
+    xi0 = np.linspace(-1.0, 2.0, 4)
+    apg = run(cfg("APG_STAR", 0.1, 20), comp, xi0)
+    drs = run(cfg("OHM_DRS", 0.1, 20), comp, xi0)
+    return {
+        "rate_bound": lambda point: analysis.rate_bound(
+            feg, prob, "SM_EAG_RATE", reference=point),
+        "mp_bound_apg": lambda point: analysis.mp_bound_apg(
+            apg, drs, comp, xi_star=point),
+        "lyapunov_feg": lambda point: analysis.lyapunov_feg(
+            feg, 0.05, point, 2.0),
+        "lyapunov_sm_eag": lambda point: analysis.lyapunov_sm_eag(
+            feg, 0.05, 0.0, 2.0, point),
+        "affine_zero_projection": lambda point: (
+            analysis.affine_zero_projection(prob, point)),
+        "splitting_residual": lambda point: analysis.splitting_residual(
+            comp, 0.1, point),
+    }
+
+
+_BAD_POINTS = {"short": (np.zeros(3), DimensionMismatch),
+               "column": (np.zeros((4, 1)), DimensionMismatch),
+               "nan": (np.array([0.0, np.nan, 0.0, 0.0]), ConfigError),
+               "inf": (np.array([0.0, 0.0, np.inf, 0.0]), ConfigError)}
+
+
+# None asks rate_bound and mp_bound_apg for their own reference point
+@pytest.mark.parametrize("entry, bad", [
+    (entry, bad) for entry in ("rate_bound", "mp_bound_apg", "lyapunov_feg",
+                               "lyapunov_sm_eag", "affine_zero_projection",
+                               "splitting_residual")
+    for bad in _BAD_POINTS] + [
+    (entry, "none") for entry in ("lyapunov_feg", "lyapunov_sm_eag",
+                                  "affine_zero_projection",
+                                  "splitting_residual")])
+def test_given_points_are_checked(entry, bad, point_takers):
+    point, error = _BAD_POINTS.get(bad, (None, ConfigError))
+    with pytest.raises(error):
+        point_takers[entry](point)
 
 
 def test_fixed_point_reference_hits_solution():

@@ -307,6 +307,19 @@ def test_bad_config_fails_closed(change, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("coupling", [[], [[]]])
+def test_empty_coupling_refused(coupling, tmp_path, capsys):
+    # np.atleast_2d reads both as a 1 x 0 matrix, once a 1-d zero operator
+    out = tmp_path / "out"
+    path = write_config(tmp_path / "cfg.json", {
+        **VALID_RUN, "start": [1.0],
+        "problem": {"name": "bilinear", "params": {"coupling": coupling}},
+        "outputs": {"directory": str(out)}})
+    assert main(["run", path]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "DIMENSIONMISMATCH"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999",
                                     "-1e999"])
 def test_non_finite_numbers_refused_as_the_config_is_parsed(
@@ -326,6 +339,7 @@ def test_non_finite_numbers_refused_as_the_config_is_parsed(
 def test_unbounded_iterations_refused_before_any_run(
         tmp_path, capsys, monkeypatch):
     import anchorkit.cli as cli
+    from anchorkit import algorithms
 
     def no_run(*args):
         raise AssertionError("ran an unbounded trace")
@@ -334,16 +348,16 @@ def test_unbounded_iterations_refused_before_any_run(
     out = tmp_path / "out"
     # (iterations + 1) * d values: the second is refused only because d = 2
     for change in ({"iterations": 10 ** 30},
-                   {"iterations": cli.MAX_TRACE_VALUES // 2}):
+                   {"iterations": algorithms.MAX_TRACE_VALUES // 2}):
         cfgp = write_config(tmp_path / "cfg.json", {
             **VALID_RUN, **change, "outputs": {"directory": str(out)}})
         assert main(["run", cfgp]) == 2
         doc = json.loads(capsys.readouterr().out)
         assert doc["error"] == "CONFIG_ERROR"
-        assert str(cli.MAX_TRACE_VALUES) in doc["detail"]
+        assert str(algorithms.MAX_TRACE_VALUES) in doc["detail"]
         assert not out.exists()
     # the limit itself is allowed: 5 iterations at d = 2 record 12 values
-    monkeypatch.setattr(cli, "MAX_TRACE_VALUES", 12)
+    monkeypatch.setattr(algorithms, "MAX_TRACE_VALUES", 12)
     cli._parse_experiment({**VALID_RUN, "iterations": 5})
     with pytest.raises(ConfigError):
         cli._parse_experiment({**VALID_RUN, "iterations": 6})

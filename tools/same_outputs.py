@@ -33,14 +33,14 @@ with ``TREE/src`` on the path and BLAS pinned to one thread:
   case without a start of its own draws it from seed 7;
 - the stdout, exit code and files of inputs the CLI refuses: bad JSON,
   bytes that are not UTF-8, a directory as config, an unknown problem (also
-  with a NaN parameter), a problem parameter ``1e999``, an unknown
-  algorithm, ``"alpha": NaN``, an output directory that a file blocks,
-  ``verify`` of an unknown suite, a removed algorithm key (``gamma``) and
-  problem parameter (``z_star``), EAG_V and APS_V first steps whose step
-  schedule collapses at once, a per-algorithm ``max_iterations``,
-  ``compare`` with ``stop_residual``, a ``seed`` beside a ``start`` and on
-  ``figure1``, which has its own start, and two usage errors (``figure1``
-  with an unknown option and no subcommand).
+  with a NaN parameter), a problem parameter ``1e999``, an empty
+  ``bilinear`` coupling, an unknown algorithm, ``"alpha": NaN``, an output
+  directory that a file blocks, ``verify`` of an unknown suite, a removed
+  algorithm key (``gamma``) and problem parameter (``z_star``), EAG_V and
+  APS_V first steps whose step schedule collapses at once, a per-algorithm
+  ``max_iterations``, ``compare`` with ``stop_residual``, a ``seed`` beside
+  a ``start`` and on ``figure1``, which has its own start, and two usage
+  errors (``figure1`` with an unknown option and no subcommand).
 
 Every difference is printed. The exit code is 1 if there is one, else 0.
 Given the same tree twice, it checks that the outputs are deterministic
@@ -175,6 +175,9 @@ REFUSAL_CASES = [
      _config(problem={"name": "random_monotone_affine",
                       "params": {**AFFINE["params"], "lipschitz": "X"}})
      .replace(b'"X"', b"1e999")),
+    ("empty bilinear coupling", ["run", "config.json"],
+     _config(problem={"name": "bilinear", "params": {"coupling": []}},
+             start=[1.0])),
     ("unknown algorithm", ["run", "config.json"],
      _config(algorithms=[{"algorithm": "WAT", "alpha": 0.05}])),
     ("alpha NaN", ["run", "config.json"],
