@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import numbers
 from array import array
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -190,6 +190,15 @@ class IterateTrace:
         return found[names[0]] if len(names) == 1 else tuple(
             found[name] for name in names)
 
+    def keeping(self, *names) -> IterateTrace:
+        """This trace with ``main`` and, of the other recorded sequences,
+        only ``names`` (``op_evals`` or ``auxiliary`` fields); the kept
+        arrays are shared, and the others are no longer held by it."""
+        return replace(self, auxiliary={
+            name: value for name, value in self.auxiliary.items()
+            if name in names},
+            op_evals=self.op_evals if "op_evals" in names else None)
+
     def total_b_evals(self) -> int:
         return self.warmup_b + int(self.b_per_iter.sum())
 
@@ -294,9 +303,22 @@ def run(config: AlgorithmConfig, problem: Problem, z0) -> IterateTrace:
     place, so a run peaks at one copy of its trace. The trace holds the
     arrays themselves; after an early stop each is cut in place to the
     rows kept and owns only those.
+
+    What an operator's resolvent keeps between calls (an affine operator's
+    LU factors) is kept for the run and released when it returns or raises,
+    so the factors never outlive the run that formed them.
     """
     validate_config(config, problem)
-    z0 = as_vector(z0, problem.dim)
+    try:
+        return _drive(config, problem, as_vector(z0, problem.dim))
+    finally:
+        for part in (problem.operator, problem.prox_part):
+            if part is not None:
+                part.release()
+
+
+def _drive(config: AlgorithmConfig, problem: Problem, z0) -> IterateTrace:
+    """The row loop of ``run`` on a validated config and start."""
     record = config.record_iterates
     oracle = _Counted(problem.operator, problem.prox_part)
     rule = _RULES[config.algorithm](config, problem, oracle, z0)

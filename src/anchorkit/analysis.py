@@ -107,6 +107,11 @@ MP_RULES = {
     ("APG_STAR", "OHM_DRS"): "splitting",
 }
 
+#: the recorded sequences besides ``main`` that ``merging_path`` reads of
+#: the first and of the second trace, by rule; a rule not named reads
+#: ``main`` alone
+MP_READS = {"splitting": (("z",), ("w",))}
+
 #: epsilon of the geometric merging weight (1 + 2 alpha mu (1 - epsilon))^k
 GEOMETRIC_EPSILON = 0.1
 
@@ -159,9 +164,11 @@ class MergingPath:
 def merging_path(trace1, trace2, problem: Problem) -> MergingPath:
     """Apply the pair's merging-path rule, ``mp_rule(trace1.algorithm,
     trace2.algorithm)`` (see ``MP_RULES``), to two traces that start from
-    the same point at the same step size (else MismatchedTraces). The
-    distances come first, so a trace without recorded iterates is refused
-    (ConfigError) before any reference point is computed.
+    the same point at the same step size (else MismatchedTraces). Of each
+    trace it reads ``main`` and the sequences that ``MP_READS`` names for
+    the rule. The distances come first, so a trace without recorded
+    iterates is refused (ConfigError) before any reference point is
+    computed.
 
     "constant" and "splitting" check the paper's bounds; the note of
     "splitting" says whether its reference point passes the certificate
@@ -304,7 +311,10 @@ def mp_bound_apg(trace_apg, trace_drs, problem: Problem,
 
 
 def apg_path_constant(problem: Problem, xi0, xi_star) -> float:
-    """C(xi_0) = L (||xi_0 - xi*|| + 1) + ||B xi*||."""
+    """C(xi_0) = L (||xi_0 - xi*|| + 1) + ||B xi*||; both points are checked
+    by ``_given_point``."""
+    xi0 = _given_point("xi0", xi0, problem.dim)
+    xi_star = _given_point("xi_star", xi_star, problem.dim)
     lip = problem.lipschitz
     return float(lip * (np.linalg.norm(xi0 - xi_star) + 1.0)
                  + np.linalg.norm(problem.operator(xi_star)))

@@ -186,7 +186,11 @@ def cmd_compare(config_path: str) -> int:
         raise ConfigError("compare needs both algorithms at the same alpha, "
                           "without stop_residual")
     _make_dir(out_dir)
-    traces = [run(c, problem, z0) for c in configs]
+    # each trace keeps only what the rule reads, so the first run's other
+    # sequences are freed before the second run starts
+    reads = analysis.MP_READS.get(rule, ((), ()))
+    traces = [run(c, problem, z0).keeping(*names)
+              for c, names in zip(configs, reads)]
     mp = analysis.merging_path(*traces, problem)
     k, sq = mp.report.k_values, mp.sq_distance  # k = 0, 1, ..., K
     _write_csv(out_dir / "mp.csv",

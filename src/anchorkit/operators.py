@@ -69,6 +69,9 @@ _META_SLACK = 1e-9
 #: unit roundoff of float64, 2^-53
 _UNIT_ROUNDOFF = 2.0 ** -53
 
+#: values of M + M^T formed at a time by the skew test of an affine operator
+_SKEW_BLOCK = 2 ** 14
+
 #: residual to which every iterative resolvent is solved
 RESOLVENT_TOL = 1e-12
 
@@ -239,6 +242,10 @@ class Operator:
         """Return u with z = u + alpha * op(u)."""
         raise NoResolventCapability(f"{type(self).__name__} has no resolvent")
 
+    def release(self) -> None:
+        """Free what the resolvent keeps between calls; ``run`` calls this
+        when it returns. Results never depend on it."""
+
     def _dim_mismatch(self, z: Array) -> NoReturn:
         """Raise for a point whose shape is not (dim,); callers test the
         shape inline and call this only on a mismatch."""
@@ -255,8 +262,9 @@ class AffineOperator(Operator):
     construction. The matrix must be monotone: min eig of (M + M^T)/2 >=
     -1e-9. When M + M^T is exactly zero (M is exactly skew, as every
     bilinear saddle matrix and every ``scaled`` skew matrix is), that
-    eigenvalue is exactly 0.0 and no eigensolver runs. The constructor
-    copies the caller's matrix; ``scaled`` keeps the one it builds.
+    eigenvalue is exactly 0.0 and no eigensolver runs; M + M^T is then
+    tested block by block and never formed whole. The constructor copies
+    the caller's matrix; ``scaled`` keeps the one it builds.
 
     Forward evaluation is ``matrix.dot(z) + offset``. For d >= 2
     ``ndarray.dot`` gives the bits of ``matrix @ z`` (both call BLAS gemv)
@@ -275,8 +283,9 @@ class AffineOperator(Operator):
     which ``getrf`` overwrites with the factors: alpha M, then + 0.0, which
     turns each -0.0 into the +0.0 of 0.0 + alpha M_ij, then 1.0 added on
     the diagonal; these are the bits of ``np.eye(d) + alpha * M``. The memo
-    keeps, per alpha, the LU factors and ``alpha * offset``; it never
-    changes a result, so the operator is still immutable after
+    keeps, for the most recent alpha, the LU factors and ``alpha *
+    offset`` until ``release``, which ``run`` calls when it returns; it
+    never changes a result, so the operator is still immutable after
     construction in every observable way.
     """
 
@@ -347,9 +356,13 @@ class AffineOperator(Operator):
         self.matrix = m
         self.offset = (np.zeros(self.dim) if offset is None
                        else as_vector(offset, self.dim).copy())
-        sym = m + m.T
-        sym_min = (float(np.linalg.eigvalsh(0.5 * sym).min()) if sym.any()
-                   else 0.0)
+        # M + M^T is tested a block of rows at a time, so a skew M never
+        # needs the whole symmetric part
+        rows = max(1, _SKEW_BLOCK // self.dim)
+        skew = not any((m[i:i + rows] + m.T[i:i + rows]).any()
+                       for i in range(0, self.dim, rows))
+        sym_min = (0.0 if skew
+                   else float(np.linalg.eigvalsh(0.5 * (m + m.T)).min()))
         if sym_min < -_META_SLACK:
             raise InfeasibleConstants(
                 f"matrix is not monotone: min sym eigenvalue {sym_min:.3e}")
@@ -414,6 +427,9 @@ class AffineOperator(Operator):
         if info != 0:
             raise ValueError(f"illegal value in argument {-info} of getrs")
         return u
+
+    def release(self) -> None:
+        self._lu_cache.clear()
 
 
 class CallableOperator(Operator):
@@ -503,6 +519,9 @@ class ScaledOperator(Operator):
 
     def resolvent(self, alpha, z):
         return self.base.resolvent(alpha * self.scale, z)
+
+    def release(self) -> None:
+        self.base.release()
 
 
 # ---------------------------------------------------------------------------

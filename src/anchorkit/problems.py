@@ -81,11 +81,14 @@ def make_bilinear(coupling, x_shift=None, y_shift=None, want_solution=True,
     monotone with L = ||A||_2. With ``want_solution`` the stationarity system
     is solved; SingularSystem is raised if it has no unique solution (except
     for the all-zero operator, where the origin is the solution by
-    convention). DimensionMismatch for an empty coupling.
+    convention). DimensionMismatch for an empty coupling or one with more
+    than two dimensions.
     """
     a = np.atleast_2d(np.asarray(coupling, dtype=float))
     if a.size == 0:
         raise DimensionMismatch(f"coupling is empty, shape {a.shape}")
+    if a.ndim > 2:
+        raise DimensionMismatch(f"coupling must be a matrix, shape {a.shape}")
     m, n = a.shape
     b = np.zeros(m) if x_shift is None else as_vector(x_shift, m)
     c = np.zeros(n) if y_shift is None else as_vector(y_shift, n)

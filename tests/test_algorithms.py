@@ -792,6 +792,20 @@ def _trace_arrays(trace) -> dict:
     return arrays
 
 
+def _factor_bytes(name, prob, alpha) -> int:
+    """Bytes of the memo that a run of ``name`` forms on the affine B of
+    ``prob`` (LU factors, pivots and alpha b), 0 for a method that takes no
+    resolvent of B. The memo ends with the run, so the run's peak holds
+    it."""
+    if name not in ("OHM", "OHM_DRS"):
+        return 0
+    op = prob.operator
+    op.resolvent(alpha, np.zeros(prob.dim))
+    nbytes = sum(a.nbytes for a in op._lu_cache[alpha])
+    op.release()
+    return nbytes
+
+
 @pytest.mark.parametrize("name", ("EG", "OG", "EAG_V", "APS_V", "OHM",
                                   "OHM_DRS", "APG_STAR"))
 def test_slim_recording_memory_independent_of_iterations(name):
@@ -799,8 +813,8 @@ def test_slim_recording_memory_independent_of_iterations(name):
     prob = _large_case(name, d)
     extra = {"theta": 1.0} if name == "APS_V" else {}
     z0 = np.linspace(-2.0, 2.0, d)
-    # the full run also builds the resolvent's cached factorisation
     full = run(cfg(name, 0.1, iters, **extra), prob, z0)
+    factors = _factor_bytes(name, prob, 0.1)
     tracemalloc.start()
     try:
         slim = run(cfg(name, 0.1, iters, record_iterates=False, **extra),
@@ -809,7 +823,7 @@ def test_slim_recording_memory_independent_of_iterations(name):
     finally:
         tracemalloc.stop()
     assert slim.iterations == iters
-    assert peak < full.main.nbytes / 4, (peak, full.main.nbytes)
+    assert peak < full.main.nbytes / 4 + factors, (peak, full.main.nbytes)
 
 
 @pytest.mark.parametrize("name", ("FEG", "APS", "OHM_DRS", "APG_STAR"))
@@ -820,7 +834,7 @@ def test_recorded_run_peaks_at_its_trace(name):
     d, iters = 500, 400
     prob = _large_case(name, d)
     z0 = np.linspace(-2.0, 2.0, d)
-    run(cfg(name, 0.1, 2), prob, z0)  # builds the resolvent's factors
+    factors = _factor_bytes(name, prob, 0.1)
     tracemalloc.start()
     try:
         trace = run(cfg(name, 0.1, iters), prob, z0)
@@ -829,7 +843,53 @@ def test_recorded_run_peaks_at_its_trace(name):
         tracemalloc.stop()
     assert trace.iterations == iters
     trace_bytes = sum(a.nbytes for a in _trace_arrays(trace).values())
-    assert peak < 1.1 * trace_bytes, peak / trace_bytes
+    assert peak < 1.1 * trace_bytes + factors, peak / trace_bytes
+
+
+def test_run_releases_the_resolvent_factors(monkeypatch):
+    # the LU factors that an OHM run forms end with the run, also when it
+    # raises: what the run leaves held is its trace, not the d x d factors
+    d = 300
+    prob = make_random_monotone_affine(0, d, 2.0)
+    z0 = np.linspace(-2.0, 2.0, d)
+    matrix_bytes = 8 * d * d
+    run(cfg("OHM", 0.1, 2), prob, z0)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        trace = run(cfg("OHM", 0.1, 50), prob, z0)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    trace_bytes = sum(a.nbytes for a in _trace_arrays(trace).values())
+    assert peak - before > matrix_bytes  # the run formed its factors
+    assert held - before < trace_bytes + matrix_bytes / 4, held - before
+    assert prob.operator._lu_cache == {}
+
+    def failed_solve(*args):
+        raise RuntimeError("solve failed")
+
+    monkeypatch.setattr("anchorkit.operators._dgetrs", failed_solve)
+    with pytest.raises(RuntimeError, match="solve failed"):
+        run(cfg("OHM", 0.1, 50), prob, z0)
+    assert prob.operator._lu_cache == {}
+
+
+def test_kept_trace_holds_only_the_named_sequences():
+    prob = make_random_monotone_affine(0, 4, 2.0)
+    full = run(cfg("FEG", 0.1, 10), prob, np.ones(4))
+    assert set(full.auxiliary) == {"half", "op_half"}
+    slim = full.keeping()
+    assert slim.op_evals is None and slim.auxiliary == {}
+    assert slim.main is full.main
+    kept = full.keeping("op_evals", "half")
+    assert kept.op_evals is full.op_evals
+    assert set(kept.auxiliary) == {"half"}
+    assert kept.auxiliary["half"] is full.auxiliary["half"]
+    for trace in (slim, kept):
+        assert np.array_equal(trace.residual_norms, full.residual_norms)
+        assert trace.params == full.params
+        assert trace.total_b_evals() == full.total_b_evals()
 
 
 def _stacked_layout(trace, dim) -> dict:

@@ -230,6 +230,24 @@ def test_residuals_only_pairs_refused_by_every_merging_path_rule(first,
         call(*full)  # the recorded pair is read
 
 
+@pytest.mark.parametrize("first, second", [*analysis.MP_RULES, ("FEG", "FEG")])
+def test_merging_path_reads_only_main_and_its_mp_reads(first, second):
+    # compare keeps of each trace only main and the sequences that MP_READS
+    # names for the pair's rule; a rule that read more would be refused on
+    # the kept traces, so a table that drifts from the rules fails here
+    prob, z0, alpha = _slim_pair_case(first)
+    full = [run(cfg(name, alpha, 300), prob, z0) for name in (first, second)]
+    reads = analysis.MP_READS.get(analysis.mp_rule(first, second), ((), ()))
+    kept = [trace.keeping(*names) for trace, names in zip(full, reads)]
+    got, want = (analysis.merging_path(*pair, prob) for pair in (kept, full))
+    assert (got.passed, got.note) == (want.passed, want.note)
+    for a, b in ((got.sq_distance, want.sq_distance),
+                 (got.report.k_values, want.report.k_values),
+                 (got.report.measured, want.report.measured),
+                 (got.report.bound, want.report.bound)):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_slim_refusals_come_before_reference_and_partner_runs(monkeypatch):
     # 3^10 faces are more than MAX_BOX_FACES: the reference point would be
     # the end of a 100,000-step splitting run
@@ -794,6 +812,18 @@ def test_given_points_are_checked(entry, bad, point_takers):
     point, error = _BAD_POINTS.get(bad, (None, ConfigError))
     with pytest.raises(error):
         point_takers[entry](point)
+
+
+@pytest.mark.parametrize("which", ["xi0", "xi_star"])
+@pytest.mark.parametrize("bad", [*_BAD_POINTS, "none"])
+def test_apg_path_constant_checks_its_points(which, bad):
+    # a short point once raised a bare ValueError, None a bare TypeError,
+    # and a NaN point returned NaN without a word
+    comp = make_box_bilinear_composite(seed=0)
+    point, error = _BAD_POINTS.get(bad, (None, ConfigError))
+    points = {"xi0": np.ones(4), "xi_star": np.zeros(4), which: point}
+    with pytest.raises(error):
+        analysis.apg_path_constant(comp, points["xi0"], points["xi_star"])
 
 
 def test_fixed_point_reference_hits_solution():

@@ -307,9 +307,10 @@ def test_bad_config_fails_closed(change, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("coupling", [[], [[]]])
+@pytest.mark.parametrize("coupling", [[], [[]], [[[1.0]]]])
 def test_empty_coupling_refused(coupling, tmp_path, capsys):
-    # np.atleast_2d reads both as a 1 x 0 matrix, once a 1-d zero operator
+    # np.atleast_2d reads the first two as a 1 x 0 matrix, once a 1-d zero
+    # operator; the third, of shape (1, 1, 1), is not a matrix
     out = tmp_path / "out"
     path = write_config(tmp_path / "cfg.json", {
         **VALID_RUN, "start": [1.0],
@@ -465,6 +466,35 @@ def test_compare_feg_ohm_pass(tmp_path, capsys):
     assert max(ratios) <= 1.0 + 1e-9
     verdict = json.loads((tmp_path / "cmp-out" / "bound.json").read_text())
     assert verdict["verdict"] == "pass"
+
+
+def test_compare_holds_only_what_its_rule_reads(tmp_path, capsys):
+    # numpy reports its allocations to tracemalloc. FEG's trace keeps only
+    # main before OHM runs, and OHM's LU factors end with its run, so the
+    # peak is M, the factors and three main sequences (FEG's, and OHM's
+    # main and half-steps during its run); it was M, the factors and six
+    def compare(d, name):
+        path = write_config(tmp_path / f"{name}.json", {
+            "problem": {"name": "random_monotone_affine",
+                        "params": {"seed": 1, "d": d, "lipschitz": 10.0}},
+            "iterations": 300, "seed": 1,
+            "algorithms": [{"algorithm": a, "alpha": 0.05}
+                           for a in ("FEG", "OHM")],
+            "outputs": {"directory": str(tmp_path / name)}})
+        assert main(["compare", path]) == 0
+        capsys.readouterr()
+
+    compare(4, "warm-up")  # imports and caches made on a first call
+    d = 400
+    tracemalloc.start()
+    try:
+        compare(d, "cmp")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    matrix, main_bytes = 8 * d * d, 8 * d * 301
+    assert peak < 2 * matrix + 3.5 * main_bytes, ((peak - 2 * matrix)
+                                                  / main_bytes)
 
 
 def test_compare_identical_pair_zero_distance(tmp_path, capsys):

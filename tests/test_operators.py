@@ -127,6 +127,27 @@ def test_exactly_skew_matrices_need_no_eigensolver(monkeypatch):
         AffineOperator(off)
 
 
+def test_skew_test_by_row_blocks(monkeypatch):
+    # at d = 300 the skew test runs in blocks of 54 rows; an entry off skew
+    # in any block, the last partial one included, hands eigvalsh the whole
+    # symmetric part, with its bits
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: seen.append(a.copy()) or eigvalsh(a))
+    d = 300
+    rng = np.random.default_rng(5)
+    k = rng.standard_normal((d, d))
+    k = k - k.T
+    AffineOperator(k)
+    assert seen == []
+    for i, j in ((0, 1), (150, 7), (d - 1, 2), (3, d - 1)):
+        off = k.copy()
+        off[i, j] = np.nextafter(off[i, j], np.inf)
+        AffineOperator(off)
+        assert seen.pop().tobytes() == (0.5 * (off + off.T)).tobytes()
+
+
 def test_scaled_refuses_constants_and_a_zero_matrix():
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(InfeasibleConstants):

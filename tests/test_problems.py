@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -59,6 +60,12 @@ def test_bilinear_singular_raises():
     prob = make_bilinear(np.diag([1.0, 0.0]), [0.2, 0.0], [0.0, 0.0],
                          want_solution=False)
     assert prob.solution is None
+
+
+def test_bilinear_coupling_must_be_a_matrix():
+    for coupling in (np.zeros((2, 2, 2)), [[[1.0]]]):
+        with pytest.raises(DimensionMismatch, match="must be a matrix"):
+            make_bilinear(coupling)
 
 
 def test_bilinear_saddle_value_consistent():
@@ -166,6 +173,20 @@ def test_random_monotone_affine_spectral_calls(monkeypatch):
     calls.clear()
     make_random_monotone_affine(0, 4, 1e308)
     assert calls == ["svd", "norm"]
+
+
+def test_random_monotone_affine_peaks_at_two_matrices():
+    # K and M = fl(c K) are alive together; the skew test of M forms its
+    # symmetric part a block of rows at a time, never the whole d x d array
+    make_random_monotone_affine(0, 4, 10.0)
+    d = 400
+    tracemalloc.start()
+    try:
+        make_random_monotone_affine(0, d, 10.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 8 * d * d, peak / (8 * d * d)
 
 
 def test_random_scsc_eigensolve_oracle():
