@@ -10,10 +10,9 @@ fixed or a part replaced: EAG_V and APS_V are EAG and APS anchored with
 1/(k+2) instead of 1/(k+1) inside a step-size schedule; FEG is SM_EAG_PLUS
 at mu = 0, with bit-identical iterates; OHM is OC_HALPERN at gamma = 1; and
 APG_STAR is OHM_DRS from an inner point solved only to a tolerance eps_k.
-The one repeat is ``operators.solve_strongly_monotone``, which writes
-SM_EAG_PLUS's recursion again for the iterative resolvent: ``operators``
-sits below this module, and the benchmark's tracer wraps that solver by
-name.
+The iterative resolvent is this module's SM_EAG_PLUS as well:
+``operators.solve_strongly_monotone`` steps that rule through ``_drive``,
+the row loop of ``run``, without ``run``'s validation and release.
 
 Oracle accounting: ``b_per_iter``/``resolvent_per_iter`` count the calls a
 rule makes through its counted oracle while evaluating row k and stepping to
@@ -312,9 +311,7 @@ def run(config: AlgorithmConfig, problem: Problem, z0) -> IterateTrace:
     try:
         return _drive(config, problem, as_vector(z0, problem.dim))
     finally:
-        for part in (problem.operator, problem.prox_part):
-            if part is not None:
-                part.release()
+        problem.release()
 
 
 def _drive(config: AlgorithmConfig, problem: Problem, z0) -> IterateTrace:

@@ -56,8 +56,9 @@ class BoundReport:
     def __post_init__(self):
         if not (len(self.k_values) == len(self.measured) == len(self.bound)):
             raise MismatchedTraces("report sequences must share length")
-        if np.any(self.bound <= 0):
-            raise ValueError("bound entries must be strictly positive "
+        # a zero bound is one (ATOL floors the ratio); NaN is refused
+        if not np.all(self.bound >= 0):
+            raise ValueError("bound entries must be nonnegative numbers "
                              "on the reported range")
 
     @property
@@ -574,10 +575,14 @@ def _box_composite_fixed_point(problem: Problem, alpha: float):
 
 def splitting_residual(problem: Problem, alpha: float, u) -> float:
     """||drs_map(u) - u||, the fixed-point residual of a composite problem's
-    splitting map at step ``alpha``; ``u`` is checked by ``_given_point``."""
+    splitting map at step ``alpha``; ``u`` is checked by ``_given_point``.
+    Like ``run``, it releases the resolvents' factors when it returns."""
     u = _given_point("u", u, problem.dim)
-    return vector_norm(drs_map(problem.prox_part, problem.operator, alpha, u)
-                       - u)
+    try:
+        return vector_norm(drs_map(problem.prox_part, problem.operator,
+                                   alpha, u) - u)
+    finally:
+        problem.release()
 
 
 def affine_zero_projection(problem: Problem, z0) -> Array:

@@ -9,7 +9,8 @@ Every resolvent has the one signature ``resolvent(alpha, z)`` and refuses a
 step size outside 0 < alpha < inf. Affine and prox resolvents are exact;
 the resolvent of a ``CallableOperator``, known through its forward map
 alone, is ``iterative_resolvent``, which solves the inner map
-``ShiftedIdentityPlus`` to residual ``RESOLVENT_TOL``.
+``ShiftedIdentityPlus`` to residual ``RESOLVENT_TOL`` by SM_EAG_PLUS's
+rule in ``algorithms``, a module above this one, imported at the call.
 """
 from __future__ import annotations
 
@@ -158,49 +159,35 @@ def max_step_strongly_monotone(lipschitz: float, mu: float) -> float:
     return (math.hypot(lipschitz, mu) + mu) / lipschitz ** 2
 
 
-def solve_strongly_monotone(fn, mu: float, lipschitz: float, z0: Array,
-                            tol: float, max_iterations: int):
-    """Drive ``||fn(z)|| <= tol`` for a strongly monotone Lipschitz map.
+def solve_strongly_monotone(inner: Operator, z0: Array, tol: float,
+                            max_iterations: int):
+    """Drive ``||inner(z)|| <= tol`` from ``z0`` for a strongly monotone
+    Lipschitz map ``inner`` that carries its ``dim``, ``mu`` and
+    ``lipschitz``, by ``algorithms``' SM_EAG_PLUS rule at the largest
+    admissible step, stepped through ``run``'s row loop without ``run``'s
+    validation and release. Converges linearly; the caller sets the budget
+    ``max_iterations`` (``iterative_resolvent``: ``10 L log(1/tol)``, at
+    least 20).
 
-    Runs the anchored extragradient recursion for a ``mu``-strongly monotone,
-    ``lipschitz``-Lipschitz single-valued map with the largest admissible
-    step ``max_step_strongly_monotone``, anchor weights given by inverse
-    geometric sums, and the matching damped half-step. Converges linearly;
-    the caller sets the budget ``max_iterations`` (``iterative_resolvent``
-    gives ``10 L log(1/tol)``, at least 20). Each step forms
-    ``beta * anchor`` and ``1 - beta`` once and uses the damped step
-    ``step / x`` fixed before the loop; reusing a computed value leaves
-    every bit as written out in full.
-
-    Returns ``(z, n_evals)`` where ``n_evals`` counts calls to ``fn``.
-    Raises InnerLoopBudgetExceeded past the budget.
+    Returns ``(z, n_evals)``: a writable copy of the final row and the
+    calls of ``inner``, two a step plus one. Raises InnerLoopBudgetExceeded,
+    naming the row, when the budget runs out or a residual is not finite.
     """
+    from .algorithms import AlgorithmConfig, _drive
+    from .problems import Problem
+    mu, lipschitz = inner.mu, inner.lipschitz
     if mu <= 0 or lipschitz < mu:
         raise InfeasibleConstants(f"need 0 < mu <= L, got mu={mu}, L={lipschitz}")
-    step = max_step_strongly_monotone(lipschitz, mu)
-    x = 1.0 + 2.0 * step * mu
-    damped = step / x
-    anchor = np.array(z0, dtype=float)
-    z = anchor.copy()
-    val = fn(z)
-    evals = 1
-    big_s = 1.0  # sum of x^j, j = 0..k
-    for _ in range(max_iterations):
-        if vector_norm(val) <= tol:
-            return z, evals
-        beta = 1.0 / big_s
-        anchor_term, keep = beta * anchor, 1.0 - beta
-        half = anchor_term + keep * (z - damped * val)
-        vh = fn(half)
-        z = anchor_term + keep * z - step * vh
-        val = fn(z)
-        evals += 2
-        big_s = 1.0 + x * big_s
-    if vector_norm(val) <= tol:
-        return z, evals
-    raise InnerLoopBudgetExceeded(
-        f"residual {vector_norm(val):.3e} > tol {tol:.3e} "
-        f"after {max_iterations} iterations")
+    config = AlgorithmConfig(
+        "SM_EAG_PLUS", alpha=max_step_strongly_monotone(lipschitz, mu),
+        max_iterations=max_iterations, stop_residual=tol,
+        record_iterates=False)
+    trace = _drive(config, Problem(name="inner", operator=inner), z0)
+    if trace.stop_reason != "stop_residual":
+        raise InnerLoopBudgetExceeded(
+            f"residual {trace.residual_norms[-1]:.3e} > tol {tol:.3e} "
+            f"after {trace.iterations} iterations ({trace.stop_reason})")
+    return trace.final.copy(), 2 * trace.iterations + 1
 
 
 def iterative_resolvent(op, alpha: float, z: Array, tol: float = RESOLVENT_TOL):
@@ -215,9 +202,7 @@ def iterative_resolvent(op, alpha: float, z: Array, tol: float = RESOLVENT_TOL):
     inner = ShiftedIdentityPlus(op, alpha, z)
     budget = max(20, math.ceil(
         10.0 * inner.lipschitz * max(1.0, math.log(1.0 / tol))))
-    return solve_strongly_monotone(inner, mu=inner.mu,
-                                   lipschitz=inner.lipschitz, z0=inner.shift,
-                                   tol=tol, max_iterations=budget)
+    return solve_strongly_monotone(inner, inner.shift, tol, budget)
 
 
 class Operator:

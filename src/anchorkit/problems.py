@@ -63,6 +63,13 @@ class Problem:
     def is_composite(self) -> bool:
         return self.prox_part is not None
 
+    def release(self) -> None:
+        """Free what the parts' resolvents keep between calls (an affine
+        part's LU factors); results never depend on it."""
+        for part in (self.operator, self.prox_part):
+            if part is not None:
+                part.release()
+
 
 def _saddle_matrix(coupling: Array) -> Array:
     """Block skew map of L(x, y) = x'Ay: (x, y) -> (Ay, -A'x)."""

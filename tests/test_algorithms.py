@@ -15,6 +15,7 @@ from anchorkit.errors import ConfigError, StepSizeCollapse
 from anchorkit.operators import (
     AffineOperator,
     BoxProx,
+    CallableOperator,
     as_vector,
     drs_map,
     forward_backward_residual,
@@ -581,9 +582,9 @@ def test_apg_star_inner_solve_is_the_solver_bitwise():
         shifted_l = 1.0 + alpha * b.lipschitz
         budget = max(20, math.ceil(10.0 * shifted_l
                                    * max(1.0, math.log(1.0 / eps_k))))
-        z, evals = solve_strongly_monotone(
-            lambda u: u + alpha * b(u) - xi, mu=1.0, lipschitz=shifted_l,
-            z0=xi, tol=eps_k, max_iterations=budget)
+        inner = CallableOperator(lambda u: u + alpha * b(u) - xi, comp.dim,
+                                 lipschitz=shifted_l, mu=1.0)
+        z, evals = solve_strongly_monotone(inner, xi, eps_k, budget)
         assert np.array_equal(t.auxiliary["z"][k], z)
         assert t.auxiliary["inner_b_evals"][k] == evals
     assert sorted(t.auxiliary) == ["inner_b_evals", "z"]

@@ -929,3 +929,52 @@ def test_per_step_merging_inequalities():
         axis=1)
     rhs = (k[:400] ** 2) * d[:400] + alpha ** 2 * (k[:400] + 1) ** 2 * vgap
     assert np.all((k[1:] ** 2) * d[1:] <= rhs + 1e-12)
+
+
+def test_bounds_from_the_reference_point_are_zero_and_pass():
+    # a start at z* (u* for the splitting) makes every bound exactly zero;
+    # the ATOL floor of the ratio defines the verdict, which passes
+    affine = make_random_monotone_affine(1, 4, 2.0)
+    scsc = make_random_scsc(2, 6, 5.0, 0.5)
+    comp = make_box_bilinear_composite(seed=0)
+    u_star = analysis.fixed_point_reference(comp, 0.1, np.zeros(comp.dim))
+    feg = run(cfg("FEG", 0.1, 50), affine, affine.solution)
+    reports = [
+        analysis.rate_bound(run(cfg("OHM", 0.1, 50), affine, affine.solution),
+                            affine, "OHM_RATE"),
+        analysis.rate_bound(feg, affine, "SM_EAG_RATE"),
+        analysis.rate_bound(run(cfg("OHM_DRS", 0.1, 50), comp, u_star), comp,
+                            "OHM_DRS_RATE"),
+        analysis.rate_bound(run(cfg("OC_HALPERN", 0.2, 50), scsc,
+                                scsc.solution), scsc, "OC_HALPERN_RATE"),
+        analysis.rate_bound(run(cfg("SM_EAG_PLUS", 0.1, 50), scsc,
+                                scsc.solution), scsc, "SM_EAG_RATE"),
+        analysis.feg_summability_report(feg, affine),
+        analysis.mp_bound_feg_ohm(feg, affine),
+    ]
+    for rep in reports:
+        assert np.all(rep.bound == 0.0) and rep.passed, rep.max_ratio
+
+
+@pytest.mark.parametrize("bad", [-1e-300, np.nan])
+def test_bound_report_refuses_negative_and_nan_bounds(bad):
+    k = np.arange(3)
+    analysis.BoundReport(k_values=k, measured=np.zeros(3),
+                         bound=np.array([1.0, 0.0, 2.0]))
+    with pytest.raises(ValueError, match="nonnegative"):
+        analysis.BoundReport(k_values=k, measured=np.zeros(3),
+                             bound=np.array([1.0, bad, 2.0]))
+
+
+def test_splitting_checks_leave_no_factors_behind():
+    # the certificate of the exact reference point and the splitting rule's
+    # residual call B's affine resolvent; its factors end with the check
+    comp = make_box_bilinear_composite(seed=0)
+    xi0 = np.linspace(-1.0, 2.0, comp.dim)
+    apg = run(cfg("APG_STAR", 0.1, 50), comp, xi0)
+    drs = run(cfg("OHM_DRS", 0.1, 50), comp, xi0)
+    assert comp.operator._lu_cache == {}
+    analysis.merging_path(apg, drs, comp)
+    assert comp.operator._lu_cache == {}
+    analysis.fixed_point_reference(comp, 0.1, xi0)
+    assert comp.operator._lu_cache == {}

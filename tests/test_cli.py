@@ -468,6 +468,20 @@ def test_compare_feg_ohm_pass(tmp_path, capsys):
     assert verdict["verdict"] == "pass"
 
 
+def test_compare_from_the_solution_passes(tmp_path, capsys):
+    # z* = 0, so the bound ||z0 - z*||^2 / (1 - alpha^2 L^2) is zero
+    rc = _compare(tmp_path, {"name": "random_monotone_affine",
+                             "params": {"seed": 1, "d": 4, "lipschitz": 2.0}},
+                  [{"algorithm": "FEG", "alpha": 0.1},
+                   {"algorithm": "OHM", "alpha": 0.1}], 50,
+                  start=[0.0, 0.0, 0.0, 0.0])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 0 and doc["verdict"] == "pass" and doc["rule"] == "constant"
+    rows = (tmp_path / "cmp-out" / "mp.csv").read_text().splitlines()[1:]
+    assert len(rows) == 51
+    assert {float(r.split(",")[3]) for r in rows} == {0.0}
+
+
 def test_compare_holds_only_what_its_rule_reads(tmp_path, capsys):
     # numpy reports its allocations to tracemalloc. FEG's trace keeps only
     # main before OHM runs, and OHM's LU factors end with its run, so the

@@ -29,6 +29,7 @@ from anchorkit.operators import (
     as_vector,
     drs_map,
     forward_backward_residual,
+    max_step_strongly_monotone,
     solve_strongly_monotone,
     vector_norm,
 )
@@ -435,10 +436,10 @@ def _resolvent_by_solver(op, alpha, z):
     the budget max(20, ceil(10 (1 + alpha L) log(1e12)))."""
     budget = max(20, math.ceil(10.0 * (1.0 + alpha * op.lipschitz)
                                * math.log(1e12)))
-    return solve_strongly_monotone(
-        lambda w: w + alpha * op(w) - z, mu=1.0 + alpha * op.mu,
-        lipschitz=1.0 + alpha * op.lipschitz, z0=z, tol=1e-12,
-        max_iterations=budget)[0]
+    inner = CallableOperator(lambda w: w + alpha * op(w) - z, 2,
+                             lipschitz=1.0 + alpha * op.lipschitz,
+                             mu=1.0 + alpha * op.mu)
+    return solve_strongly_monotone(inner, z, 1e-12, budget)[0]
 
 
 def test_iterative_resolvents_match_the_solver_bitwise():
@@ -478,14 +479,109 @@ def test_iterative_resolvent_rejects_nan_at_once():
 
 def test_strongly_monotone_solver_budget():
     fn = lambda z: 4.0 * z - np.array([1.0])
-    z, evals = solve_strongly_monotone(fn, mu=4.0, lipschitz=4.0,
-                                       z0=np.array([10.0]), tol=1e-12,
-                                       max_iterations=300)
+    inner = CallableOperator(fn, 1, lipschitz=4.0, mu=4.0)
+    z, evals = solve_strongly_monotone(inner, np.array([10.0]), 1e-12, 300)
     assert abs(z[0] - 0.25) < 1e-12 and evals > 0
     with pytest.raises(InnerLoopBudgetExceeded):
-        solve_strongly_monotone(fn, mu=4.0, lipschitz=4.0,
-                                z0=np.array([10.0]), tol=1e-12,
-                                max_iterations=1)
+        _anchored_loop(fn, 4.0, 4.0, np.array([10.0]), 1e-12, 1)
+    with pytest.raises(InnerLoopBudgetExceeded,
+                       match=r"after 1 iterations \(max_iterations\)"):
+        solve_strongly_monotone(inner, np.array([10.0]), 1e-12, 1)
+
+
+def _anchored_loop(fn, mu, lipschitz, z0, tol, max_iterations):
+    """SM_EAG_PLUS on ``fn`` written out as a loop of its own, the reference
+    for ``solve_strongly_monotone``: the step is the largest admissible one,
+    the anchor weight 1/S_k with S_k the sum of x^j, j <= k, for
+    x = 1 + 2 step mu, and the half step is damped to step / x. Returns
+    ``(z, n_evals, steps)``; InnerLoopBudgetExceeded past the budget."""
+    step = max_step_strongly_monotone(lipschitz, mu)
+    x = 1.0 + 2.0 * step * mu
+    anchor = np.array(z0, dtype=float)
+    z = anchor.copy()
+    val = fn(z)
+    evals = 1
+    big_s = 1.0
+    for k in range(max_iterations):
+        if np.linalg.norm(val) <= tol:
+            return z, evals, k
+        beta = 1.0 / big_s
+        half = beta * anchor + (1.0 - beta) * (z - (step / x) * val)
+        vh = fn(half)
+        z = beta * anchor + (1.0 - beta) * z - step * vh
+        val = fn(z)
+        evals += 2
+        big_s = 1.0 + x * big_s
+    if np.linalg.norm(val) <= tol:
+        return z, evals, max_iterations
+    raise InnerLoopBudgetExceeded("past the budget")
+
+
+def _inner_cases():
+    """(fn, mu, L, z0): inner maps z + alpha B z - shift of a rotation, a
+    strongly monotone affine map and a seeded d = 10 monotone affine map,
+    plus a map whose zero is its start."""
+    m = np.array([[2.0, 1.0], [-1.0, 0.5]])
+    strongly = AffineOperator(m)
+    rng = np.random.default_rng(11)
+    k = rng.standard_normal((10, 10))
+    big, _ = AffineOperator.scaled(k - k.T, 3.0)
+    cases = []
+    for base, alpha in ((AffineOperator(ROT), 0.7), (strongly, 0.3),
+                        (big, 0.5 / 3.0)):
+        shift = rng.standard_normal(base.dim)
+        fn = lambda w, base=base, alpha=alpha, shift=shift: (
+            w + alpha * base(w) - shift)
+        cases.append((fn, 1.0 + alpha * base.mu,
+                      1.0 + alpha * base.lipschitz, shift))
+    fixed = np.array([0.25, -1.5])
+    cases.append((lambda w: 3.0 * (w - fixed), 3.0, 3.0, fixed))
+    return cases
+
+
+def test_solver_is_the_written_out_recursion_bitwise():
+    for fn, mu, lip, z0 in _inner_cases():
+        inner = CallableOperator(fn, z0.size, lipschitz=lip, mu=mu)
+        for tol in (1e-3, 1e-6, 1e-12):
+            ref_z, ref_evals, steps = _anchored_loop(fn, mu, lip, z0, tol,
+                                                     500)
+            z, evals = solve_strongly_monotone(inner, z0, tol, 500)
+            assert np.array_equal(z, ref_z)
+            assert evals == ref_evals == 1 + 2 * steps
+            assert z.flags.writeable and z is not z0
+
+
+def test_solver_stops_at_row_zero_on_a_zero_start():
+    fn, mu, lip, z0 = _inner_cases()[-1]
+    z0.setflags(write=False)
+    inner = CallableOperator(fn, 2, lipschitz=lip, mu=mu)
+    z, evals = solve_strongly_monotone(inner, z0, 0.0, 1)
+    assert evals == 1 == _anchored_loop(fn, mu, lip, z0, 0.0, 1)[1]
+    assert np.array_equal(z, z0) and z.flags.writeable
+    z[0] = 7.0
+    assert z0[0] == 0.25
+
+
+def test_solver_stops_at_a_non_finite_residual():
+    # the fifth call is row 2's evaluation; the solver stops there instead
+    # of stepping NaNs to the end of its budget
+    calls = []
+
+    def fn(z):
+        calls.append(z)
+        return np.array([np.nan]) if len(calls) == 5 else 4.0 * z - 1.0
+
+    inner = CallableOperator(fn, 1, lipschitz=4.0, mu=4.0)
+    with pytest.raises(InnerLoopBudgetExceeded,
+                       match=r"after 2 iterations \(diverged\)"):
+        solve_strongly_monotone(inner, np.array([10.0]), 1e-12, 300)
+    assert len(calls) == 5
+
+
+def test_solver_refuses_a_map_that_is_not_strongly_monotone():
+    inner = CallableOperator(lambda z: ROT @ z, 2, lipschitz=1.0)
+    with pytest.raises(InfeasibleConstants, match="0 < mu <= L"):
+        solve_strongly_monotone(inner, np.ones(2), 1e-12, 100)
 
 
 def test_domain_violation():
